@@ -21,7 +21,7 @@ import json
 import sys
 
 from .algebra import MSC
-from .fields import FieldError, parse_field
+from .fields import FieldError, InfiniteField, ParseError, parse_el, parse_field
 from .families import FamilyId, Regime
 from .poly import (
     ALL_ELEMENTS,
@@ -30,7 +30,6 @@ from .poly import (
     roots_in_field,
     splitting_field,
 )
-from .fields import parse_el
 from .report import analyze, render_text
 from .sweep import (
     FLAG_ROWS,
@@ -86,9 +85,24 @@ def cmd_canonical(args) -> int:
     return 0
 
 
+def _budget(text: str):
+    """`exhaustive` or a positive sample count."""
+    if text == "exhaustive":
+        return text
+    try:
+        n = int(text)
+    except ValueError:  # not an integer, or past int()'s digit limit
+        n = 0
+    if n < 1:
+        raise ParseError(f"budget must be a positive integer or `exhaustive`, not {text!r}")
+    return n
+
+
 def cmd_verify(args) -> int:
     field = parse_field(args.field)
-    budget = "exhaustive" if args.budget == "exhaustive" else int(args.budget)
+    if not field.is_finite:
+        raise InfiniteField("verify sweeps parameter grids over a finite field")
+    budget = _budget(args.budget)
     regime = Regime.of_field(field)
     if args.scope.lower() == "all":
         records = sweep_all(field, budget, args.seed)

@@ -59,7 +59,7 @@ class FamilyId:
     @classmethod
     def parse(cls, text: str, regime: Regime) -> "FamilyId":
         t = text.strip().upper().replace("_", "")
-        if not t.startswith("A"):
+        if not (t.startswith("A") and t[1:].isdecimal() and len(t) <= 3):
             raise FieldError(f"unknown family {text!r}")
         return cls(int(t[1:]), regime)
 

@@ -7,8 +7,8 @@ construction is reproducible.  Elements are kept in a unique canonical form:
 residue vectors in [0, p) for finite fields, one reduced Fraction for Q.
 
 Fields and elements are immutable; the only mutable state is a set of
-memoisation caches (construction, embeddings, products), all of which are
-safe under CPython's locking or are append-only.
+memoisation caches (construction, embeddings, products, inverses, element
+lists), all of which are safe under CPython's locking or are append-only.
 """
 
 from __future__ import annotations
@@ -544,19 +544,10 @@ def _embedding_images(src: Field, dst: Field) -> tuple[Fel, ...]:
     if src.k == 1:
         return (dst.one,)
     # the image of the generator is the lex-smallest root of src's modulus in dst
-    mod = src.modulus
-    for idx in range(dst.order):
-        cand = dst.from_index(idx)
-        acc = dst.zero
-        power = dst.one
-        for c in mod:
-            if c:
-                acc = acc + dst.el(c) * power
-            power = power * cand
-        if acc.is_zero:
-            root = cand
-            break
-    else:
+    from .poly import Poly, _first_root  # poly imports this module
+
+    root = _first_root(Poly.from_ints(dst, src.modulus))
+    if root is None:
         raise IncompatibleFields("modulus has no root in the target field")
     images = [dst.one]
     for _ in range(src.k - 1):

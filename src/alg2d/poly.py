@@ -1,15 +1,19 @@
 """Univariate polynomials over an exact field, with root machinery for degree <= 3.
 
-Provides monic gcd, in-field root finding (exhaustive over finite fields,
-rational-root search over Q), splitting-field construction by root
-adjunction, deterministic square roots in a quadratic extension, and the
-characteristic-dependent classifier for the number of distinct roots of a
-cubic in a root-closed extension.
+Provides monic gcd, in-field root finding (rational-root search over Q),
+splitting-field construction by root adjunction, deterministic square roots
+in a quadratic extension, and the characteristic-dependent classifier for
+the number of distinct roots of a cubic in a root-closed extension.
+
+Every root search over a finite field, `fields.embed` included, goes
+through `_roots`: a lazy scan in canonical index order that never
+materialises the field, so root lists and chosen roots are canonical.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 
 from .fields import (
@@ -225,19 +229,34 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.monic()
 
 
+def _roots(f: Poly):
+    """Roots of a nonzero, non-constant f over a finite field, lazily, in index
+    order; candidates come from `from_index`, never from `Field.elements()`."""
+    F = f.field
+    for i in range(F.order):
+        x = F.from_index(i)
+        if f(x).is_zero:
+            yield x
+
+
+def _first_root(f: Poly) -> Fel | None:
+    """The root of least index of f (as for `_roots`), or None when there is none."""
+    return next(_roots(f), None)
+
+
 def roots_in_field(f: Poly):
     """All distinct roots in the coefficient field; AllElements for the zero poly.
 
-    Finite fields are scanned exhaustively; over Q the rational-root test is
+    Finite fields are scanned by `_roots`; over Q the rational-root test is
     applied to the primitive integer form.
     """
     if f.is_zero:
         return ALL_ELEMENTS
-    F = f.field
-    if F.is_finite:
-        return [x for x in F.elements() if f(x).is_zero]
     if f.degree == 0:
         return []
+    F = f.field
+    if F.is_finite:
+        return list(_roots(f))
     # over Q: strip powers of y, then rational-root search
     roots = []
     coeffs = list(f.coeffs)
@@ -248,13 +267,9 @@ def roots_in_field(f: Poly):
     if len(coeffs) <= 1:
         return sorted(roots, key=lambda r: r.sort_key())
     fracs = [c.coeffs[0] for c in coeffs]
-    denom_lcm = 1
-    for fr in fracs:
-        denom_lcm = denom_lcm * fr.denominator // _gcd(denom_lcm, fr.denominator)
+    denom_lcm = math.lcm(*(fr.denominator for fr in fracs))
     ints = [int(fr * denom_lcm) for fr in fracs]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
+    g = math.gcd(*ints)
     ints = [v // g for v in ints]
     a0, an = abs(ints[0]), abs(ints[-1])
     for pnum in _divisors(a0):
@@ -264,12 +279,6 @@ def roots_in_field(f: Poly):
                 if f(cand).is_zero and cand not in roots:
                     roots.append(cand)
     return sorted(roots, key=lambda r: r.sort_key())
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:
@@ -282,6 +291,21 @@ def _divisors(n: int) -> list[int]:
                 out.append(n // d)
         d += 1
     return sorted(out)
+
+
+def _strip_linear_factors(f: Poly) -> tuple[list[Fel], Poly]:
+    """In-field roots of a nonzero f over a finite field, in index order, and
+    the cofactor left once every in-field linear factor is divided out."""
+    roots = list(_roots(f)) if f.degree > 0 else []
+    F = f.field
+    g = f
+    for r in roots:
+        lin = Poly(F, [-r, F.one])
+        q, rem = divmod(g, lin)
+        while rem.is_zero:
+            g = q
+            q, rem = divmod(g, lin)
+    return roots, g
 
 
 def splitting_field(f: Poly) -> tuple[Field, list[Fel]]:
@@ -298,32 +322,19 @@ def splitting_field(f: Poly) -> tuple[Field, list[Fel]]:
         raise RationalSplittingUnsupported("splitting fields over Q are out of scope")
     if f.degree > 3:
         raise PolyError("splitting fields only built for degree <= 3")
-    base_roots = [x for x in F.elements() if f(x).is_zero]
-    g = f
-    for r in base_roots:
-        lin = Poly(F, [-r, F.one])
-        while True:
-            q, rem = divmod(g, lin)
-            if rem.is_zero:
-                g = q
-            else:
-                break
+    base_roots, g = _strip_linear_factors(f)
     if g.degree <= 0:
-        return F, sorted(base_roots, key=lambda x: x.index())
+        return F, base_roots
     # the cofactor has no in-field roots, so for degree <= 3 it is irreducible
-    d = g.degree
-    ext = GF(F.p, F.k * d)
-    lifted = f.lift(ext)
-    roots = [x for x in ext.elements() if lifted(x).is_zero]
-    return ext, sorted(roots, key=lambda x: x.index())
+    ext = GF(F.p, F.k * g.degree)
+    return ext, list(_roots(f.lift(ext)))
 
 
 def joint_quadratic_splitting(field: Field, polys) -> Field:
     """Smallest extension where every given polynomial of degree <= 2 splits."""
     for f in polys:
-        if f.degree == 2:
-            if not any(f(x).is_zero for x in field.elements()):
-                return GF(field.p, field.k * 2)
+        if f.degree == 2 and _first_root(f) is None:
+            return GF(field.p, field.k * 2)
     return field
 
 
@@ -340,22 +351,15 @@ def sqrt_in_ext(x: Fel) -> tuple[Fel, Field]:
     got = _SQRT_CACHE.get(key)
     if got is not None:
         return got
-    result = None
-    for cand in F.elements():
-        if (cand * cand - x).is_zero:
-            result = (cand, F)
-            break
-    if result is None:
-        ext = GF(F.p, F.k * 2)
-        xe = embed(x, ext)
-        for cand in ext.elements():
-            if (cand * cand - xe).is_zero:
-                result = (cand, ext)
-                break
-    if result is None:
+    E = F
+    s = _first_root(Poly(F, [-x, F.zero, F.one]))
+    if s is None:
+        E = GF(F.p, F.k * 2)
+        s = _first_root(Poly(E, [-embed(x, E), E.zero, E.one]))
+    if s is None:
         raise FieldError("no square root found in the quadratic extension")
-    _SQRT_CACHE[key] = result
-    return result
+    _SQRT_CACHE[key] = (s, E)
+    return s, E
 
 
 def distinct_root_count(f: Poly) -> RootCount:
@@ -373,16 +377,7 @@ def distinct_root_count(f: Poly) -> RootCount:
         raise PolyError("closed root counts stop at degree 3")
     F = f.field
     if F.is_finite:
-        base_roots = [x for x in F.elements() if f(x).is_zero]
-        g = f
-        for r in base_roots:
-            lin = Poly(F, [-r, F.one])
-            while True:
-                q, rem = divmod(g, lin)
-                if rem.is_zero:
-                    g = q
-                else:
-                    break
+        base_roots, g = _strip_linear_factors(f)
         return RootCount.of(len(base_roots) + max(g.degree, 0))
     return cubic_root_count(f.coeff(3), f.coeff(2), f.coeff(1), f.coeff(0))
 

@@ -234,11 +234,7 @@ def _system_lines(f: Poly, g: Poly) -> LineSet | None:
     """Lines from the common roots of a system; None encodes 'all lines'."""
     if f.is_zero and g.is_zero:
         return None
-    h = poly_gcd(f, g)
-    roots = roots_in_field(h)
-    if roots is ALL_ELEMENTS:  # cannot happen for a nonzero gcd
-        return None
-    return LineSet.of(ProjPoint.affine(r) for r in roots)
+    return LineSet.of(ProjPoint.affine(r) for r in roots_in_field(poly_gcd(f, g)))
 
 
 def left_ideals(A: MSC) -> LineSet:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 
 from alg2d.cli import main
 from alg2d.report import AnalysisReport, analyze
@@ -116,3 +118,22 @@ def test_verify_reports_known_catalogue_defects(capsys):
     bad = [r for r in recs if r.get("verdict") == "mismatch"]
     assert bad
     assert all(r["oracle"] is not None for r in bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "all", "q"),
+        ("verify", "A1", "gf(5)", "--budget", "abc"),
+        ("verify", "A1", "gf(5)", "--budget", "-3"),
+        ("canonical", "Ax", "ne23", "", "gf(5)"),
+        # past int()'s default limit of 4300 digits
+        ("verify", "A1", "gf(5)", "--budget", "1" * 5000),
+        ("canonical", "A" + "1" * 5000, "ne23", "", "gf(5)"),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err

@@ -1,0 +1,97 @@
+"""Golden byte-identity digests for reports, sweeps and splitting fields.
+
+Each section hashes the canonical text of one family of outputs with
+sha256.  The expected digests were recorded from the implementation that
+scanned every field element for each root search; any later change to root
+finding must reproduce them byte for byte.  One digest per section, so a
+failure names the section that drifted.
+
+Regenerate (only after an intended output change) with
+`PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import hashlib
+import itertools
+import json
+import random
+
+import pytest
+
+from alg2d import GF, Poly
+from alg2d.algebra import all_mscs, msc_from_index
+from alg2d.families import Regime
+from alg2d.poly import splitting_field
+from alg2d.report import analyze
+from alg2d.sweep import FLAG_ROWS, adjudicate_flag, sweep_all
+
+
+def _plain_and_closed(field):
+    for A in all_mscs(field):
+        yield analyze(A).dumps()
+        yield analyze(A, closed=True).dumps()
+
+
+def _seeded_closed(field, seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        yield analyze(msc_from_index(field, rng.randrange(field.order**8)), closed=True).dumps()
+
+
+def _cubic_splitting_fields(field):
+    for coeffs in itertools.product(field.elements(), repeat=4):
+        f = Poly(field, coeffs)
+        if f.is_zero:
+            continue
+        ext, roots = splitting_field(f)
+        yield f"{f.text()}|{ext.text()}|{','.join(r.text() for r in roots)}"
+
+
+def _sweep_gf5():
+    F = GF(5)
+    for rec in sweep_all(F, budget=40, seed=3):
+        yield json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    regime = Regime.of_field(F)
+    for flag, (_, r, _) in sorted(FLAG_ROWS.items()):
+        if r == regime:
+            yield json.dumps(adjudicate_flag(flag, F, 40, 3), sort_keys=True)
+
+
+SECTIONS = {
+    "analyze_gf2": lambda: _plain_and_closed(GF(2)),
+    "analyze_gf3": lambda: _plain_and_closed(GF(3)),
+    "closed_gf4": lambda: _seeded_closed(GF(2, 2), 1),
+    "closed_gf8": lambda: _seeded_closed(GF(2, 3), 2),
+    "closed_gf9": lambda: _seeded_closed(GF(3, 2), 3),
+    "splitting_gf5": lambda: _cubic_splitting_fields(GF(5)),
+    "splitting_gf4": lambda: _cubic_splitting_fields(GF(2, 2)),
+    "sweep_gf5": _sweep_gf5,
+}
+
+DIGESTS = {
+    "analyze_gf2": "60b8ff9a6ebbe6dd231137a8ba3abdbda763b789d416fcaa4dafd72dd447e984",
+    "analyze_gf3": "002f2e3adba63ca8711e8d1b1a5dc019cb57236543def3c65275eb112eb69479",
+    "closed_gf4": "ce439998b695a81ed459eb871c247b934a8ddd09e683d361cae674199d885168",
+    "closed_gf8": "53b8263bf3c4f45153e35070984d84be220fcb7ba745189f04d87220ae7f7ee8",
+    "closed_gf9": "6afb574fbe32efc6d6806173cb96cff07501627a37ccb53153b6ce911134a934",
+    "splitting_gf4": "444e9d1909ffcbc737e1193663d86062ffcc3cf4ad732149124d0c71a8a6e5de",
+    "splitting_gf5": "ec3940377079b7a65f5ecf80cd1af4991cf3913b010af8abfa4ea8197281fef3",
+    "sweep_gf5": "2ffa7d293d611ffe03c539a5efdc502caf43b54a6e126c4cf78757325a896659",
+}
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_golden_digest(section):
+    assert _digest(SECTIONS[section]()) == DIGESTS[section], section
+
+
+if __name__ == "__main__":
+    for name in sorted(SECTIONS):
+        print(f'    "{name}": "{_digest(SECTIONS[name]())}",')

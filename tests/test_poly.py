@@ -193,3 +193,21 @@ def test_poly_text_round_trip():
     F = GF(3, 2)
     f = Poly(F, [F.el([1, 2]), F.zero, F.el([0, 1])])
     assert parse_poly(F, f.text()) == f
+
+
+def test_root_finding_leaves_element_cache_empty(monkeypatch):
+    from alg2d import fields, poly
+
+    # empty the memo caches so every call below really scans
+    monkeypatch.setattr(poly, "_SQRT_CACHE", {})
+    fields._embedding_images.cache_clear()
+    F = fields.Field(7)
+    assert roots_in_field(P(F, -2, 0, 1)) == [F.el(3), F.el(4)]
+    ext, roots = splitting_field(P(F, -2, 0, 0, 1))  # 2 is not a cube mod 7
+    assert ext.k == 3 and len(roots) == 3
+    assert sqrt_in_ext(F.el(3))[1] == GF(7, 2)  # 3 is not a square mod 7
+    src, dst = fields.Field(3, 2), fields.Field(3, 4)
+    w = fields.embed(src.el([0, 1]), dst)
+    assert P(dst, *src.modulus)(w).is_zero
+    for field in (F, src, dst):
+        assert field._elements is None
