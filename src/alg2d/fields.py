@@ -50,18 +50,36 @@ class ParseError(FieldError):
     pass
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for every
+# n below this bound (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality below PRIME_LIMIT; any n with a factor among
+    the bases is decided at every size, any other n >= PRIME_LIMIT raises."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= PRIME_LIMIT:
+        raise FieldError(f"primality is only decided below {PRIME_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -158,11 +176,16 @@ def _is_irreducible(m: list[int], p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree k over GF(p)."""
-    for lower in itertools.product(range(p), repeat=k):
-        if lower[0] == 0:
-            continue  # divisible by x
-        m = list(lower) + [1]
+    """Lexicographically smallest monic irreducible of degree k over GF(p).
+
+    The lower coefficients (c0, ..., c_{k-1}) are read off a counter in lex
+    order, c0 most significant, starting at c0 = 1 (c0 = 0 means x divides)."""
+    for idx in range(p ** (k - 1), p**k):
+        lower = []
+        for _ in range(k):
+            idx, c = divmod(idx, p)
+            lower.append(c)
+        m = lower[::-1] + [1]
         if _is_irreducible(m, p):
             return tuple(m)
     raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")
@@ -316,12 +339,16 @@ class Field:
         if self.p == 0:
             return (a[0] + b[0],)
         p = self.p
+        if self.k == 1:
+            return ((a[0] + b[0]) % p,)
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def _sub(self, a, b):
         if self.p == 0:
             return (a[0] - b[0],)
         p = self.p
+        if self.k == 1:
+            return ((a[0] - b[0]) % p,)
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def _neg(self, a):

@@ -5,15 +5,20 @@ splitting-field construction by root adjunction, deterministic square roots
 in a quadratic extension, and the characteristic-dependent classifier for
 the number of distinct roots of a cubic in a root-closed extension.
 
-Every root search over a finite field, `fields.embed` included, goes
-through `_roots`: a lazy scan in canonical index order that never
-materialises the field, so root lists and chosen roots are canonical.
+Every root search over a finite field GF(q), `fields.embed` included, goes
+through `_roots`: g = gcd(f, x^q - x) by repeated squaring, then
+Cantor-Zassenhaus splitting of g into linear factors, O(d^2 log q) field
+operations for degree d and no scan of the field.  Callers that only count
+in-field roots stop at g.  Root lists are sorted by index, so they and the
+chosen least-index roots are canonical.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import random
 from fractions import Fraction
 
 from .fields import (
@@ -229,25 +234,163 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.monic()
 
 
-def _roots(f: Poly):
-    """Roots of a nonzero, non-constant f over a finite field, lazily, in index
-    order; candidates come from `from_index`, never from `Field.elements()`."""
+# Raw polynomial arithmetic over a finite field F.  A polynomial is a list of
+# coefficient tuples (`Fel.coeffs`), constant first, without trailing zeros.
+# Only F's `_add`, `_sub`, `_mul` and `_inv` run here: root finding builds no
+# Fel or Poly until it hands the roots back.
+
+def _zero(F: Field) -> tuple:
+    return (0,) * F.k
+
+
+def _one(F: Field) -> tuple:
+    return (1,) + (0,) * (F.k - 1)
+
+
+def _rsub(F: Field, a: list, b: list) -> list:
+    zero = _zero(F)
+    out = [F._sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=zero)]
+    while out and out[-1] == zero:
+        out.pop()
+    return out
+
+
+def _rmul(F: Field, a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    zero = _zero(F)
+    add, mul = F._add, F._mul
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def _rdivmod(F: Field, a: list, m: list) -> tuple[list, list]:
+    """Quotient and remainder of a by the monic m."""
+    zero = _zero(F)
+    sub, mul = F._sub, F._mul
+    r = list(a)
+    d = len(m) - 1
+    q = [zero] * max(len(r) - d, 0)
+    for s in range(len(r) - 1 - d, -1, -1):
+        c = r.pop()
+        q[s] = c
+        if c != zero:
+            for i in range(d):
+                r[s + i] = sub(r[s + i], mul(c, m[i]))
+    while r and r[-1] == zero:
+        r.pop()
+    return q, r
+
+
+def _rmonic(F: Field, a: list) -> list:
+    inv = F._inv(a[-1])
+    return [F._mul(c, inv) for c in a]
+
+
+def _rgcd(F: Field, a: list, b: list) -> list:
+    """Monic gcd of the monic a and any b."""
+    while b:
+        b = _rmonic(F, b)
+        a, b = b, _rdivmod(F, a, b)[1]
+    return a
+
+
+def _rpow_linear(F: Field, a: tuple, e: int, m: list) -> list:
+    """(x + a)^e mod the monic m for e >= 1, by left-to-right repeated squaring."""
+    zero = _zero(F)
+    add, mul = F._add, F._mul
+    r = _rdivmod(F, [a, _one(F)], m)[1]
+    for bit in bin(e)[3:]:
+        r = _rdivmod(F, _rmul(F, r, r), m)[1]
+        if bit == "1":
+            s = [zero] + r
+            if a != zero:
+                for i, c in enumerate(r):
+                    s[i] = add(s[i], mul(a, c))
+            r = _rdivmod(F, s, m)[1]
+    return r
+
+
+def _root_gcd(f: Poly) -> tuple[list, list]:
+    """(h, g) for a nonzero f over a finite field GF(q): h is f made monic and
+    g = gcd(h, x^q - x), the product of x - r over the distinct in-field roots
+    r, both raw."""
     F = f.field
-    for i in range(F.order):
-        x = F.from_index(i)
-        if f(x).is_zero:
-            yield x
+    h = _rmonic(F, [c.coeffs for c in f.coeffs])
+    if len(h) == 1:
+        return h, h
+    x = [_zero(F), _one(F)]
+    return h, _rgcd(F, h, _rsub(F, _rpow_linear(F, _zero(F), F.order, h), x))
+
+
+def _shifts(F: Field):
+    """Split parameters c for `_splitter`.  In characteristic 2 they are the
+    basis w^j (j < k): the traces Tr(w^j * r) separate any two distinct
+    elements r.  Otherwise they are drawn from a fixed-seed pseudo-random
+    sequence over all of F, restarted on every call so that runs repeat;
+    shifts from the prime subfield alone would never separate conjugates."""
+    p, k = F.p, F.k
+    if p == 2:
+        for j in range(k):
+            yield tuple(int(i == j) for i in range(k))
+        return
+    rng = random.Random(0)
+    while True:
+        idx = rng.randrange(F.order)
+        yield tuple(idx // p**i % p for i in range(k))
+
+
+def _splitter(F: Field, c: tuple, g: list) -> list:
+    """A polynomial whose gcd with g (deg >= 2, monic, distinct in-field roots)
+    collects the roots r with Tr(c * r) = 0 in characteristic 2, and the roots
+    with r + c a nonzero square otherwise."""
+    if F.p == 2:
+        t = s = [_zero(F), c]
+        for _ in range(F.k - 1):
+            t = _rdivmod(F, _rmul(F, t, t), g)[1]
+            s = _rsub(F, s, t)  # minus is plus in characteristic 2
+        return s
+    return _rsub(F, _rpow_linear(F, c, (F.order - 1) // 2, g), [_one(F)])
+
+
+def _split(F: Field, g: list) -> list[Fel]:
+    """Roots of g = gcd(f, x^q - x), split by Cantor-Zassenhaus, in index order."""
+    factors = [g] if len(g) > 1 else []
+    shifts = _shifts(F)
+    while any(len(h) > 2 for h in factors):
+        c = next(shifts)
+        refined = []
+        for h in factors:
+            if len(h) > 2:
+                d = _rgcd(F, h, _splitter(F, c, h))
+                if 1 < len(d) < len(h):
+                    refined += [d, _rdivmod(F, h, d)[0]]
+                    continue
+            refined.append(h)
+        factors = refined
+    roots = sorted((F._neg(h[0]) for h in factors), key=lambda r: r[::-1])
+    return [Fel(F, r) for r in roots]
+
+
+def _roots(f: Poly) -> list[Fel]:
+    """Roots of a nonzero, non-constant f over a finite field, in index order."""
+    return _split(f.field, _root_gcd(f)[1])
 
 
 def _first_root(f: Poly) -> Fel | None:
-    """The root of least index of f (as for `_roots`), or None when there is none."""
-    return next(_roots(f), None)
+    """The root of least index of f, or None when there is none."""
+    roots = _roots(f)
+    return roots[0] if roots else None
 
 
 def roots_in_field(f: Poly):
     """All distinct roots in the coefficient field; AllElements for the zero poly.
 
-    Finite fields are scanned by `_roots`; over Q the rational-root test is
+    Finite fields go through `_roots`; over Q the rational-root test is
     applied to the primitive integer form.
     """
     if f.is_zero:
@@ -256,7 +399,7 @@ def roots_in_field(f: Poly):
         return []
     F = f.field
     if F.is_finite:
-        return list(_roots(f))
+        return _roots(f)
     # over Q: strip powers of y, then rational-root search
     roots = []
     coeffs = list(f.coeffs)
@@ -293,19 +436,17 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _strip_linear_factors(f: Poly) -> tuple[list[Fel], Poly]:
-    """In-field roots of a nonzero f over a finite field, in index order, and
-    the cofactor left once every in-field linear factor is divided out."""
-    roots = list(_roots(f)) if f.degree > 0 else []
+def _cofactor_degree(f: Poly) -> tuple[list, int]:
+    """(g, n) for a nonzero f over a finite field: g = gcd(f, x^q - x) as in
+    `_root_gcd`, and n the degree of the cofactor left once every in-field
+    linear factor is divided out, multiplicities included."""
     F = f.field
-    g = f
-    for r in roots:
-        lin = Poly(F, [-r, F.one])
-        q, rem = divmod(g, lin)
-        while rem.is_zero:
-            g = q
-            q, rem = divmod(g, lin)
-    return roots, g
+    h, g = _root_gcd(f)
+    d = g
+    while len(d) > 1:
+        h = _rdivmod(F, h, d)[0]
+        d = _rgcd(F, h, d)
+    return g, len(h) - 1
 
 
 def splitting_field(f: Poly) -> tuple[Field, list[Fel]]:
@@ -322,18 +463,18 @@ def splitting_field(f: Poly) -> tuple[Field, list[Fel]]:
         raise RationalSplittingUnsupported("splitting fields over Q are out of scope")
     if f.degree > 3:
         raise PolyError("splitting fields only built for degree <= 3")
-    base_roots, g = _strip_linear_factors(f)
-    if g.degree <= 0:
-        return F, base_roots
+    g, n = _cofactor_degree(f)
+    if n == 0:
+        return F, _split(F, g)
     # the cofactor has no in-field roots, so for degree <= 3 it is irreducible
-    ext = GF(F.p, F.k * g.degree)
-    return ext, list(_roots(f.lift(ext)))
+    ext = GF(F.p, F.k * n)
+    return ext, _roots(f.lift(ext))
 
 
 def joint_quadratic_splitting(field: Field, polys) -> Field:
     """Smallest extension where every given polynomial of degree <= 2 splits."""
     for f in polys:
-        if f.degree == 2 and _first_root(f) is None:
+        if f.degree == 2 and len(_root_gcd(f)[1]) == 1:
             return GF(field.p, field.k * 2)
     return field
 
@@ -377,8 +518,8 @@ def distinct_root_count(f: Poly) -> RootCount:
         raise PolyError("closed root counts stop at degree 3")
     F = f.field
     if F.is_finite:
-        base_roots, g = _strip_linear_factors(f)
-        return RootCount.of(len(base_roots) + max(g.degree, 0))
+        g, n = _cofactor_degree(f)
+        return RootCount.of(len(g) - 1 + n)
     return cubic_root_count(f.coeff(3), f.coeff(2), f.coeff(1), f.coeff(0))
 
 

@@ -190,18 +190,18 @@ def adjudicate_flag(flag: str, field: Field, budget="exhaustive", seed: int = 0)
     if Regime.of_field(field) != regime:
         raise ValueError(f"flag {flag} needs a field of regime {regime.value}")
     family = FamilyId(index, regime)
+    # the solved count does not depend on the reading: solve each point once
+    solved = [
+        (params, line_count_closed(instantiate(family, params, field), quantity))
+        for params in _param_grid(field, ARITY[index], budget, seed)
+    ]
     counts = {}
     for choice in FLAG_CHOICES[flag]:
-        flags = dict(DEFAULT_FLAGS)
-        flags[flag] = choice
-        bad = 0
-        for params in _param_grid(field, ARITY[index], budget, seed):
-            A = instantiate(family, params, field)
-            pred = predict_count(quantity, family, params, field, flags)
-            solved = line_count_closed(A, quantity)
-            if pred.category != solved:
-                bad += 1
-        counts[choice] = bad
+        flags = {**DEFAULT_FLAGS, flag: choice}
+        counts[choice] = sum(
+            predict_count(quantity, family, params, field, flags).category != count
+            for params, count in solved
+        )
     ranked = sorted(counts.items(), key=lambda kv: kv[1])
     verdict = ranked[0][0] if ranked[0][1] < ranked[1][1] else "tie"
     return {"flag": flag, "readings": counts, "verdict": verdict}

@@ -81,6 +81,22 @@ def test_roots_command(capsys):
     assert "inf distinct roots" in out
 
 
+def test_roots_of_an_irreducible_cubic_over_gf103(capsys):
+    code, out, _ = run(capsys, "roots", "gf(103)", "--json", "--", "-2,0,0,1")
+    assert code == 0
+    assert json.loads(out)["category"] == "3"
+    code, _, _ = run(capsys, "roots", "gf(103)", "--", "-2,0,0,1")
+    assert code == 0
+
+
+def test_prime_past_the_primality_limit_exits_2(capsys):
+    from alg2d.fields import PRIME_LIMIT
+
+    code, _, err = run(capsys, "analyze", f"gf({2**89 - 1})", "0,0,0,0;1,0,0,0")
+    assert code == 2
+    assert str(PRIME_LIMIT) in err and "Traceback" not in err
+
+
 def test_verify_family_json_deterministic(capsys):
     args = ("verify", "A4", "gf(5)", "--json")
     code1, out1, _ = run(capsys, *args)

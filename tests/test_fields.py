@@ -15,7 +15,11 @@ from alg2d import (
     parse_el,
     parse_field,
 )
-from alg2d.fields import ParseError
+from alg2d.fields import PRIME_LIMIT, FieldError, ParseError, is_prime
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 def test_prime_field_needs_no_modulus():
@@ -37,6 +41,54 @@ def test_rational_extension_rejected():
 def test_nonprime_characteristic_rejected():
     with pytest.raises(NonPrimeCharacteristic):
         make_field(6, 1)
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+def test_is_prime_refuses_undecided_sizes():
+    mersenne_89 = 2**89 - 1  # prime, above the deterministic bound
+    assert mersenne_89 > PRIME_LIMIT
+    with pytest.raises(FieldError, match=str(PRIME_LIMIT)) as err:
+        make_field(mersenne_89)
+    assert not isinstance(err.value, NonPrimeCharacteristic)
+    with pytest.raises(NonPrimeCharacteristic):
+        make_field(3 * mersenne_89)
+    assert is_prime(2**61 - 1) and not is_prime((2**61 - 1) * 101)
+
+
+# GF(p, k).modulus as chosen by the walk over every candidate tuple
+MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 0, 1, 1),
+    (2, 4): (1, 0, 0, 1, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 0, 2, 1),
+    (3, 4): (1, 0, 1, 1, 1),
+    (5, 2): (1, 1, 1),
+    (5, 3): (1, 0, 1, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (1, 0, 1, 1),
+    (7, 4): (1, 0, 0, 1, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (1, 0, 4, 1),
+    (11, 4): (1, 0, 0, 4, 1),
+    (13, 2): (1, 3, 1),
+    (13, 3): (1, 0, 4, 1),
+    (13, 4): (1, 0, 0, 1, 1),
+}
+
+
+def test_default_moduli_unchanged():
+    assert {pk: GF(*pk).modulus for pk in MODULI} == MODULI
+
+
+def test_default_modulus_over_a_huge_prime():
+    assert GF(2**61 - 1, 2).modulus == (1, 0, 1)  # 2^61 - 1 = 3 mod 4
 
 
 def test_explicit_modulus_validated():

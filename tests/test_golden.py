@@ -22,6 +22,7 @@ from alg2d.algebra import all_mscs, msc_from_index
 from alg2d.families import Regime
 from alg2d.poly import splitting_field
 from alg2d.report import analyze
+from alg2d.solvers import subalgebra_poly
 from alg2d.sweep import FLAG_ROWS, adjudicate_flag, sweep_all
 
 
@@ -35,6 +36,26 @@ def _seeded_closed(field, seed):
     rng = random.Random(seed)
     for _ in range(200):
         yield analyze(msc_from_index(field, rng.randrange(field.order**8)), closed=True).dumps()
+
+
+def _seeded_plain(field, seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        yield analyze(msc_from_index(field, rng.randrange(field.order**8))).dumps()
+
+
+def _seeded_closed_cubic(field, seed, n=20):
+    """Closed analyses of seeded MSCs whose subalgebra cubic is irreducible,
+    so the subalgebra lines live in GF(q^3); the filter is a plain scan."""
+    rng = random.Random(seed)
+    els = field.elements()
+    done = 0
+    while done < n:
+        A = msc_from_index(field, rng.randrange(field.order**8))
+        f = subalgebra_poly(A)
+        if f.degree == 3 and not any(f(x).is_zero for x in els):
+            done += 1
+            yield analyze(A, closed=True).dumps()
 
 
 def _cubic_splitting_fields(field):
@@ -62,6 +83,11 @@ SECTIONS = {
     "closed_gf4": lambda: _seeded_closed(GF(2, 2), 1),
     "closed_gf8": lambda: _seeded_closed(GF(2, 3), 2),
     "closed_gf9": lambda: _seeded_closed(GF(3, 2), 3),
+    "plain_gf1009": lambda: _seeded_plain(GF(1009), 4, 100),
+    "plain_gf625": lambda: _seeded_plain(GF(5, 4), 5, 50),
+    "closed_cubic_gf11": lambda: _seeded_closed_cubic(GF(11), 6),
+    "closed_cubic_gf13": lambda: _seeded_closed_cubic(GF(13), 7),
+    "closed_cubic_gf17": lambda: _seeded_closed_cubic(GF(17), 8),
     "splitting_gf5": lambda: _cubic_splitting_fields(GF(5)),
     "splitting_gf4": lambda: _cubic_splitting_fields(GF(2, 2)),
     "sweep_gf5": _sweep_gf5,
@@ -73,6 +99,11 @@ DIGESTS = {
     "closed_gf4": "ce439998b695a81ed459eb871c247b934a8ddd09e683d361cae674199d885168",
     "closed_gf8": "53b8263bf3c4f45153e35070984d84be220fcb7ba745189f04d87220ae7f7ee8",
     "closed_gf9": "6afb574fbe32efc6d6806173cb96cff07501627a37ccb53153b6ce911134a934",
+    "closed_cubic_gf11": "de69c279b055142db778968385f0e78b04bd3275cf2ac50480d60004b9ed456a",
+    "closed_cubic_gf13": "84f57f060599b5af7b3904f3c89b26069ecfdbcbf7c49c013eb25ae0fd5858a7",
+    "closed_cubic_gf17": "e6feef9e84ae32bc4955a072d40dd7ee5af5e57510cddcea5ee4f66a2c30c858",
+    "plain_gf1009": "a9c67a45a0727497029e19bbef6d4b48e968681227120591f5a888af86211232",
+    "plain_gf625": "6d94c585527c64667bb0f3876fce82396701e3f92f5f7fd4d557f348bc9bc3e6",
     "splitting_gf4": "444e9d1909ffcbc737e1193663d86062ffcc3cf4ad732149124d0c71a8a6e5de",
     "splitting_gf5": "ec3940377079b7a65f5ecf80cd1af4991cf3913b010af8abfa4ea8197281fef3",
     "sweep_gf5": "2ffa7d293d611ffe03c539a5efdc502caf43b54a6e126c4cf78757325a896659",

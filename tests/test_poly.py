@@ -211,3 +211,38 @@ def test_root_finding_leaves_element_cache_empty(monkeypatch):
     assert P(dst, *src.modulus)(w).is_zero
     for field in (F, src, dst):
         assert field._elements is None
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_roots_match_a_full_field_scan(spec):
+    from alg2d.poly import _first_root
+
+    F = GF(*spec)
+    els = F.elements()
+    for coeffs in itertools.product(els, repeat=4):
+        f = Poly(F, coeffs)
+        if f.is_zero:
+            continue
+        scan = [x for x in els if f(x).is_zero]
+        assert roots_in_field(f) == scan, f.text()
+        if f.degree > 0:
+            assert _first_root(f) == (scan[0] if scan else None), f.text()
+
+
+def test_roots_over_a_huge_prime_field_come_back_in_index_order():
+    F = GF(2**61 - 1)
+    a, b, c = (F.el(v) for v in (2**60 + 12345, 7, 2**40 + 3))
+    f = Poly(F, [-a, F.one]) * Poly(F, [-b, F.one]) * Poly(F, [-c, F.one])
+    assert roots_in_field(f) == [b, c, a]
+    assert roots_in_field(f * f.scale(F.el(5))) == [b, c, a]
+
+
+def test_splitting_field_of_an_irreducible_cubic_over_gf1009():
+    p = 1009
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 3, p) != 1)  # not a cube
+    f = P(GF(p), -c, 0, 0, 1)
+    ext, roots = splitting_field(f)
+    assert ext == GF(p, 3)
+    assert len(set(roots)) == 3
+    assert all(f.lift(ext)(r).is_zero for r in roots)
+    assert roots == sorted(roots, key=lambda r: r.index())

@@ -1,4 +1,4 @@
-"""Root finding over GF(p) cross-checked against sympy, an independent witness.
+"""Root finding and primality cross-checked against sympy, an independent witness.
 
 Skipped when sympy is not installed; sympy is a test-only dependency.
 """
@@ -9,14 +9,12 @@ import random
 import pytest
 
 from alg2d import GF, Poly, roots_in_field, splitting_field
+from alg2d.fields import PRIME_LIMIT, is_prime
 
 sympy = pytest.importorskip("sympy")
 
 PRIMES = (2, 3, 5, 7, 101, 1009)
-# splitting_field scans GF(p^2) or GF(p^3) element by element, which is out
-# of reach for p = 101 (10^6 elements) and p = 1009 (10^9); those primes get
-# the root check only until root finding stops scanning the field
-SPLITTING_PRIMES = (2, 3, 5, 7)
+SPLITTING_PRIMES = PRIMES
 PER_PRIME = 40
 
 
@@ -51,3 +49,13 @@ def test_splitting_degree_is_lcm_of_factor_degrees(p):
         ext, _ = splitting_field(Poly.from_ints(F, coeffs))
         _, factors = _sympy_poly(coeffs, p).factor_list()
         assert ext.k == math.lcm(*(g.degree() for g, _ in factors)), coeffs
+
+
+def test_is_prime_matches_sympy():
+    rng = random.Random(11)
+    samples = [rng.randrange(2, 10**k) for k in (3, 6, 9, 12, 18, 24) for _ in range(300)]
+    samples += [rng.randrange(2, 10**12) | 1 for _ in range(2000)]
+    carmichael = [561, 41041, 825265]
+    strong_pseudoprime = [3215031751]  # to bases 2, 3, 5 and 7
+    for n in samples + carmichael + strong_pseudoprime + [2**61 - 1, PRIME_LIMIT - 2]:
+        assert is_prime(n) == sympy.isprime(n), n
