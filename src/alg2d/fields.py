@@ -8,14 +8,21 @@ residue vectors in [0, p) for finite fields, one reduced Fraction for Q.
 
 Fields and elements are immutable; the only mutable state is a set of
 memoisation caches (construction, embeddings, products, inverses, element
-lists), all of which are safe under CPython's locking or are append-only.
+lists, small-field kernels), all of which are safe under CPython's locking or
+are append-only.
+
+A field of order at most `_TABLE_MAX_ORDER` has a kernel: one interned
+element object per field element, and operation tables filled from the raw
+`_add`/`_sub`/`_mul`/`_inv` on first use, so arithmetic there is one lookup.
+`GF` returns one object per field, so elements of fields built through it
+take the kernel's fast path, which tests the field by identity.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class FieldError(Exception):
@@ -193,7 +200,10 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 
+# Raw products and inverses are memoised up to the first order (at most q^2
+# and q - 1 entries); fields up to the second also get a `_Kernel`.
 _MUL_CACHE_MAX_ORDER = 1024
+_TABLE_MAX_ORDER = 16
 
 
 class Field:
@@ -208,6 +218,7 @@ class Field:
         "_mul_cache",
         "_inv_cache",
         "_elements",
+        "_kernel",
     )
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
@@ -252,6 +263,7 @@ class Field:
         self._mul_cache = {} if (p and 1 < k and p**k <= _MUL_CACHE_MAX_ORDER) else None
         self._inv_cache = {}
         self._elements = None
+        self._kernel = _Kernel(self) if p and self.order <= _TABLE_MAX_ORDER else None
 
     # -- identity ----------------------------------------------------------
 
@@ -297,15 +309,24 @@ class Field:
                 return Fel(self, (Fraction(value[0]),))
             raise FieldError(f"cannot coerce {value!r} into Q")
         if isinstance(value, int):
+            if self._kernel is not None:
+                return self._kernel.els[value % self.p]  # a constant's index is itself
             coeffs = [0] * self.k
             coeffs[0] = value % self.p
-            return Fel(self, tuple(coeffs))
+            return self._fel(tuple(coeffs))
         if isinstance(value, (tuple, list)):
             if len(value) > self.k:
                 raise FieldError("too many coefficients")
             coeffs = [int(c) % self.p for c in value] + [0] * (self.k - len(value))
-            return Fel(self, tuple(coeffs))
+            return self._fel(tuple(coeffs))
         raise FieldError(f"cannot coerce {value!r} into {self.text()}")
+
+    def _fel(self, coeffs: tuple) -> "Fel":
+        """The element with these canonical coefficients; interned when the
+        field has a kernel."""
+        if self._kernel is None:
+            return Fel(self, coeffs)
+        return self._kernel.of[coeffs]
 
     @property
     def zero(self) -> "Fel":
@@ -319,11 +340,16 @@ class Field:
         """Element number idx in the canonical enumeration order."""
         if self.p == 0:
             raise InfiniteField("Q is not enumerable")
+        if self._kernel is not None:
+            return self._kernel.els[idx % self.order]
+        return Fel(self, self._digits(idx))
+
+    def _digits(self, idx: int) -> tuple:
         coeffs = []
         for _ in range(self.k):
             coeffs.append(idx % self.p)
             idx //= self.p
-        return Fel(self, tuple(coeffs))
+        return tuple(coeffs)
 
     def elements(self):
         """All field elements in canonical order (finite fields only)."""
@@ -397,9 +423,11 @@ class Field:
         p = self.p
         if self.k == 1:
             return (pow(a[0], -1, p),)
-        got = self._inv_cache.get(a)
-        if got is not None:
-            return got
+        memo = self.order <= _MUL_CACHE_MAX_ORDER  # at most q - 1 entries
+        if memo:
+            got = self._inv_cache.get(a)
+            if got is not None:
+                return got
         # extended Euclid over GF(p)[x] against the modulus
         r0, r1 = list(self.modulus), _ptrim(list(a))
         s0, s1 = [], [1]
@@ -428,17 +456,75 @@ class Field:
         inv = [(c * lead_inv) % p for c in s0]
         inv = inv[: self.k] + [0] * (self.k - len(inv))
         res = tuple(inv)
-        self._inv_cache[a] = res
+        if memo:
+            self._inv_cache[a] = res
         return res
+
+
+class _Kernel:
+    """Interned elements and operation tables of a field of order at most
+    `_TABLE_MAX_ORDER`.  Each part is built on first use; a binary table is
+    indexed [left index][right index], and the inverse of zero is None."""
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    @cached_property
+    def els(self) -> list:
+        """One element object per field element, in index order."""
+        out = []
+        for i in range(self.field.order):
+            e = _SmallFel(self.field, self.field._digits(i))
+            e._i = i
+            out.append(e)
+        return out
+
+    @cached_property
+    def of(self) -> dict:
+        return {e.coeffs: e for e in self.els}
+
+    def _table(self, op) -> list:
+        of, els = self.of, self.els
+        return [[of[op(a.coeffs, b.coeffs)] for b in els] for a in els]
+
+    @cached_property
+    def add(self) -> list:
+        return self._table(self.field._add)
+
+    @cached_property
+    def sub(self) -> list:
+        return self._table(self.field._sub)
+
+    @cached_property
+    def mul(self) -> list:
+        return self._table(self.field._mul)
+
+    @cached_property
+    def div(self) -> list:
+        inv = self.inv
+        return [[None] + [row[b._i] for b in inv[1:]] for row in self.mul]
+
+    @cached_property
+    def neg(self) -> list:
+        return [self.of[self.field._neg(a.coeffs)] for a in self.els]
+
+    @cached_property
+    def inv(self) -> list:
+        return [None] + [self.of[self.field._inv(a.coeffs)] for a in self.els[1:]]
+
+
+_FIELDS: dict = {}
 
 
 @lru_cache(maxsize=None)
 def GF(p: int, k: int = 1, modulus: tuple[int, ...] | None = None) -> Field:
-    """Construct (and cache) GF(p^k); modulus defaults to the lex-smallest irreducible."""
-    return Field(p, k, modulus)
+    """Construct (and cache) GF(p^k); modulus defaults to the lex-smallest
+    irreducible.  Every spelling of one field returns the same object."""
+    F = Field(p, k, modulus)
+    return _FIELDS.setdefault(F, F)
 
 
-QQ = Field(0, 1, None)
+QQ = GF(0)
 
 
 def make_field(p: int, k: int = 1) -> Field:
@@ -556,6 +642,60 @@ class Fel:
         return "+".join(terms) if terms else "0"
 
 
+class _SmallFel(Fel):
+    """An interned element of a field with a kernel, `_i` its index.  Between
+    two such elements of one field object, every operation is a table lookup;
+    any other operand takes the generic checks and returns an interned result."""
+
+    __slots__ = ("_i",)
+
+    def __add__(self, other):
+        F = self.field
+        if other.__class__ is _SmallFel and other.field is F:
+            return F._kernel.add[self._i][other._i]
+        return F._fel(F._add(self.coeffs, self._check(other).coeffs))
+
+    def __sub__(self, other):
+        F = self.field
+        if other.__class__ is _SmallFel and other.field is F:
+            return F._kernel.sub[self._i][other._i]
+        return F._fel(F._sub(self.coeffs, self._check(other).coeffs))
+
+    def __mul__(self, other):
+        F = self.field
+        if other.__class__ is _SmallFel and other.field is F:
+            return F._kernel.mul[self._i][other._i]
+        return F._fel(F._mul(self.coeffs, self._check(other).coeffs))
+
+    def __truediv__(self, other):
+        F = self.field
+        if other.__class__ is _SmallFel and other.field is F and other._i:
+            return F._kernel.div[self._i][other._i]
+        return F._fel(F._mul(self.coeffs, F._inv(self._check(other).coeffs)))
+
+    def __neg__(self):
+        return self.field._kernel.neg[self._i]
+
+    def inv(self) -> "Fel":
+        if self._i:
+            return self.field._kernel.inv[self._i]
+        raise DivisionByZero("inverse of zero")
+
+    def __eq__(self, other):
+        if other.__class__ is _SmallFel and other.field is self.field:
+            return self._i == other._i
+        return Fel.__eq__(self, other)
+
+    __hash__ = Fel.__hash__
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._i
+
+    def index(self) -> int:
+        return self._i
+
+
 # ---------------------------------------------------------------------------
 # Embeddings between compatible finite fields.
 
@@ -586,7 +726,7 @@ def embed(a: Fel, dst: Field) -> Fel:
     """Image of a under the fixed ring embedding of its field into dst."""
     src = a.field
     if src == dst:
-        return a if a.field is dst else Fel(dst, a.coeffs)
+        return a if a.field is dst else dst._fel(a.coeffs)
     images = _embedding_images(src, dst)
     acc = dst.zero
     for c, img in zip(a.coeffs, images):

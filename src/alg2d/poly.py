@@ -340,8 +340,7 @@ def _shifts(F: Field):
         return
     rng = random.Random(0)
     while True:
-        idx = rng.randrange(F.order)
-        yield tuple(idx // p**i % p for i in range(k))
+        yield F._digits(rng.randrange(F.order))
 
 
 def _splitter(F: Field, c: tuple, g: list) -> list:
@@ -373,7 +372,7 @@ def _split(F: Field, g: list) -> list[Fel]:
             refined.append(h)
         factors = refined
     roots = sorted((F._neg(h[0]) for h in factors), key=lambda r: r[::-1])
-    return [Fel(F, r) for r in roots]
+    return [F._fel(r) for r in roots]
 
 
 def _roots(f: Poly) -> list[Fel]:
@@ -447,6 +446,14 @@ def _cofactor_degree(f: Poly) -> tuple[list, int]:
         h = _rdivmod(F, h, d)[0]
         d = _rgcd(F, h, d)
     return g, len(h) - 1
+
+
+def root_split(f: Poly) -> tuple[list[Fel], int]:
+    """(roots, n) for a nonzero f over a finite field, from one gcd with
+    x^q - x: the distinct in-field roots in index order, and the degree n of
+    the cofactor left once every in-field linear factor is divided out."""
+    g, n = _cofactor_degree(f)
+    return _split(f.field, g), n
 
 
 def splitting_field(f: Poly) -> tuple[Field, list[Fel]]:

@@ -22,6 +22,7 @@ from .solvers import (
     left_quasiunits,
     right_ideals,
     simple_by_cases_extended,
+    subalgebra_roots,
     subalgebra_splitting,
     subalgebras,
     two_sided_ideals,
@@ -129,10 +130,12 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
     `oracle` re-derives every quantity by exhaustive search and insists on equality."""
     F = A.field
     line_fields = {q: F for q in ("subalgebras", "left", "right", "two_sided")}
+    if closed and not F.is_finite:
+        raise InfiniteField("closed-field analysis needs a finite field")
+    # one root search of the subalgebra cubic in F serves every solver below
+    found = subalgebra_roots(A)
     if closed:
-        if not F.is_finite:
-            raise InfiniteField("closed-field analysis needs a finite field")
-        line_fields["subalgebras"] = subalgebra_splitting(A)
+        line_fields["subalgebras"] = F if found[1] == 0 else subalgebra_splitting(A)
         ext = ideal_splitting(A)
         for q in ("left", "right", "two_sided"):
             line_fields[q] = ext
@@ -140,8 +143,9 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
     def lifted(q):
         return A.lift(line_fields[q]) if line_fields[q] != F else A
 
+    sub_found = found if line_fields["subalgebras"] == F else None
     parts = {
-        "subalgebras": subalgebras(lifted("subalgebras")),
+        "subalgebras": subalgebras(lifted("subalgebras"), sub_found),
         "left": left_ideals(lifted("left")),
         "right": right_ideals(lifted("right")),
         "two_sided": two_sided_ideals(lifted("two_sided")),
@@ -149,12 +153,12 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
     if F.is_finite:
         from .solvers import subalgebra_count_closed
 
-        closed_cat = subalgebra_count_closed(A).label
+        closed_cat = subalgebra_count_closed(A, found).label
         simple = is_simple(A)
     else:
         closed_cat = None
         simple = simple_by_cases_extended(A)
-    idem = idempotents(A)
+    idem = idempotents(A, found)
     quasi = left_quasiunits(A)
 
     if oracle:

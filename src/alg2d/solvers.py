@@ -35,6 +35,7 @@ from .poly import (
     distinct_root_count,
     joint_quadratic_splitting,
     poly_gcd,
+    root_split,
     roots_in_field,
     splitting_field,
 )
@@ -91,10 +92,22 @@ def _normalized_lines(field: Field, points) -> LineSet:
     return LineSet.of(pts)
 
 
-def subalgebras(A: MSC) -> LineSet:
-    """Lines closed under the product, with roots taken in A's own field."""
+def subalgebra_roots(A: MSC) -> tuple:
+    """One root search of the subalgebra cubic in A's own field: (roots, rest)
+    with `roots_in_field`'s answer and, over a finite field, the degree of the
+    factor without in-field roots (None over Q).  The solvers that take it as
+    `found` search on their own when it is not given."""
     p = subalgebra_poly(A)
-    roots = roots_in_field(p)
+    if p.is_zero:
+        return ALL_ELEMENTS, 0
+    if not A.field.is_finite:
+        return roots_in_field(p), None
+    return root_split(p)
+
+
+def subalgebras(A: MSC, found: tuple | None = None) -> LineSet:
+    """Lines closed under the product, with roots taken in A's own field."""
+    roots = roots_in_field(subalgebra_poly(A)) if found is None else found[0]
     if roots is ALL_ELEMENTS:
         return LineSet.all_lines()
     points = [ProjPoint.affine(r) for r in roots]
@@ -112,14 +125,18 @@ def subalgebra_splitting(A: MSC) -> Field:
     return ext
 
 
-def subalgebra_count_closed(A: MSC) -> RootCount:
+def subalgebra_count_closed(A: MSC, found: tuple | None = None) -> RootCount:
     """Number of subalgebras over a root-closed extension of a finite field."""
     if not A.field.is_finite:
         raise InfiniteField("closed subalgebra counts need a finite field")
     p = subalgebra_poly(A)
     if p.is_zero:
         return RootCount.INFINITE
-    cat = distinct_root_count(p)
+    if found is None:
+        cat = distinct_root_count(p)
+    else:
+        roots, rest = found
+        cat = RootCount.of(len(roots) + rest)
     n = int(cat.label) + (1 if A.alpha[3].is_zero else 0)
     if n == 0:
         raise AssertionError("a two-dimensional algebra always has a subalgebra")
@@ -200,7 +217,7 @@ class IdempotentSet:
         return "IdempotentSet{" + ", ".join(parts) + "}"
 
 
-def idempotents(A: MSC) -> IdempotentSet:
+def idempotents(A: MSC, found: tuple | None = None) -> IdempotentSet:
     """All v with v^2 = v, from the roots of the subalgebra cubic.
 
     A root y with nonzero eigenvalue c rescales to the idempotent (1/c)(e1+y*e2);
@@ -208,9 +225,8 @@ def idempotents(A: MSC) -> IdempotentSet:
     vanishes identically every slope qualifies and a family appears.
     """
     F = A.field
-    p = subalgebra_poly(A)
     lam = eigenvalue_poly(A)
-    roots = roots_in_field(p)
+    roots = roots_in_field(subalgebra_poly(A)) if found is None else found[0]
     a4 = A.alpha[3]
     b4 = A.beta[3]
     e2_point = None

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -220,3 +221,97 @@ def test_canonical_form_unique():
     assert F.el(9) == F.el(2)
     assert F.el(-1) == F.el(6)
     assert hash(F.el(9)) == hash(F.el(2))
+
+
+# Every field small enough for the table-driven kernel: orders 2 .. 16.
+KERNEL_SPECS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_kernel_agrees_with_raw_arithmetic_exhaustively(spec):
+    F = GF(*spec)
+    assert F._kernel is not None
+    els = F.elements()
+
+    def interned(x, raw):
+        assert x.coeffs == raw
+        return x is F.from_index(x.index())
+
+    for a in els:
+        assert interned(-a, F._neg(a.coeffs))
+        if a.is_zero:
+            with pytest.raises(DivisionByZero):
+                a.inv()
+        else:
+            assert interned(a.inv(), F._inv(a.coeffs))
+        for b in els:
+            assert interned(a + b, F._add(a.coeffs, b.coeffs))
+            assert interned(a - b, F._sub(a.coeffs, b.coeffs))
+            assert interned(a * b, F._mul(a.coeffs, b.coeffs))
+            if b.is_zero:
+                with pytest.raises(DivisionByZero):
+                    a / b
+            else:
+                assert interned(a / b, F._mul(a.coeffs, F._inv(b.coeffs)))
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_kernel_elements_are_interned(spec):
+    from alg2d.fields import Fel
+
+    F = GF(*spec)
+    for i in range(F.order):
+        x = F.from_index(i)
+        assert x.index() == i
+        assert x is F.el(list(x.coeffs))
+        assert x is embed(x, F)
+        direct = Fel(F, x.coeffs)
+        assert direct == x and x == direct and hash(direct) == hash(x)
+        assert copy.copy(x) == x and copy.copy(x) != x + F.one
+        assert direct.is_zero == x.is_zero and direct.index() == i
+    assert F.el(F.p + 1) is F.one and F.zero is F.from_index(0)
+
+
+def test_kernel_mixes_equal_fields_and_rejects_others():
+    from alg2d.fields import Field, FieldMismatch
+
+    G, F = Field(7), GF(7)
+    assert G is not F and G == F
+    a, b = G.el(3), F.el(5)
+    assert a + b == F.one and (a + b).field is G
+    assert (b + a) is F.one and (b - a) is F.el(2) and (b * a) is F.one
+    assert (b / a) is F.el(4) and (a / b).field is G
+    assert a == F.el(3) and F.el(3) == a and hash(a) == hash(F.el(3))
+    with pytest.raises(FieldMismatch):
+        GF(5).one + F.one
+    with pytest.raises(FieldMismatch):
+        F.one * GF(5).one
+    with pytest.raises(TypeError):
+        F.one * 3
+    with pytest.raises(TypeError):
+        F.one + None
+    with pytest.raises(DivisionByZero):
+        F.one / F.zero
+    with pytest.raises(DivisionByZero):
+        F.one / G.zero
+
+
+def test_fields_above_the_table_limit_keep_generic_elements():
+    from alg2d.fields import _TABLE_MAX_ORDER, Fel
+
+    for F in (GF(17), GF(5, 2), GF(2, 5), GF(10007)):
+        assert F.order > _TABLE_MAX_ORDER and F._kernel is None
+        x = F.from_index(3)
+        assert type(x) is Fel and type(x * x) is Fel and x is not F.from_index(3)
+    assert QQ._kernel is None and type(QQ.one) is Fel
+
+
+def test_equal_fields_are_one_object():
+    assert GF(5) is GF(5, 1) is GF(5, 1, None) is parse_field("gf(5)") is make_field(5)
+    assert GF(5, k=1) is GF(5) and parse_field("gf(5,1;0,1)") is GF(5)
+    assert GF(3, 2, GF(3, 2).modulus) is GF(3, 2) is parse_field("gf(3,2)")
+    assert GF(3, 2, (4, 3, 1)) is GF(3, 2)  # coefficients reduced mod 3
+    assert GF(2**61 - 1, 2, (1, 0, 1)) is GF(2**61 - 1, 2)
+    assert GF(0) is QQ is parse_field("q")
+    assert GF(3, 2, (2, 2, 1)) is not GF(3, 2)  # another irreducible modulus
+    assert GF.cache_info().currsize > 0

@@ -361,3 +361,63 @@ def test_q_structure_analysis():
     assert left_ideals(AQ) == LineSet.of([])
     assert simple_by_cases_extended(AQ)
     assert left_quasiunits(AQ).kind == "empty"
+
+
+def _seeded_mscs(F, n, seed):
+    rng = random.Random(seed)
+    draw = (lambda: rng.randrange(-50, 50)) if F is QQ else (lambda: rng.randrange(F.order))
+    out = []
+    for _ in range(n):
+        ints = [draw() for _ in range(8)]
+        if F is QQ:
+            out.append(MSC.from_ints(F, ints[:4], ints[4:]))
+        else:
+            els = [F.from_index(i) for i in ints]
+            out.append(MSC(F, els[:4], els[4:]))
+    return out
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (5, 1), (3, 2), (1009, 1), (0, 1)])
+def test_shared_subalgebra_roots_give_the_same_answers(spec):
+    from alg2d.solvers import subalgebra_roots
+
+    F = QQ if spec[0] == 0 else GF(*spec)
+    zero_cubic = MSC.from_ints(F, [1, 0, 0, 0], [0, 1, 0, 0])  # cubic vanishes
+    for A in [zero_cubic] + _seeded_mscs(F, 40, seed=spec[0]):
+        found = subalgebra_roots(A)
+        assert subalgebras(A, found) == subalgebras(A)
+        assert idempotents(A, found) == idempotents(A)
+        if F.is_finite:
+            assert subalgebra_count_closed(A, found) == subalgebra_count_closed(A)
+    assert subalgebra_roots(zero_cubic)[1] == 0
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_analyze_searches_the_subalgebra_cubic_once(monkeypatch, closed):
+    from alg2d import poly
+    from alg2d.report import analyze
+
+    seen = []
+    root_gcd = poly._root_gcd
+    monkeypatch.setattr(poly, "_root_gcd", lambda f: seen.append(f) or root_gcd(f))
+    searched = 0
+    for A in _seeded_mscs(GF(1009), 30, seed=4):
+        seen.clear()
+        report = analyze(A, closed=closed)
+        if report.line_fields["subalgebras"] == A.field and not subalgebra_poly(A).is_zero:
+            assert seen.count(subalgebra_poly(A)) == 1
+            searched += 1
+    assert searched >= 3
+
+
+def test_inverse_cache_stays_empty_above_the_memo_limit():
+    from alg2d.report import analyze
+
+    p = 10**9 + 7
+    E = GF(p, 2)
+    used = 0
+    for A in _seeded_mscs(GF(p), 100, seed=3):
+        report = analyze(A, closed=True)
+        used += E in report.line_fields.values()
+    assert used > 0  # the quadratic extension really did arithmetic
+    assert len(E._inv_cache) == 0
