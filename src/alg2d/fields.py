@@ -5,6 +5,8 @@ field (constant term first).  When no modulus is given, the lexicographically
 smallest irreducible polynomial of the requested degree is chosen, so field
 construction is reproducible.  Elements are kept in a unique canonical form:
 residue vectors in [0, p) for finite fields, one reduced Fraction for Q.
+Modulus selection (Rabin's irreducibility test) and inversion in GF(p^k)
+run on `poly`'s raw polynomial helpers over GF(p).
 
 Fields and elements are immutable; the only mutable state is a set of
 memoisation caches (construction, embeddings, products, inverses, element
@@ -20,7 +22,6 @@ take the kernel's fast path, which tests the field by identity.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -91,57 +92,9 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Integer-coefficient polynomial helpers over GF(p), used for modulus
-# selection and validation before any Field object exists.  Coefficient
-# lists are constant-first with trailing zeros trimmed.
-
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
-
-
-def _pmod(f: list[int], m: list[int], p: int) -> list[int]:
-    f = f[:]
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(f) - 1 >= dm and f:
-        q = (f[-1] * inv_lead) % p
-        shift = len(f) - 1 - dm
-        for i, c in enumerate(m):
-            f[shift + i] = (f[shift + i] - q * c) % p
-        _ptrim(f)
-    return f
-
-
-def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
-    f, g = f[:], g[:]
-    while g:
-        f, g = g, _pmod(f, g, p)
-    return f
-
-
-def _ppowmod(f: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(f, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
-
+# Modulus selection.  It and `Field._inv` run on `poly`'s raw helpers over
+# GF(p), with 1-tuple coefficients, constant first; `poly` imports this
+# module, so both import the helpers at function level.
 
 def _prime_factors(n: int) -> list[int]:
     out, d = [], 2
@@ -157,29 +110,25 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _is_irreducible(m: list[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p) via x^(p^d) gcd tests."""
+    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic m of degree k over
+    GF(p): x^(p^k) = x mod m, and gcd(m, x^(p^(k/r)) - x) = 1 for each prime
+    r dividing k."""
+    from .poly import _rgcd, _rpow_linear, _rsub
+
     k = len(m) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    if m[0] == 0:
-        return False
-    x = [0, 1]
-    # x^(p^k) must equal x mod m
-    xq = x
-    for _ in range(k):
-        xq = _ppowmod(xq, p, m, p)
-    if _ptrim([(a - b) % p for a, b in itertools.zip_longest(xq, x, fillvalue=0)]):
-        return False
-    for r in _prime_factors(k):
-        xq = x
-        for _ in range(k // r):
-            xq = _ppowmod(xq, p, m, p)
-        diff = _ptrim([(a - b) % p for a, b in itertools.zip_longest(xq, x, fillvalue=0)])
-        if len(_pgcd(m, diff, p)) - 1 != 0:
-            return False
-    return True
+    if k < 2:  # x itself is only reduced mod m from degree 2 on
+        return k == 1
+    P = GF(p)
+    h = [(c,) for c in m]
+
+    def frobenius_minus_x(j):  # x^(p^j) - x mod h
+        return _rsub(P, _rpow_linear(P, (0,), p**j, h), [(0,), (1,)])
+
+    # cheapest exponents first: most reducible candidates fail a gcd early
+    coprime = all(
+        len(_rgcd(P, h, frobenius_minus_x(k // r))) == 1 for r in reversed(_prime_factors(k))
+    )
+    return coprime and not frobenius_minus_x(k)
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -428,34 +377,22 @@ class Field:
             got = self._inv_cache.get(a)
             if got is not None:
                 return got
-        # extended Euclid over GF(p)[x] against the modulus
-        r0, r1 = list(self.modulus), _ptrim(list(a))
-        s0, s1 = [], [1]
+        # extended Euclid over GF(p)[x] against the modulus, keeping
+        # s_i * a = r_i mod the modulus with every divisor r_i made monic;
+        # the last nonzero remainder is then 1 and its s_i the inverse
+        from .poly import _rdivmod, _rmul, _rsub
+
+        P = GF(p)
+        r0, r1 = [(c,) for c in self.modulus], [(c,) for c in a]
+        while r1[-1] == (0,):
+            r1.pop()
+        s0, s1 = [], [(1,)]
         while r1:
-            # divide r0 by r1
-            q = []
-            rem = r0[:]
-            inv_lead = pow(r1[-1], -1, p)
-            while len(rem) >= len(r1) and rem:
-                coef = (rem[-1] * inv_lead) % p
-                deg = len(rem) - len(r1)
-                while len(q) <= deg:
-                    q.append(0)
-                q[deg] = coef
-                for i, c in enumerate(r1):
-                    rem[deg + i] = (rem[deg + i] - coef * c) % p
-                _ptrim(rem)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _ptrim(
-                [
-                    (x - y) % p
-                    for x, y in itertools.zip_longest(s0, _pmul(q, s1, p), fillvalue=0)
-                ]
-            )
-        lead_inv = pow(r0[-1], -1, p)
-        inv = [(c * lead_inv) % p for c in s0]
-        inv = inv[: self.k] + [0] * (self.k - len(inv))
-        res = tuple(inv)
+            lead_inv = [P._inv(r1[-1])]
+            r1, s1 = _rmul(P, r1, lead_inv), _rmul(P, s1, lead_inv)
+            q, r = _rdivmod(P, r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, _rsub(P, s0, _rmul(P, q, s1))
+        res = tuple(c for (c,) in s0) + (0,) * (self.k - len(s0))
         if memo:
             self._inv_cache[a] = res
         return res

@@ -11,6 +11,11 @@ Cantor-Zassenhaus splitting of g into linear factors, O(d^2 log q) field
 operations for degree d and no scan of the field.  Callers that only count
 in-field roots stop at g.  Root lists are sorted by index, so they and the
 chosen least-index roots are canonical.
+
+The raw helpers (`_rsub`, `_rmul`, `_rdivmod`, `_rmonic`, `_rgcd`,
+`_rpow_linear`) are the package's only polynomial arithmetic: `Poly`'s
+product, division and gcd convert to them and back, and `fields` runs
+modulus selection and inversion in GF(p^k) on them over GF(p).
 """
 
 from __future__ import annotations
@@ -99,6 +104,13 @@ class Poly:
         return cls(field, [field.el(c) for c in ints])
 
     @classmethod
+    def _of_raw(cls, field: Field, raw: list) -> "Poly":
+        return cls(field, [field._fel(c) for c in raw])
+
+    def _raw(self) -> list:
+        return [c.coeffs for c in self.coeffs]
+
+    @classmethod
     def zero(cls, field: Field) -> "Poly":
         return cls(field, [])
 
@@ -155,16 +167,8 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
-        zero = self.field.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        F = self.field
+        return Poly._of_raw(F, _rmul(F, self._raw(), other._raw()))
 
     def scale(self, c: Fel) -> "Poly":
         return Poly(self.field, [a * c for a in self.coeffs])
@@ -173,19 +177,11 @@ class Poly:
         self._check(other)
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [self.field.zero] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv_lead = other.lead().inv()
-        d = other.degree
-        while len(rem) - 1 >= d and rem:
-            coef = rem[-1] * inv_lead
-            shift = len(rem) - 1 - d
-            q[shift] = coef
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - coef * c
-            while rem and rem[-1].is_zero:
-                rem.pop()
-        return Poly(self.field, q), Poly(self.field, rem)
+        F = self.field
+        # divide by other made monic, then scale the quotient back
+        lead_inv = [F._inv(other.coeffs[-1].coeffs)]
+        q, r = _rdivmod(F, self._raw(), _rmul(F, other._raw(), lead_inv))
+        return Poly._of_raw(F, _rmul(F, q, lead_inv)), Poly._of_raw(F, r)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -229,18 +225,20 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0."""
     if f.field != g.field:
         raise FieldMismatch("gcd of polynomials over different fields")
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
+    if f.is_zero:
+        return g.monic()
+    F = f.field
+    return Poly._of_raw(F, _rgcd(F, _rmonic(F, f._raw()), g._raw()))
 
 
-# Raw polynomial arithmetic over a finite field F.  A polynomial is a list of
-# coefficient tuples (`Fel.coeffs`), constant first, without trailing zeros.
-# Only F's `_add`, `_sub`, `_mul` and `_inv` run here: root finding builds no
-# Fel or Poly until it hands the roots back.
+# Raw polynomial arithmetic over a field F.  A polynomial is a list of
+# coefficient tuples (`Fel.coeffs`), constant first, without trailing zeros;
+# over Q each is a 1-tuple holding a Fraction, `_zero` included.  Only F's
+# `_add`, `_sub`, `_mul` and `_inv` run here: root finding builds no Fel or
+# Poly until it hands the roots back.
 
 def _zero(F: Field) -> tuple:
-    return (0,) * F.k
+    return (0,) * F.k if F.p else (Fraction(0),)
 
 
 def _one(F: Field) -> tuple:
@@ -320,7 +318,7 @@ def _root_gcd(f: Poly) -> tuple[list, list]:
     g = gcd(h, x^q - x), the product of x - r over the distinct in-field roots
     r, both raw."""
     F = f.field
-    h = _rmonic(F, [c.coeffs for c in f.coeffs])
+    h = _rmonic(F, f._raw())
     if len(h) == 1:
         return h, h
     x = [_zero(F), _one(F)]
@@ -480,6 +478,8 @@ def splitting_field(f: Poly) -> tuple[Field, list[Fel]]:
 
 def joint_quadratic_splitting(field: Field, polys) -> Field:
     """Smallest extension where every given polynomial of degree <= 2 splits."""
+    if not field.is_finite:
+        raise RationalSplittingUnsupported("splitting fields over Q are out of scope")
     for f in polys:
         if f.degree == 2 and len(_root_gcd(f)[1]) == 1:
             return GF(field.p, field.k * 2)

@@ -22,6 +22,7 @@ from .solvers import (
     left_quasiunits,
     right_ideals,
     simple_by_cases_extended,
+    subalgebra_count_closed,
     subalgebra_roots,
     subalgebra_splitting,
     subalgebras,
@@ -151,8 +152,6 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
         "two_sided": two_sided_ideals(lifted("two_sided")),
     }
     if F.is_finite:
-        from .solvers import subalgebra_count_closed
-
         closed_cat = subalgebra_count_closed(A, found).label
         simple = is_simple(A)
     else:

@@ -246,33 +246,29 @@ def idempotents(A: MSC, found: tuple | None = None) -> IdempotentSet:
 # ---------------------------------------------------------------------------
 # One-sided and two-sided ideals.
 
-def _system_lines(f: Poly, g: Poly) -> LineSet | None:
-    """Lines from the common roots of a system; None encodes 'all lines'."""
+def _system_lines(f: Poly, g: Poly) -> LineSet:
+    """Lines from the common roots of a system."""
     if f.is_zero and g.is_zero:
-        return None
+        return LineSet.all_lines()
     return LineSet.of(ProjPoint.affine(r) for r in roots_in_field(poly_gcd(f, g)))
 
 
+def _one_sided_ideals(F: Field, system: tuple[Poly, Poly], e2_ideal: bool) -> LineSet:
+    """Lines of a one-sided ideal system, plus F(e2) when `e2_ideal` holds."""
+    lines = _system_lines(*system)
+    if lines.is_all or not e2_ideal:
+        return lines
+    return _normalized_lines(F, lines.points | {ProjPoint.e2()})
+
+
 def left_ideals(A: MSC) -> LineSet:
-    f, g = left_ideal_system(A)
-    lines = _system_lines(f, g)
-    if lines is None:
-        return LineSet.all_lines()
-    points = set(lines.points)
-    if A.alpha[1].is_zero and A.alpha[3].is_zero:
-        points.add(ProjPoint.e2())
-    return _normalized_lines(A.field, points)
+    a2, a4 = A.alpha[1], A.alpha[3]
+    return _one_sided_ideals(A.field, left_ideal_system(A), a2.is_zero and a4.is_zero)
 
 
 def right_ideals(A: MSC) -> LineSet:
-    f, g = right_ideal_system(A)
-    lines = _system_lines(f, g)
-    if lines is None:
-        return LineSet.all_lines()
-    points = set(lines.points)
-    if A.alpha[2].is_zero and A.alpha[3].is_zero:
-        points.add(ProjPoint.e2())
-    return _normalized_lines(A.field, points)
+    a3, a4 = A.alpha[2], A.alpha[3]
+    return _one_sided_ideals(A.field, right_ideal_system(A), a3.is_zero and a4.is_zero)
 
 
 def two_sided_ideals(A: MSC) -> LineSet:
@@ -296,8 +292,8 @@ def two_sided_ideals(A: MSC) -> LineSet:
     else:
         # commutative in the relevant entries: both systems coincide
         lines = _system_lines(l1, l2)
-        if lines is None:
-            return LineSet.all_lines()
+        if lines.is_all:
+            return lines
         points.update(lines.points)
     if a2.is_zero and a3.is_zero and a4.is_zero:
         points.add(ProjPoint.e2())

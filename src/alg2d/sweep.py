@@ -13,9 +13,10 @@ bug in this package.
 from __future__ import annotations
 
 import random
+import sys
 
 from .algebra import MSC, oracle_enumerate, oracle_points
-from .fields import Field
+from .fields import Field, FieldError
 from .families import ARITY, FamilyId, Regime, all_family_ids, instantiate
 from .poly import RootCount
 from .solvers import (
@@ -66,6 +67,11 @@ def _param_grid(field: Field, n: int, budget, seed: int):
     total = field.order**n
     if budget == "exhaustive" or total <= budget:
         indices = range(total)
+    elif total > sys.maxsize:  # random.sample cannot index a longer range
+        raise FieldError(
+            f"cannot sample {n} parameters over {field.text()}: "
+            f"a sampled grid holds at most {sys.maxsize} points"
+        )
     else:
         rng = random.Random(seed)
         indices = sorted(rng.sample(range(total), budget))

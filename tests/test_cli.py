@@ -146,6 +146,10 @@ def test_verify_reports_known_catalogue_defects(capsys):
         # past int()'s default limit of 4300 digits
         ("verify", "A1", "gf(5)", "--budget", "1" * 5000),
         ("canonical", "A" + "1" * 5000, "ne23", "", "gf(5)"),
+        ("canonical", "A1", "ne23", "1,2,3,4", "q"),
+        # parameter grids longer than sys.maxsize cannot be sampled
+        ("verify", "all", "gf(65537)", "--budget", "2"),
+        ("verify", "all", "gf(3,40)", "--budget", "2"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

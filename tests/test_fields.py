@@ -110,6 +110,26 @@ def test_inverse_examples():
     assert QQ.el(5).inv().text() == "1/5"
 
 
+@pytest.mark.parametrize("p, k", [(2, 8), (3, 5), (31, 2)])
+def test_every_inverse_in_a_memoised_extension(p, k):
+    F = GF(p, k)
+    one = F.one.coeffs
+    for i in range(1, F.order):
+        a = F._digits(i)
+        assert F._mul(a, F._inv(a)) == one, a
+
+
+@pytest.mark.parametrize("p, k", [(10**9 + 7, 3), (2**61 - 1, 2)])
+def test_seeded_inverses_in_a_large_extension(p, k):
+    F = GF(p, k)
+    one = F.one.coeffs
+    rng = random.Random(p)
+    for _ in range(200):
+        a = F._digits(rng.randrange(1, F.order))
+        assert F._mul(a, F._inv(a)) == one, a
+    assert not F._inv_cache
+
+
 def test_embedding_fixes_prime_subfield():
     assert embed(GF(2).one, GF(2, 2)) == GF(2, 2).one
     assert embed(GF(5).el(3), GF(5, 2)) == GF(5, 2).el(3)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,16 @@ def test_gcd_is_monic_and_divides():
     h = poly_gcd(f, g)
     assert h.lead() == F.one
     assert (f % h).is_zero and (g % h).is_zero
+
+
+def test_arithmetic_over_q_keeps_fraction_coefficients():
+    y, y1 = P(QQ, 0, 1), P(QQ, 1, 1)
+    f = y * y1 * P(QQ, 0, 0, 3)  # zero low coefficients
+    q, r = divmod(f + P(QQ, 5), P(QQ, 1, 2))
+    results = [y * y1, f, q, r, poly_gcd(f, y1 * y1), poly_gcd(Poly.zero(QQ), y1)]
+    for g in results:
+        assert g.coeffs, g
+        assert all(type(c.coeffs[0]) is Fraction for c in g.coeffs), g
 
 
 def test_roots_double_root_at_zero():

@@ -1,15 +1,18 @@
-"""Root finding and primality cross-checked against sympy, an independent witness.
+"""Root finding, primality and polynomial arithmetic cross-checked against
+sympy, an independent witness.
 
 Skipped when sympy is not installed; sympy is a test-only dependency.
 """
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from alg2d import GF, Poly, roots_in_field, splitting_field
-from alg2d.fields import PRIME_LIMIT, is_prime
+from alg2d import GF, QQ, Poly, poly_gcd, roots_in_field, splitting_field
+from alg2d.fields import PRIME_LIMIT, _is_irreducible, is_prime
 
 sympy = pytest.importorskip("sympy")
 
@@ -59,3 +62,68 @@ def test_is_prime_matches_sympy():
     strong_pseudoprime = [3215031751]  # to bases 2, 3, 5 and 7
     for n in samples + carmichael + strong_pseudoprime + [2**61 - 1, PRIME_LIMIT - 2]:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize(
+    "p, degrees", [(2, (1, 2, 3, 4)), (3, (1, 2, 3, 4)), (5, (1, 2, 3, 4)), (7, (1, 2, 3))]
+)
+def test_is_irreducible_matches_sympy_on_every_monic(p, degrees):
+    for k in degrees:
+        for lower in itertools.product(range(p), repeat=k):
+            m = list(lower) + [1]
+            assert _is_irreducible(m, p) == _sympy_poly(m, p).is_irreducible, m
+
+
+def _random_coeffs(rng, p, degree):
+    """Constant-first coefficients of exactly this degree: ints mod p, or
+    Fractions over Q (p = 0)."""
+    def draw():
+        if p:
+            return rng.randrange(p)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    coeffs = [draw() for _ in range(degree)]
+    lead = draw()
+    while not lead:
+        lead = draw()
+    return coeffs + [lead]
+
+
+def _sympy_of(coeffs, p):
+    if p:
+        return _sympy_poly(coeffs, p)
+    rationals = [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
+    return sympy.Poly(rationals, sympy.Symbol("y"), domain="QQ")
+
+
+def _leading_first(f: Poly, p):
+    """Coefficients leading first as sympy lists them ([0] for zero)."""
+    if f.is_zero:
+        return [0]
+    if p:
+        return [c.index() for c in reversed(f.coeffs)]
+    return [c.coeffs[0] for c in reversed(f.coeffs)]
+
+
+def _sympy_leading_first(sp, p):
+    if p:
+        return [int(c) % p for c in sp.all_coeffs()]
+    return [Fraction(int(c.p), int(c.q)) for c in sp.all_coeffs()]
+
+
+@pytest.mark.parametrize("p", PRIMES + (0,))
+def test_product_division_and_gcd_match_sympy(p):
+    """40 seeded pairs f = a*c, g = b*c (so gcds are often nontrivial)."""
+    F = GF(p) if p else QQ
+    rng = random.Random(1000 + p)
+    for _ in range(PER_PRIME):
+        a, b, c = (_random_coeffs(rng, p, rng.randint(0, d)) for d in (3, 2, 2))
+        ours = [Poly(F, [F.el(x) for x in v]) for v in (a, b, c)]
+        theirs = [_sympy_of(v, p) for v in (a, b, c)]
+        f, g = ours[0] * ours[2], ours[1] * ours[2]
+        sf, sg = theirs[0] * theirs[2], theirs[1] * theirs[2]
+        q, r = divmod(f, g)
+        sq, sr = sympy.div(sf, sg)
+        pairs = [(f, sf), (g, sg), (q, sq), (r, sr), (poly_gcd(f, g), sympy.gcd(sf, sg))]
+        for got, expect in pairs:
+            assert _leading_first(got, p) == _sympy_leading_first(expect, p), (a, b, c)
