@@ -9,15 +9,17 @@ Subcommands:
   verify SCOPE FIELD       sweep a family (or `all`) against the catalogue
   roots FIELD POLY         root-count classification of a cubic
 
-Exit status: 0 on success (catalogue mismatches are reported, not fatal),
-1 when the solver disagrees with the brute-force oracle (a bug in this
-package), 2 on bad input.
+Exit status: 0 on success (catalogue mismatches are reported, not fatal,
+and a reader that closes the pipe early is not an error), 1 when the solver
+disagrees with the brute-force oracle or two of the package's own
+derivations disagree (a bug in this package), 2 on bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import MSC
@@ -31,6 +33,7 @@ from .poly import (
     splitting_field,
 )
 from .report import analyze, render_text
+from .solvers import InternalInconsistency
 from .sweep import (
     FLAG_ROWS,
     OracleMismatch,
@@ -233,9 +236,18 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); the flush at exit must not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OracleMismatch as exc:
         print(f"ORACLE MISMATCH (implementation bug): {exc}", file=sys.stderr)
+        return 1
+    except InternalInconsistency as exc:
+        print(f"error: internal inconsistency (implementation bug): {exc}", file=sys.stderr)
         return 1
     except FieldError as exc:
         print(f"error: {exc}", file=sys.stderr)

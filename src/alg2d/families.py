@@ -1,10 +1,15 @@
 """The twelve canonical families of two-dimensional algebras, per characteristic regime.
 
-Every nontrivial two-dimensional algebra is isomorphic to exactly one member
-of the families A1..A12; the parameterisation differs between characteristic
-not in {2,3}, characteristic 2, and characteristic 3, so a family is
-identified by (index, regime).  `instantiate` substitutes a parameter vector
-into the printed matrix of structure constants.
+Every nontrivial two-dimensional algebra is isomorphic to a member of the
+families A1..A12; the parameterisation differs between characteristic not in
+{2,3}, characteristic 2, and characteristic 3, so a family is identified by
+(index, regime).  `instantiate` substitutes a parameter vector into the
+printed matrix of structure constants.
+
+The member is not always unique as printed: the change of basis e2 -> -e2
+identifies A2(a1, b1, b2) with A2(a1, -b1, b2) and A6(a1, b1) with
+A6(a1, -b1), in every characteristic but 2.  `instantiate` keeps the printed
+parameter ranges.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Univariate polynomials over an exact field, with root machinery for degree <= 3.
 
-Provides monic gcd, in-field root finding (rational-root search over Q),
-splitting-field construction by root adjunction, deterministic square roots
-in a quadratic extension, and the characteristic-dependent classifier for
-the number of distinct roots of a cubic in a root-closed extension.
+Provides monic gcd, in-field root finding, splitting-field construction by
+root adjunction, deterministic square roots in a quadratic extension, and
+the characteristic-dependent classifier for the number of distinct roots of
+a cubic in a root-closed extension.
 
 Every root search over a finite field GF(q), `fields.embed` included, goes
 through `_roots`: g = gcd(f, x^q - x) by repeated squaring, then
@@ -11,6 +11,10 @@ Cantor-Zassenhaus splitting of g into linear factors, O(d^2 log q) field
 operations for degree d and no scan of the field.  Callers that only count
 in-field roots stop at g.  Root lists are sorted by index, so they and the
 chosen least-index roots are canonical.
+
+Over Q, `_rational_roots` runs `_roots` over a small GF(p) and Hensel-lifts
+each root past Cauchy's bound of a monic integer form, so no divisor of a
+coefficient is ever searched; rational roots are sorted by value.
 
 The raw helpers (`_rsub`, `_rmul`, `_rdivmod`, `_rmonic`, `_rgcd`,
 `_rpow_linear`) are the package's only polynomial arithmetic: `Poly`'s
@@ -35,7 +39,9 @@ from .fields import (
     FieldMismatch,
     InfiniteField,
     ParseError,
+    QQ,
     embed,
+    is_prime,
     parse_el,
 )
 
@@ -387,8 +393,9 @@ def _first_root(f: Poly) -> Fel | None:
 def roots_in_field(f: Poly):
     """All distinct roots in the coefficient field; AllElements for the zero poly.
 
-    Finite fields go through `_roots`; over Q the rational-root test is
-    applied to the primitive integer form.
+    Finite fields go through `_roots`.  Over Q, powers of y are stripped and
+    `_rational_roots` finds the rest through `_roots` over a small GF(p) and
+    Hensel lifting.  Roots come back sorted by `Fel.sort_key`.
     """
     if f.is_zero:
         return ALL_ELEMENTS
@@ -397,40 +404,75 @@ def roots_in_field(f: Poly):
     F = f.field
     if F.is_finite:
         return _roots(f)
-    # over Q: strip powers of y, then rational-root search
+    coeffs = [c.coeffs for c in f.coeffs]
     roots = []
-    coeffs = list(f.coeffs)
-    if coeffs[0].is_zero:
-        roots.append(F.zero)
-        while coeffs and coeffs[0].is_zero:
+    if coeffs[0] == _zero(F):
+        roots.append(Fraction(0))
+        while coeffs[0] == _zero(F):
             coeffs.pop(0)
-    if len(coeffs) <= 1:
-        return sorted(roots, key=lambda r: r.sort_key())
-    fracs = [c.coeffs[0] for c in coeffs]
-    denom_lcm = math.lcm(*(fr.denominator for fr in fracs))
-    ints = [int(fr * denom_lcm) for fr in fracs]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for pnum in _divisors(a0):
-        for qden in _divisors(an):
-            for sign in (1, -1):
-                cand = F.el(Fraction(sign * pnum, qden))
-                if f(cand).is_zero and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots, key=lambda r: r.sort_key())
+    if len(coeffs) > 1:
+        roots += _rational_roots(coeffs)
+    return [F.el(r) for r in sorted(roots)]
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _rational_roots(h: list) -> list[Fraction]:
+    """Distinct rational roots of the raw h over Q (degree >= 1), by the
+    modular method (von zur Gathen & Gerhard, Modern Computer Algebra, 5.10
+    and ch. 15).
+
+    The square-free part of h, made primitive in Z[x] with leading
+    coefficient a, becomes the monic g(y) = a^(n-1) * h(y/a) in Z[y], whose
+    integer roots are the a*r.  Each root of g modulo the least prime p that
+    keeps g square-free (and does not divide a) lifts uniquely; a lift read
+    as a symmetric residue past twice Cauchy's bound is a root of g exactly
+    when g vanishes there.
+    """
+    h = _rmonic(QQ, h)
+    d = _rgcd(QQ, h, [(i * c[0],) for i, c in enumerate(h)][1:])
+    if len(d) > 1:
+        h = _rdivmod(QQ, h, d)[0]
+    fracs = [c[0] for c in h]
+    den = math.lcm(*(c.denominator for c in fracs))
+    ints = [int(c * den) for c in fracs]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    a, n = ints[-1], len(ints) - 1
+    g = [c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    dg = [i * c for i, c in enumerate(g)][1:]
+    bound = 1 + max(abs(c) for c in g[:-1])
+    for p in filter(is_prime, itertools.count(2)):
+        if a % p == 0:
+            continue
+        P = GF(p)
+        gp = [(c % p,) for c in g]
+        dgp = [(c % p,) for c in dg]
+        while dgp and dgp[-1] == (0,):
+            dgp.pop()
+        if len(_rgcd(P, gp, dgp)) == 1:
+            break
+    roots = []
+    for r in _roots(Poly._of_raw(P, gp)):
+        y = _lift_root(g, dg, r.coeffs[0], p, bound)
+        if _ieval(g, y) == 0:
+            roots.append(Fraction(y, a))
+    return roots
+
+
+def _lift_root(g: list[int], dg: list[int], y: int, p: int, bound: int) -> int:
+    """The simple root y of g modulo p, Newton-lifted to a modulus m > 2*bound
+    by squaring m, read as the residue of least absolute value."""
+    m = p
+    while m <= 2 * bound:
+        m *= m
+        y = (y - _ieval(g, y) * pow(_ieval(dg, y), -1, m)) % m
+    return y - m if 2 * y > m else y
+
+
+def _ieval(c: list[int], y: int) -> int:
+    acc = 0
+    for a in reversed(c):
+        acc = acc * y + a
+    return acc
 
 
 def _cofactor_degree(f: Poly) -> tuple[list, int]:

@@ -45,6 +45,10 @@ class WrongCharacteristic(FieldError):
     pass
 
 
+class InternalInconsistency(Exception):
+    """Two of this package's own derivations disagree: an implementation bug."""
+
+
 # ---------------------------------------------------------------------------
 # The defining polynomials.
 
@@ -139,7 +143,7 @@ def subalgebra_count_closed(A: MSC, found: tuple | None = None) -> RootCount:
         cat = RootCount.of(len(roots) + rest)
     n = int(cat.label) + (1 if A.alpha[3].is_zero else 0)
     if n == 0:
-        raise AssertionError("a two-dimensional algebra always has a subalgebra")
+        raise InternalInconsistency("a two-dimensional algebra always has a subalgebra")
     return RootCount.of(n)
 
 
@@ -416,7 +420,7 @@ def _predict_system_count(
         iszero(x) for x in (lin2, q2, con2, lin1, a4, con1)
     ):
         return RootCount.INFINITE
-    raise AssertionError("count predicate case analysis missed a configuration")
+    raise InternalInconsistency("count predicate case analysis missed a configuration")
 
 
 def predict_left_line_count(A: MSC) -> RootCount:
@@ -508,7 +512,7 @@ def is_simple(A: MSC) -> bool:
     solved = line_count_closed(A, "two_sided") == RootCount.ZERO
     by_cases = simple_by_cases_extended(A)
     if solved != by_cases:
-        raise AssertionError(
+        raise InternalInconsistency(
             f"simplicity transcription bug on {A.text()} over {A.field.text()}: "
             f"solver={solved} cases={by_cases}"
         )

@@ -63,8 +63,20 @@ def _oracle_check(A: MSC, quantity: str) -> str:
     return oracle_lines.count_label()
 
 
+# Most parameter points one sweep visits, whether it walks the whole grid or
+# samples it.  The largest exhaustive grid in the tests and the README is
+# A1's GF(9)^4 = 6561 points; a larger grid must be sampled with a budget.
+GRID_LIMIT = 10**5
+
+
 def _param_grid(field: Field, n: int, budget, seed: int):
     total = field.order**n
+    if (total if budget == "exhaustive" else min(budget, total)) > GRID_LIMIT:
+        raise FieldError(
+            f"{n} parameters over {field.text()} make a grid of {total} points, "
+            f"and a sweep visits at most {GRID_LIMIT}: pass --budget N "
+            f"with N <= {GRID_LIMIT}"
+        )
     if budget == "exhaustive" or total <= budget:
         indices = range(total)
     elif total > sys.maxsize:  # random.sample cannot index a longer range

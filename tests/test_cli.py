@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 
+import alg2d
+from alg2d import solvers
 from alg2d.cli import main
 from alg2d.report import AnalysisReport, analyze
 from alg2d import GF, MSC
+from alg2d.sweep import GRID_LIMIT
 
 
 def run(capsys, *argv):
@@ -150,6 +157,8 @@ def test_verify_reports_known_catalogue_defects(capsys):
         # parameter grids longer than sys.maxsize cannot be sampled
         ("verify", "all", "gf(65537)", "--budget", "2"),
         ("verify", "all", "gf(3,40)", "--budget", "2"),
+        # a sweep visits at most GRID_LIMIT points, walked or sampled
+        ("verify", "A1", "gf(101)", "--budget", str(GRID_LIMIT + 1)),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -157,3 +166,68 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert code == 2
     assert any(line.startswith("error:") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+def test_grid_limit_error_names_the_limit_and_the_budget(capsys):
+    code, out, err = run(capsys, "verify", "A1", "gf(65537)")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(GRID_LIMIT) in err and "--budget N" in err
+
+
+def test_internal_inconsistency_exits_1_with_one_error_line(capsys, monkeypatch):
+    by_cases = solvers.simple_by_cases_extended
+    monkeypatch.setattr(solvers, "simple_by_cases_extended", lambda A: not by_cases(A))
+    code, out, err = run(capsys, "analyze", "gf(5)", "0,0,0,0;1,0,0,0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal inconsistency")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _cli_env():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(alg2d.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_argv(*argv):
+    return [sys.executable, "-m", "alg2d.cli", *argv]
+
+
+@pytest.mark.parametrize(
+    "argv, keep",
+    [
+        (("verify", "all", "gf(5)", "--json"), 1),  # like `| head -1`
+        (("analyze", "q", "1,2,3,4;5,6,7,8", "--json"), 0),  # reader gone at once
+    ],
+)
+def test_closed_pipe_exits_0_quietly(argv, keep):
+    proc = subprocess.Popen(
+        _cli_argv(*argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env()
+    )
+    try:
+        for _ in range(keep):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+        assert err == ""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "q", ";".join([",".join([str(10**99 + 7 * i) for i in range(4)])] * 2)),
+        ("roots", "q", "--json", "--", "1000000000000000000000000000057,3,0,1000000000000000000000000000099"),
+    ],
+)
+def test_large_rational_constants_finish_within_a_second(argv):
+    start = time.perf_counter()
+    done = subprocess.run(_cli_argv(*argv), capture_output=True, env=_cli_env(), timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert time.perf_counter() - start < 1.0

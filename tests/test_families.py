@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -114,3 +115,18 @@ def test_regime_of_field():
     from alg2d import QQ
 
     assert Regime.of_field(QQ) is Regime.NE23
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(5), GF(3, 2)])
+@pytest.mark.parametrize("index", [2, 6])
+def test_e2_sign_flip_identifies_a2_and_a6_members(field, index):
+    """e2 -> -e2 maps A2(a1, b1, b2) to A2(a1, -b1, b2) and A6(a1, b1) to
+    A6(a1, -b1), so the member an algebra is isomorphic to is not unique."""
+    fam = FamilyId(index, Regime.of_field(field))
+    for params in itertools.product(field.elements(), repeat=ARITY[index]):
+        A = instantiate(fam, params, field)
+        a1, a2, a3, a4 = A.alpha
+        b1, b2, b3, b4 = A.beta
+        flipped = (params[0], -params[1]) + params[2:]
+        B = instantiate(fam, flipped, field)
+        assert (B.alpha, B.beta) == ((a1, -a2, -a3, a4), (-b1, b2, b3, -b4)), params

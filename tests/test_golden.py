@@ -2,8 +2,9 @@
 
 Each section hashes the canonical text of one family of outputs with
 sha256.  The expected digests were recorded from the implementation that
-scanned every field element for each root search; any later change to root
-finding must reproduce them byte for byte.  One digest per section, so a
+scanned every field element for each root search (and, over Q, tried every
+candidate +-d/e with d | a0 and e | an); any later change to root finding
+must reproduce them byte for byte.  One digest per section, so a
 failure names the section that drifted.
 
 Regenerate (only after an intended output change) with
@@ -14,11 +15,12 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from alg2d import GF, Poly
-from alg2d.algebra import all_mscs, msc_from_index
+from alg2d import GF, QQ, Poly
+from alg2d.algebra import MSC, all_mscs, msc_from_index
 from alg2d.families import Regime
 from alg2d.poly import splitting_field
 from alg2d.report import analyze
@@ -42,6 +44,30 @@ def _seeded_plain(field, seed, n):
     rng = random.Random(seed)
     for _ in range(n):
         yield analyze(msc_from_index(field, rng.randrange(field.order**8))).dumps()
+
+
+def _seeded_plain_q(seed, n=100):
+    """Plain analyses of seeded MSCs over Q.  Constants are integers of up to
+    10^6 in absolute value (log-uniform size), with some n/d and some zero
+    entries.  Every other MSC gets b1 chosen so that a small rational r is a
+    root of its subalgebra cubic, so the rational root search has roots to
+    find, repeated ones included when r is also a root of the rest."""
+    rng = random.Random(seed)
+
+    def const():
+        u = rng.random()
+        if u < 0.15:
+            return 0
+        v = rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(0, 6))
+        return Fraction(v, rng.randint(2, 12)) if u < 0.3 else v
+
+    for i in range(n):
+        c = [const() for _ in range(8)]
+        if i % 2:
+            a1, a2, a3, a4, _, b2, b3, b4 = c
+            r = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            c[4] = ((a4 * r + a2 + a3 - b4) * r + a1 - b2 - b3) * r
+        yield analyze(MSC.from_ints(QQ, c[:4], c[4:])).dumps()
 
 
 def _seeded_closed_cubic(field, seed, n=20):
@@ -85,6 +111,7 @@ SECTIONS = {
     "closed_gf9": lambda: _seeded_closed(GF(3, 2), 3),
     "plain_gf1009": lambda: _seeded_plain(GF(1009), 4, 100),
     "plain_gf625": lambda: _seeded_plain(GF(5, 4), 5, 50),
+    "plain_q": lambda: _seeded_plain_q(9),
     "closed_cubic_gf11": lambda: _seeded_closed_cubic(GF(11), 6),
     "closed_cubic_gf13": lambda: _seeded_closed_cubic(GF(13), 7),
     "closed_cubic_gf17": lambda: _seeded_closed_cubic(GF(17), 8),
@@ -104,6 +131,7 @@ DIGESTS = {
     "closed_cubic_gf17": "e6feef9e84ae32bc4955a072d40dd7ee5af5e57510cddcea5ee4f66a2c30c858",
     "plain_gf1009": "a9c67a45a0727497029e19bbef6d4b48e968681227120591f5a888af86211232",
     "plain_gf625": "6d94c585527c64667bb0f3876fce82396701e3f92f5f7fd4d557f348bc9bc3e6",
+    "plain_q": "9d1f15d6d1f5a3053fa044d125a687009f3eaa609ac98dd1ff5d03d451a3fc04",
     "splitting_gf4": "444e9d1909ffcbc737e1193663d86062ffcc3cf4ad732149124d0c71a8a6e5de",
     "splitting_gf5": "ec3940377079b7a65f5ecf80cd1af4991cf3913b010af8abfa4ea8197281fef3",
     "sweep_gf5": "2ffa7d293d611ffe03c539a5efdc502caf43b54a6e126c4cf78757325a896659",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from alg2d import poly
 from alg2d import (
     ALL_ELEMENTS,
     GF,
@@ -85,6 +86,16 @@ def test_roots_over_q_rational_root_search():
     roots = roots_in_field(f)
     assert [r.text() for r in roots] == ["-3/2", "2"]
     assert roots_in_field(P(QQ, 1, 0, 1)) == []
+
+
+def test_rational_roots_come_from_a_small_prime_field(monkeypatch):
+    seen = []
+    search = poly._roots
+    monkeypatch.setattr(poly, "_roots", lambda f: seen.append(f.field) or search(f))
+    big = 10**40 + 1
+    f = P(QQ, -2, 1) * P(QQ, 3, 2) * P(QQ, -big, 7) * P(QQ, -big, 7)  # 7y - big twice
+    assert [r.text() for r in roots_in_field(f)] == ["-3/2", "2", f"{big}/7"]
+    assert len(seen) == 1 and seen[0].k == 1 and seen[0].p < 100
 
 
 def test_roots_satisfy_polynomial_no_duplicates():

@@ -127,3 +127,58 @@ def test_product_division_and_gcd_match_sympy(p):
         pairs = [(f, sf), (g, sg), (q, sq), (r, sr), (poly_gcd(f, g), sympy.gcd(sf, sg))]
         for got, expect in pairs:
             assert _leading_first(got, p) == _sympy_leading_first(expect, p), (a, b, c)
+
+
+def _big(rng, digits):
+    """A nonzero integer of exactly `digits` digits, either sign."""
+    return rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+
+
+def _rational_case(rng, i):
+    """Constant-first Fraction coefficients of degree 1..3.  The cases cycle
+    through: random coefficients of 1 to 100 digits; planted rational roots,
+    one of them repeated; a root at 0; and planted non-integral roots under
+    a negative rational leading coefficient."""
+    kind = i % 4
+    if kind == 0:
+        digits = rng.randint(1, 100)
+        coeffs = [Fraction(_big(rng, rng.randint(1, digits))) for _ in range(rng.randint(1, 3))]
+        return coeffs + [Fraction(_big(rng, digits))]
+
+    def factor(digits):  # u*y - v, a root v/u
+        return [Fraction(_big(rng, rng.randint(1, digits))), Fraction(_big(rng, digits))]
+
+    def times(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for j, x in enumerate(a):
+            for k, y in enumerate(b):
+                out[j + k] += x * y
+        return out
+
+    digits = rng.randint(1, 33)
+    if kind == 1:
+        f = factor(digits)
+        f = times(times(f, f), factor(digits)) if rng.random() < 0.5 else times(f, f)
+    elif kind == 2:
+        f = [Fraction(0)] + times(factor(digits), factor(digits))[: rng.randint(1, 3)]
+        while not f[-1]:
+            f.pop()
+    else:
+        f = times(factor(digits), factor(digits))
+        if rng.random() < 0.5:
+            f = times(f, factor(digits))
+    scale = Fraction(_big(rng, rng.randint(1, 10)), _big(rng, rng.randint(1, 10)))
+    if kind == 3 and f[-1] * scale > 0:
+        scale = -scale
+    return [c * scale for c in f]
+
+
+def test_rational_roots_match_sympy_ground_roots():
+    rng = random.Random(2024)
+    for i in range(80):
+        coeffs = _rational_case(rng, i)
+        got = [r.coeffs[0] for r in roots_in_field(Poly(QQ, [QQ.el(c) for c in coeffs]))]
+        expect = sorted(
+            Fraction(int(r.p), int(r.q)) for r in set(_sympy_of(coeffs, 0).ground_roots())
+        )
+        assert got == expect, coeffs
