@@ -27,8 +27,6 @@ from .fields import (
     parse_field,
 )
 from .poly import (
-    ALL_ELEMENTS,
-    AllElements,
     Poly,
     RationalSplittingUnsupported,
     RootCount,

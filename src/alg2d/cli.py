@@ -25,13 +25,7 @@ import sys
 from .algebra import MSC
 from .fields import FieldError, InfiniteField, ParseError, parse_el, parse_field
 from .families import FamilyId, Regime
-from .poly import (
-    ALL_ELEMENTS,
-    cubic_root_count,
-    parse_poly,
-    roots_in_field,
-    splitting_field,
-)
+from .poly import cubic_root_count, parse_poly, roots_in_field, splitting_field
 from .report import analyze, render_text
 from .solvers import InternalInconsistency
 from .sweep import (
@@ -164,10 +158,7 @@ def cmd_roots(args) -> int:
     if f.degree > 3:
         raise FieldError("the classifier handles degree <= 3 only")
     cat = cubic_root_count(f.coeff(3), f.coeff(2), f.coeff(1), f.coeff(0))
-    roots = roots_in_field(f)
-    in_field = (
-        "all elements" if roots is ALL_ELEMENTS else [r.text() for r in roots]
-    )
+    in_field = "all elements" if f.is_zero else [r.text() for r in roots_in_field(f)]
     out = {
         "field": field.text(),
         "poly": f.text(),

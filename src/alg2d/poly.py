@@ -76,23 +76,6 @@ class RootCount(enum.Enum):
         return self.value
 
 
-class AllElements:
-    """Marker for "every field element is a root" (the zero polynomial)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "AllElements"
-
-
-ALL_ELEMENTS = AllElements()
-
-
 class Poly:
     """Polynomial with constant-first coefficients, trailing zeros trimmed."""
 
@@ -391,14 +374,16 @@ def _first_root(f: Poly) -> Fel | None:
 
 
 def roots_in_field(f: Poly):
-    """All distinct roots in the coefficient field; AllElements for the zero poly.
+    """All distinct roots in the coefficient field of a nonzero polynomial.
 
     Finite fields go through `_roots`.  Over Q, powers of y are stripped and
     `_rational_roots` finds the rest through `_roots` over a small GF(p) and
-    Hensel lifting.  Roots come back sorted by `Fel.sort_key`.
+    Hensel lifting.  Roots come back sorted by `Fel.sort_key`.  Every element
+    is a root of the zero polynomial, so it raises `ZeroPolynomial`, as
+    `splitting_field` does; callers decide that case from `f.is_zero`.
     """
     if f.is_zero:
-        return ALL_ELEMENTS
+        raise ZeroPolynomial("every element is a root of the zero polynomial")
     if f.degree == 0:
         return []
     F = f.field

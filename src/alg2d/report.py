@@ -1,9 +1,11 @@
 """Full structure analysis of one algebra, with JSON round-tripping.
 
 The report bundles every quantity this package computes for a single matrix
-of structure constants.  With ``closed=True`` the line quantities are
-enumerated over splitting extensions (so the counts match the root-closed
-theory); idempotents and quasiunits always live in the algebra's own field.
+of structure constants.  The algebra is lifted at most once per field: to
+`solvers.ideal_closure`, where its ideal systems split, and with
+``closed=True`` to the splitting field of its subalgebra cubic.  Each line
+quantity is solved once on its lifted algebra, and simplicity and the oracle
+reuse that answer; idempotents and quasiunits live in the algebra's own field.
 """
 
 from __future__ import annotations
@@ -11,17 +13,16 @@ from __future__ import annotations
 import json
 
 from .algebra import MSC, oracle_enumerate, oracle_points, LineSet
-from .fields import InfiniteField, parse_field
+from .fields import FieldError, InfiniteField, parse_field
 from .solvers import (
     AffineSolutionSet,
     IdempotentSet,
-    ideal_splitting,
+    ideal_closure,
     idempotents,
     is_simple,
     left_ideals,
     left_quasiunits,
     right_ideals,
-    simple_by_cases_extended,
     subalgebra_count_closed,
     subalgebra_roots,
     subalgebra_splitting,
@@ -29,6 +30,14 @@ from .solvers import (
     two_sided_ideals,
 )
 from .sweep import OracleMismatch
+
+# Largest field order the oracle runs on.  It scans all q^2 elements and up
+# to q^3 + 1 lines of a splitting field: a closed oracle analysis over GF(25)
+# scans GF(5^6) in about 2.5 s.  The tests and the README stop at GF(11).
+ORACLE_LIMIT = 25
+# Largest field order whose idempotent families the text report lists member
+# by member; above it, as over Q, it names the eigenvalue polynomial.
+LISTING_LIMIT = 1024
 
 
 class AnalysisReport:
@@ -130,42 +139,40 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
     """Compute the full report; `closed` lifts line quantities to splitting fields,
     `oracle` re-derives every quantity by exhaustive search and insists on equality."""
     F = A.field
-    line_fields = {q: F for q in ("subalgebras", "left", "right", "two_sided")}
     if closed and not F.is_finite:
         raise InfiniteField("closed-field analysis needs a finite field")
+    if oracle and not F.is_finite:
+        raise InfiniteField("the brute-force oracle needs a finite field")
+    if oracle and F.order > ORACLE_LIMIT:
+        raise FieldError(
+            f"the brute-force oracle runs on fields of order at most {ORACLE_LIMIT}, "
+            f"and {F.text()} has {F.order} elements"
+        )
     # one root search of the subalgebra cubic in F serves every solver below
     found = subalgebra_roots(A)
-    if closed:
-        line_fields["subalgebras"] = F if found[1] == 0 else subalgebra_splitting(A)
-        ext = ideal_splitting(A)
-        for q in ("left", "right", "two_sided"):
-            line_fields[q] = ext
-
-    def lifted(q):
-        return A.lift(line_fields[q]) if line_fields[q] != F else A
-
-    sub_found = found if line_fields["subalgebras"] == F else None
+    closure = ideal_closure(A) if F.is_finite else A
+    ideal_A = closure if closed else A
+    sub_A = A
+    if closed and found[1]:  # the cubic does not split in F
+        ext = subalgebra_splitting(A, found)
+        sub_A = closure if closure.field == ext else A.lift(ext)
+    # each line quantity with the algebra it was solved on
     parts = {
-        "subalgebras": subalgebras(lifted("subalgebras"), sub_found),
-        "left": left_ideals(lifted("left")),
-        "right": right_ideals(lifted("right")),
-        "two_sided": two_sided_ideals(lifted("two_sided")),
+        "subalgebras": (sub_A, subalgebras(sub_A, found if sub_A is A else None)),
+        "left": (ideal_A, left_ideals(ideal_A)),
+        "right": (ideal_A, right_ideals(ideal_A)),
+        "two_sided": (ideal_A, two_sided_ideals(ideal_A)),
     }
-    if F.is_finite:
-        closed_cat = subalgebra_count_closed(A, found).label
-        simple = is_simple(A)
-    else:
-        closed_cat = None
-        simple = simple_by_cases_extended(A)
+    line_fields = {q: B.field for q, (B, _) in parts.items()}
+    two_sided = parts["two_sided"][1] if ideal_A is closure else two_sided_ideals(closure)
+    closed_cat = subalgebra_count_closed(A, found).label if F.is_finite else None
+    simple = is_simple(A, two_sided)
     idem = idempotents(A, found)
     quasi = left_quasiunits(A)
 
     if oracle:
-        if not F.is_finite:
-            raise InfiniteField("the brute-force oracle needs a finite field")
-        for q, got in parts.items():
-            expect = oracle_enumerate(lifted(q), q)
-            if expect != got:
+        for q, (B, got) in parts.items():
+            if oracle_enumerate(B, q) != got:
                 raise OracleMismatch(f"{q} of {A.text()} disagrees with the oracle")
         if idem.materialize() != oracle_points(A, "idempotents"):
             raise OracleMismatch(f"idempotents of {A.text()} disagree with the oracle")
@@ -177,12 +184,12 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
         msc=A,
         closed=closed,
         line_fields=line_fields,
-        subalgebras=parts["subalgebras"],
+        subalgebras=parts["subalgebras"][1],
         subalgebra_category_closed=closed_cat,
         idempotent_set=idem,
-        left=parts["left"],
-        right=parts["right"],
-        two_sided=parts["two_sided"],
+        left=parts["left"][1],
+        right=parts["right"][1],
+        two_sided=parts["two_sided"][1],
         simple=simple,
         quasiunits=quasi,
     )
@@ -207,13 +214,15 @@ def render_text(report: AnalysisReport) -> str:
     if report.subalgebra_category_closed is not None:
         lines.append(f"subalgebra count over closure: {report.subalgebra_category_closed}")
     idem = report.idempotent_set
-    if F.is_finite or idem.family is None or idem.family.is_zero:
+    listed = F.is_finite and F.order <= LISTING_LIMIT
+    if listed or idem.family is None or idem.family.is_zero:
         mem = idem.materialize()
         lines.append(
             "idempotents: " + (", ".join(u.text() for u in mem) if mem else "none")
         )
     else:
-        lines.append(f"idempotents: family with eigenvalue {idem.family.text()}")
+        e2 = "" if idem.e2_point is None else f" and the point {idem.e2_point.text()}"
+        lines.append(f"idempotents: family with eigenvalue {idem.family.text()}{e2}")
     lines.append(describe_lines("left ideals", report.left, report.line_fields["left"]))
     lines.append(describe_lines("right ideals", report.right, report.line_fields["right"]))
     lines.append(describe_lines("two-sided ideals", report.two_sided,

@@ -11,6 +11,10 @@ F(e2):
   two-sided    -- all four polynomials at once, F(e2) when a2 = a3 = a4 = 0;
   quasiunits   -- an 8x2 linear system in the coordinates of the candidate.
 
+Callers solve each system once: the cubic's roots pass in as `found`, and
+the ideal lines of `ideal_closure(A)`, where all four quadratics split, as
+`is_simple`'s `two_sided`.
+
 The module also carries transcriptions of the published count predicates
 (`predict_left_line_count`, `predict_right_line_count`, `simple_by_cases`)
 used as independent predictors; the generic solver is the ground truth they
@@ -27,9 +31,8 @@ from .algebra import (
     basis,
     mul,
 )
-from .fields import Fel, Field, FieldError, InfiniteField
+from .fields import GF, Fel, Field, FieldError, InfiniteField
 from .poly import (
-    ALL_ELEMENTS,
     Poly,
     RootCount,
     distinct_root_count,
@@ -37,7 +40,6 @@ from .poly import (
     poly_gcd,
     root_split,
     roots_in_field,
-    splitting_field,
 )
 
 
@@ -97,22 +99,22 @@ def _normalized_lines(field: Field, points) -> LineSet:
 
 
 def subalgebra_roots(A: MSC) -> tuple:
-    """One root search of the subalgebra cubic in A's own field: (roots, rest)
-    with `roots_in_field`'s answer and, over a finite field, the degree of the
-    factor without in-field roots (None over Q).  The solvers that take it as
-    `found` search on their own when it is not given."""
-    p = subalgebra_poly(A)
-    if p.is_zero:
-        return ALL_ELEMENTS, 0
+    """One root search of the subalgebra cubic f in A's own field: (roots,
+    rest, f) with the distinct in-field roots ([] when f is zero and every
+    slope is one), the degree of the factor without them (None over Q), and
+    f.  The solvers that take it as `found` search on their own without it."""
+    f = subalgebra_poly(A)
+    if f.is_zero:
+        return [], 0, f
     if not A.field.is_finite:
-        return roots_in_field(p), None
-    return root_split(p)
+        return roots_in_field(f), None, f
+    return (*root_split(f), f)
 
 
 def subalgebras(A: MSC, found: tuple | None = None) -> LineSet:
     """Lines closed under the product, with roots taken in A's own field."""
-    roots = roots_in_field(subalgebra_poly(A)) if found is None else found[0]
-    if roots is ALL_ELEMENTS:
+    roots, _, f = subalgebra_roots(A) if found is None else found
+    if f.is_zero:
         return LineSet.all_lines()
     points = [ProjPoint.affine(r) for r in roots]
     if A.alpha[3].is_zero:
@@ -120,27 +122,27 @@ def subalgebras(A: MSC, found: tuple | None = None) -> LineSet:
     return _normalized_lines(A.field, points)
 
 
-def subalgebra_splitting(A: MSC) -> Field:
-    """Smallest extension where the subalgebra cubic splits."""
-    p = subalgebra_poly(A)
-    if p.is_zero:
-        return A.field
-    ext, _ = splitting_field(p)
-    return ext
+def subalgebra_splitting(A: MSC, found: tuple | None = None) -> Field:
+    """Smallest extension where the subalgebra cubic splits: GF(q^n) for the
+    degree n of its factor without roots in GF(q), which is irreducible."""
+    F = A.field
+    if not F.is_finite:
+        raise InfiniteField("splitting fields need a finite field")
+    _, rest, _ = subalgebra_roots(A) if found is None else found
+    return GF(F.p, F.k * rest) if rest else F
 
 
 def subalgebra_count_closed(A: MSC, found: tuple | None = None) -> RootCount:
     """Number of subalgebras over a root-closed extension of a finite field."""
     if not A.field.is_finite:
         raise InfiniteField("closed subalgebra counts need a finite field")
-    p = subalgebra_poly(A)
-    if p.is_zero:
-        return RootCount.INFINITE
     if found is None:
-        cat = distinct_root_count(p)
+        cat = distinct_root_count(subalgebra_poly(A))
     else:
-        roots, rest = found
-        cat = RootCount.of(len(roots) + rest)
+        roots, rest, p = found
+        cat = RootCount.INFINITE if p.is_zero else RootCount.of(len(roots) + rest)
+    if cat is RootCount.INFINITE:
+        return cat
     n = int(cat.label) + (1 if A.alpha[3].is_zero else 0)
     if n == 0:
         raise InternalInconsistency("a two-dimensional algebra always has a subalgebra")
@@ -230,13 +232,13 @@ def idempotents(A: MSC, found: tuple | None = None) -> IdempotentSet:
     """
     F = A.field
     lam = eigenvalue_poly(A)
-    roots = roots_in_field(subalgebra_poly(A)) if found is None else found[0]
+    roots, _, f = subalgebra_roots(A) if found is None else found
     a4 = A.alpha[3]
     b4 = A.beta[3]
     e2_point = None
     if a4.is_zero and not b4.is_zero:
         e2_point = Element(F.zero, b4.inv())
-    if roots is ALL_ELEMENTS:
+    if f.is_zero:
         return IdempotentSet(F, [], lam, e2_point)
     isolated = []
     for y in roots:
@@ -311,19 +313,21 @@ def ideal_splitting(A: MSC) -> Field:
     return joint_quadratic_splitting(A.field, [l1, l2, r1, r2])
 
 
+def ideal_closure(A: MSC) -> MSC:
+    """A lifted to `ideal_splitting(A)`, or A itself when that field is A's own;
+    its ideal lines there are those of the root closure."""
+    ext = ideal_splitting(A)
+    return A.lift(ext) if ext != A.field else A
+
+
 def line_count_closed(A: MSC, which: str) -> RootCount:
     """Count of lines of the given kind over a root-closed extension."""
     if not A.field.is_finite:
         raise InfiniteField("closed line counts need a finite field")
     if which == "subalgebras":
         return subalgebra_count_closed(A)
-    ext = ideal_splitting(A)
-    lifted = A.lift(ext) if ext != A.field else A
     fn = {"left": left_ideals, "right": right_ideals, "two_sided": two_sided_ideals}[which]
-    lines = fn(lifted)
-    if lines.is_all:
-        return RootCount.INFINITE
-    return RootCount.of(len(lines.points))
+    return RootCount(fn(ideal_closure(A)).count_label())
 
 
 # ---------------------------------------------------------------------------
@@ -499,18 +503,21 @@ def simple_by_cases_extended(A: MSC) -> bool:
     return system_count_closed(l1, l2) == RootCount.ZERO
 
 
-def is_simple(A: MSC) -> bool:
+def is_simple(A: MSC, two_sided: LineSet | None = None) -> bool:
     """No nontrivial two-sided ideal over the root-closed extension.
 
-    Ground truth is the solved ideal set; the repaired case predicate is
-    recomputed alongside and any disagreement raises, since that would mean a
-    transcription bug rather than a published erratum.
+    Ground truth is the two-sided line set of `ideal_closure(A)`, which a
+    caller that already holds it passes as `two_sided`.  The repaired case
+    predicate is recomputed alongside and any disagreement raises, since that
+    would mean a transcription bug rather than a published erratum.  Over Q
+    the case analysis is the closure-exact answer and `two_sided` is not read.
     """
-    if not A.field.is_finite:
-        # over Q the case analysis is the closure-exact answer
-        return simple_by_cases_extended(A)
-    solved = line_count_closed(A, "two_sided") == RootCount.ZERO
     by_cases = simple_by_cases_extended(A)
+    if not A.field.is_finite:
+        return by_cases
+    if two_sided is None:
+        two_sided = two_sided_ideals(ideal_closure(A))
+    solved = two_sided.count_label() == "0"
     if solved != by_cases:
         raise InternalInconsistency(
             f"simplicity transcription bug on {A.text()} over {A.field.text()}: "

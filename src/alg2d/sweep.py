@@ -2,12 +2,13 @@
 
 For every parameter point of a canonical family the harness computes the
 solver's counts over the appropriate splitting extension, evaluates the
-table predictions, and emits one record per quantity.  A record whose
-prediction disagrees with the solver is re-checked against the brute-force
-oracle: if the oracle sides with the solver the record documents a defect in
-the catalogued tables (reported, exit status unaffected); if the oracle
-disagrees with the solver an OracleMismatch is raised, since that would be a
-bug in this package.
+table predictions, and emits one record per quantity.  The ideal systems are
+solved once, on `solvers.ideal_closure`.  A record whose prediction disagrees
+with the solver is re-checked against the brute-force oracle on the lifted
+algebra and lines the solver used: if the oracle sides with the solver the
+record documents a defect in the catalogued tables (reported, exit status
+unaffected); if the oracle disagrees with the solver an OracleMismatch is
+raised, since that would be a bug in this package.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .fields import Field, FieldError
 from .families import ARITY, FamilyId, Regime, all_family_ids, instantiate
 from .poly import RootCount
 from .solvers import (
-    ideal_splitting,
+    ideal_closure,
     left_ideals,
     left_quasiunits,
     line_count_closed,
@@ -33,31 +34,22 @@ from .tables import DEFAULT_FLAGS, FLAG_CHOICES, predict_count, predict_quasiuni
 
 COUNT_QUANTITIES = ("subalgebras", "left", "right", "two_sided")
 
-_SOLVED_LINES = {
-    "subalgebras": subalgebras,
-    "left": left_ideals,
-    "right": right_ideals,
-    "two_sided": two_sided_ideals,
-}
-
 
 class OracleMismatch(Exception):
     """Solver and brute-force oracle disagree: an implementation bug."""
 
 
-def _oracle_check(A: MSC, quantity: str) -> str:
-    """Re-enumerate over the splitting extension and insist the solver agrees.
+def _oracle_check(lifted: MSC, quantity: str, solver_lines) -> str:
+    """Re-enumerate the lines of an algebra already lifted to its splitting
+    extension and insist they equal the solver's lines there.
 
     Returns the oracle's own count label over that extension (which reads
     'inf' when every line of the finite extension qualifies).
     """
-    ext = subalgebra_splitting(A) if quantity == "subalgebras" else ideal_splitting(A)
-    lifted = A.lift(ext) if ext != A.field else A
     oracle_lines = oracle_enumerate(lifted, quantity)
-    solver_lines = _SOLVED_LINES[quantity](lifted)
     if oracle_lines != solver_lines:
         raise OracleMismatch(
-            f"{A.text()} over {ext.text()} {quantity}: solver line set "
+            f"{lifted.text()} over {lifted.field.text()} {quantity}: solver line set "
             "differs from the exhaustive scan"
         )
     return oracle_lines.count_label()
@@ -106,14 +98,14 @@ def verify_point(family: FamilyId, params, field: Field, flags=None) -> list[dic
         "params": [c.text() for c in params],
     }
     records = []
-    ideal_ext = ideal_splitting(A)
-    ideal_lifted = A.lift(ideal_ext) if ideal_ext != field else A
+    closure = ideal_closure(A)
     solved_counts = {"subalgebras": line_count_closed(A, "subalgebras")}
-    for quantity in ("left", "right", "two_sided"):
-        lines = _SOLVED_LINES[quantity](ideal_lifted)
-        solved_counts[quantity] = (
-            RootCount.INFINITE if lines.is_all else RootCount.of(len(lines.points))
-        )
+    ideal_lines = {
+        "left": left_ideals(closure),
+        "right": right_ideals(closure),
+        "two_sided": two_sided_ideals(closure),
+    }
+    solved_counts.update((q, RootCount(ls.count_label())) for q, ls in ideal_lines.items())
     for quantity in COUNT_QUANTITIES:
         pred = predict_count(quantity, family, params, field, flags)
         solved = solved_counts[quantity]
@@ -132,7 +124,12 @@ def verify_point(family: FamilyId, params, field: Field, flags=None) -> list[dic
             citation=";".join(pred.matched) if pred.matched else "none",
         )
         if not agree:
-            rec["oracle"] = _oracle_check(A, quantity)
+            if quantity == "subalgebras":
+                ext = subalgebra_splitting(A)
+                lifted = A.lift(ext) if ext != field else A
+                rec["oracle"] = _oracle_check(lifted, quantity, subalgebras(lifted))
+            else:
+                rec["oracle"] = _oracle_check(closure, quantity, ideal_lines[quantity])
         records.append(rec)
 
     predicted_set, cell = predict_quasiunits(family, params, field, flags)

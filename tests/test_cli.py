@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import alg2d
 from alg2d import solvers
 from alg2d.cli import main
-from alg2d.report import AnalysisReport, analyze
+from alg2d.report import LISTING_LIMIT, ORACLE_LIMIT, AnalysisReport, analyze
 from alg2d import GF, MSC
 from alg2d.sweep import GRID_LIMIT
 
@@ -34,6 +35,55 @@ def test_analyze_a11_with_oracle(capsys):
     assert code == 0
     assert "simple: yes" in out
     assert "left ideals: none" in out
+
+
+def _prime_above(n):
+    from alg2d.fields import is_prime
+
+    return next(p for p in itertools.count(n + 1) if is_prime(p))
+
+
+def _idempotent_line(out):
+    return next(line for line in out.splitlines() if line.startswith("idempotents:"))
+
+
+def test_family_line_names_the_e2_point(capsys):
+    above = _prime_above(LISTING_LIMIT)
+    for field in ("q", f"gf({above})"):
+        code, out, _ = run(capsys, "analyze", field, "1,1,0,0;0,1,0,1")
+        assert code == 0
+        line = _idempotent_line(out)
+        assert line == "idempotents: family with eigenvalue 1,1 and the point e2"
+
+
+def test_family_members_are_listed_up_to_the_listing_limit(capsys):
+    msc = "1,0,0,0;0,1,0,0"  # the cubic vanishes; every e1 + t*e2 is idempotent
+    below = max(p for p in range(LISTING_LIMIT, 1, -1) if alg2d.fields.is_prime(p))
+    code, out, _ = run(capsys, "analyze", f"gf({below})", msc)
+    assert code == 0
+    assert len(_idempotent_line(out).split(", ")) == below
+    code, out, _ = run(capsys, "analyze", f"gf({_prime_above(LISTING_LIMIT)})", msc)
+    assert code == 0
+    assert _idempotent_line(out) == "idempotents: family with eigenvalue 1"
+    assert len(out) < 300
+
+
+@pytest.mark.parametrize("command", ["analyze", "canonical"])
+def test_oracle_refuses_fields_above_the_limit(capsys, command):
+    field = f"gf({_prime_above(max(ORACLE_LIMIT, 1000))})"
+    argv = {
+        "analyze": ("analyze", field, "0,1,1,0;1,0,0,10"),
+        "canonical": ("canonical", "A11", "ne23", "", field),
+    }[command]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--oracle")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(ORACLE_LIMIT) in err and "Traceback" not in err
+    small = f"gf({max(p for p in range(ORACLE_LIMIT, 1, -1) if alg2d.fields.is_prime(p))})"
+    code, _, _ = run(capsys, *(small if a == field else a for a in argv), "--oracle")
+    assert code == 0
 
 
 def test_analyze_zero_algebra_over_q(capsys):

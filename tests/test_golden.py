@@ -23,7 +23,7 @@ from alg2d import GF, QQ, Poly
 from alg2d.algebra import MSC, all_mscs, msc_from_index
 from alg2d.families import Regime
 from alg2d.poly import splitting_field
-from alg2d.report import analyze
+from alg2d.report import analyze, render_text
 from alg2d.solvers import subalgebra_poly
 from alg2d.sweep import FLAG_ROWS, adjudicate_flag, sweep_all
 
@@ -46,8 +46,8 @@ def _seeded_plain(field, seed, n):
         yield analyze(msc_from_index(field, rng.randrange(field.order**8))).dumps()
 
 
-def _seeded_plain_q(seed, n=100):
-    """Plain analyses of seeded MSCs over Q.  Constants are integers of up to
+def _seeded_q_mscs(seed, n=100):
+    """Seeded MSCs over Q.  Constants are integers of up to
     10^6 in absolute value (log-uniform size), with some n/d and some zero
     entries.  Every other MSC gets b1 chosen so that a small rational r is a
     root of its subalgebra cubic, so the rational root search has roots to
@@ -67,7 +67,22 @@ def _seeded_plain_q(seed, n=100):
             a1, a2, a3, a4, _, b2, b3, b4 = c
             r = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
             c[4] = ((a4 * r + a2 + a3 - b4) * r + a1 - b2 - b3) * r
-        yield analyze(MSC.from_ints(QQ, c[:4], c[4:])).dumps()
+        yield MSC.from_ints(QQ, c[:4], c[4:])
+
+
+def _text_reports():
+    """`render_text` of plain and closed analyses of seeded MSCs over GF(3),
+    GF(9) and GF(1009), and of plain analyses over Q.  No input has an
+    idempotent family with members to list above GF(3), so the section
+    pins the text layout, not the listing of family members."""
+    for field, seed, n in ((GF(3), 10, 150), (GF(3, 2), 11, 100), (GF(1009), 12, 40)):
+        rng = random.Random(seed)
+        for _ in range(n):
+            A = msc_from_index(field, rng.randrange(field.order**8))
+            yield render_text(analyze(A))
+            yield render_text(analyze(A, closed=True))
+    for A in _seeded_q_mscs(13, 60):
+        yield render_text(analyze(A))
 
 
 def _seeded_closed_cubic(field, seed, n=20):
@@ -111,13 +126,14 @@ SECTIONS = {
     "closed_gf9": lambda: _seeded_closed(GF(3, 2), 3),
     "plain_gf1009": lambda: _seeded_plain(GF(1009), 4, 100),
     "plain_gf625": lambda: _seeded_plain(GF(5, 4), 5, 50),
-    "plain_q": lambda: _seeded_plain_q(9),
+    "plain_q": lambda: (analyze(A).dumps() for A in _seeded_q_mscs(9)),
     "closed_cubic_gf11": lambda: _seeded_closed_cubic(GF(11), 6),
     "closed_cubic_gf13": lambda: _seeded_closed_cubic(GF(13), 7),
     "closed_cubic_gf17": lambda: _seeded_closed_cubic(GF(17), 8),
     "splitting_gf5": lambda: _cubic_splitting_fields(GF(5)),
     "splitting_gf4": lambda: _cubic_splitting_fields(GF(2, 2)),
     "sweep_gf5": _sweep_gf5,
+    "text": _text_reports,
 }
 
 DIGESTS = {
@@ -135,6 +151,7 @@ DIGESTS = {
     "splitting_gf4": "444e9d1909ffcbc737e1193663d86062ffcc3cf4ad732149124d0c71a8a6e5de",
     "splitting_gf5": "ec3940377079b7a65f5ecf80cd1af4991cf3913b010af8abfa4ea8197281fef3",
     "sweep_gf5": "2ffa7d293d611ffe03c539a5efdc502caf43b54a6e126c4cf78757325a896659",
+    "text": "4f35b35f0ece1c7a057c9730cb80282ce2c79245f5f3d6eedf3ddc1db07e5c96",
 }
 
 

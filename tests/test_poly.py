@@ -5,7 +5,6 @@ import pytest
 
 from alg2d import poly
 from alg2d import (
-    ALL_ELEMENTS,
     GF,
     QQ,
     Poly,
@@ -78,7 +77,11 @@ def test_roots_irreducible_quadratic_gf2():
 
 
 def test_roots_zero_polynomial_marker():
-    assert roots_in_field(Poly.zero(GF(3))) is ALL_ELEMENTS
+    # every element is a root: callers decide that case from `f.is_zero`
+    with pytest.raises(ZeroPolynomial):
+        roots_in_field(Poly.zero(GF(3)))
+    with pytest.raises(ZeroPolynomial):
+        roots_in_field(Poly.zero(QQ))
 
 
 def test_roots_over_q_rational_root_search():

@@ -394,20 +394,44 @@ def test_shared_subalgebra_roots_give_the_same_answers(spec):
 
 @pytest.mark.parametrize("closed", [False, True])
 def test_analyze_searches_the_subalgebra_cubic_once(monkeypatch, closed):
-    from alg2d import poly
+    """One search of the cubic over F (and, in closed mode, one over its
+    splitting field), one ideal splitting, at most one lift per extension,
+    and the two-sided ideals solved once unless plain mode needs them over
+    both F and the ideal closure."""
+    from alg2d import poly, report as report_mod, solvers
     from alg2d.report import analyze
 
-    seen = []
+    seen, calls, lifts = [], [], []
     root_gcd = poly._root_gcd
     monkeypatch.setattr(poly, "_root_gcd", lambda f: seen.append(f) or root_gcd(f))
-    searched = 0
+    ideal_splitting = solvers.ideal_splitting
+    for name in ("ideal_splitting", "two_sided_ideals"):
+        fn = getattr(solvers, name)
+        counted = lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)
+        for mod in (solvers, report_mod):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+    lift = MSC.lift
+    monkeypatch.setattr(MSC, "lift", lambda A, E: lifts.append(E) or lift(A, E))
+    searched = lifted = 0
     for A in _seeded_mscs(GF(1009), 30, seed=4):
-        seen.clear()
+        ideal_field = ideal_splitting(A)
+        seen.clear(), calls.clear(), lifts.clear()
         report = analyze(A, closed=closed)
-        if report.line_fields["subalgebras"] == A.field and not subalgebra_poly(A).is_zero:
-            assert seen.count(subalgebra_poly(A)) == 1
+        f = subalgebra_poly(A)
+        if not f.is_zero:
+            assert seen.count(f) == 1
             searched += 1
+            E = report.line_fields["subalgebras"]
+            if E != A.field:
+                assert seen.count(f.lift(E)) == 1
+                lifted += 1
+        assert calls.count("ideal_splitting") == 1
+        assert len(lifts) == len(set(lifts)) and A.field not in lifts
+        two_sided = 1 if closed or ideal_field == A.field else 2
+        assert calls.count("two_sided_ideals") == two_sided
     assert searched >= 3
+    assert (lifted > 0) == closed
 
 
 def test_inverse_cache_stays_empty_above_the_memo_limit():

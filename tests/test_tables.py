@@ -108,6 +108,26 @@ def test_every_mismatch_carries_oracle_confirmation():
         assert rec["citation"]
 
 
+def test_verify_point_splits_the_ideal_systems_once(monkeypatch):
+    """Oracle rechecks of ideal counts reuse the point's lifted algebra and lines."""
+    from alg2d import solvers
+    from alg2d.sweep import _param_grid
+
+    calls = []
+    split = solvers.ideal_splitting
+    monkeypatch.setattr(solvers, "ideal_splitting", lambda A: calls.append(A) or split(A))
+    rechecked = 0
+    for params in _param_grid(F5, 3, "exhaustive", 0):
+        calls.clear()
+        records = verify_point(fid(2), params, F5)
+        assert len(calls) == 1
+        rechecked += any(
+            r["oracle"] is not None and r["quantity"] in ("left", "right", "two_sided")
+            for r in records
+        )
+    assert rechecked
+
+
 def test_flag_adjudications_pick_one_reading():
     assert adjudicate_flag("table1_A1_disc", F5)["verdict"] == "with3"
     assert adjudicate_flag("twosided_char3_A1_b1", F3)["verdict"] == "alpha1"
