@@ -5,10 +5,13 @@ An algebra is a 2x4 matrix of structure constants over an exact field:
     e1*e1 = a1*e1 + b1*e2    e1*e2 = a2*e1 + b2*e2
     e2*e1 = a3*e1 + b3*e2    e2*e2 = a4*e1 + b4*e2
 
-This module holds the bilinear product, direct definition checkers for every
+This module holds the bilinear product, definition checkers for every
 structure of interest (subalgebras, idempotents, one-sided and two-sided
 ideals, left quasiunits), and exhaustive enumeration oracles over finite
-fields.  Everything operates on immutable values.
+fields.  Each checker is built once per algebra from the structure
+constants, so that testing one candidate costs only the arithmetic that
+depends on it; the oracles scan with the same checkers.  Everything operates
+on immutable values.
 """
 
 from __future__ import annotations
@@ -322,58 +325,84 @@ class IdealWitness:
         return f"IdealWitness({self.lambda_e1.text()}, {self.lambda_e2.text()})"
 
 
-def _scalar_on_line(w: Element, P: ProjPoint) -> Fel | None:
-    """The scalar c with w = c * generator(P), or None if w is off the line."""
+def _comb(x: Fel, p: tuple, y: Fel, q: tuple) -> tuple:
+    """The coordinates of x*p + y*q, for p and q given by their coordinates."""
+    return x * p[0] + y * q[0], x * p[1] + y * q[1]
+
+
+def _square(A: MSC):
+    """(x, y) -> the coordinates of u*u for u = x*e1 + y*e2.  As xy = yx, the
+    e1-coordinate is a1*x^2 + (a2+a3)*xy + a4*y^2, the e2-coordinate likewise
+    with the b's, and a2+a3 and b2+b3 are summed once per algebra."""
+    a1, a2, a3, a4 = A.alpha
+    b1, b2, b3, b4 = A.beta
+    a23, b23 = a2 + a3, b2 + b3
+
+    def square(x: Fel, y: Fel) -> tuple:
+        xx, xy, yy = x * x, x * y, y * y
+        return a1 * xx + a23 * xy + a4 * yy, b1 * xx + b23 * xy + b4 * yy
+
+    return square
+
+
+def _scalar_on_line(wx: Fel, wy: Fel, P: ProjPoint) -> Fel | None:
+    """The scalar c with wx*e1 + wy*e2 = c * generator(P), or None if that
+    vector is off the line."""
     if P.y0 is None:
-        if not w.x.is_zero:
-            return None
-        return w.y
-    c = w.x
-    if w.y == c * P.y0:
-        return c
-    return None
+        return wy if wx.is_zero else None
+    return wx if wy == wx * P.y0 else None
+
+
+def _line_test(A: MSC, kind: str):
+    """The definition of a line kind as a function of the line P.  It returns
+    the subalgebra scalar (u*u = c*u) or the ideal witness (e_i*u, or u*e_i,
+    equal to lambda(e_i)*u for both basis vectors, which suffices by
+    linearity) of the normalised generator u of P, or None.  The basis is
+    built once per algebra, and a two-sided ideal checks both sides on one
+    generator."""
+    F = A.field
+    if kind == "subalgebras":
+        square = _square(A)
+
+        def scalar(P):
+            u = P.generator(F)
+            return _scalar_on_line(*square(u.x, u.y), P)
+
+        return scalar
+    sides = {"left": (False,), "right": (True,), "two_sided": (False, True)}[kind]
+    e1, e2 = basis(F)
+
+    def witness(P):
+        u = P.generator(F)
+        for right in sides:
+            scalars = []
+            for v in (e1, e2):
+                w = mul(A, u, v) if right else mul(A, v, u)
+                c = _scalar_on_line(w.x, w.y, P)
+                if c is None:
+                    return None
+                scalars.append(c)
+        return IdealWitness(*scalars)
+
+    return witness
 
 
 def subalgebra_scalar(A: MSC, P: ProjPoint) -> Fel | None:
     """u^2 = c*u for the normalised generator u of P; None if not a subalgebra."""
-    u = P.generator(A.field)
-    return _scalar_on_line(mul(A, u, u), P)
+    return _line_test(A, "subalgebras")(P)
 
 
 def is_subalgebra(A: MSC, P: ProjPoint) -> bool:
     return subalgebra_scalar(A, P) is not None
 
 
-def is_idempotent(A: MSC, u: Element) -> bool:
-    """v^2 = v for a nonzero v; the zero element is rejected by convention."""
-    if u.is_zero:
-        return False
-    return mul(A, u, u) == u
-
-
 def left_ideal_witness(A: MSC, P: ProjPoint) -> IdealWitness | None:
     """Checks v*u in F*u on the two basis vectors v, which suffices by linearity."""
-    e1, e2 = basis(A.field)
-    u = P.generator(A.field)
-    c1 = _scalar_on_line(mul(A, e1, u), P)
-    if c1 is None:
-        return None
-    c2 = _scalar_on_line(mul(A, e2, u), P)
-    if c2 is None:
-        return None
-    return IdealWitness(c1, c2)
+    return _line_test(A, "left")(P)
 
 
 def right_ideal_witness(A: MSC, P: ProjPoint) -> IdealWitness | None:
-    e1, e2 = basis(A.field)
-    u = P.generator(A.field)
-    c1 = _scalar_on_line(mul(A, u, e1), P)
-    if c1 is None:
-        return None
-    c2 = _scalar_on_line(mul(A, u, e2), P)
-    if c2 is None:
-        return None
-    return IdealWitness(c1, c2)
+    return _line_test(A, "right")(P)
 
 
 def is_left_ideal(A: MSC, P: ProjPoint) -> bool:
@@ -385,65 +414,79 @@ def is_right_ideal(A: MSC, P: ProjPoint) -> bool:
 
 
 def is_two_sided_ideal(A: MSC, P: ProjPoint) -> bool:
-    return is_left_ideal(A, P) and is_right_ideal(A, P)
+    return _line_test(A, "two_sided")(P) is not None
+
+
+def _idempotent_test(A: MSC):
+    """(x, y) -> whether u = x*e1 + y*e2 is nonzero with u*u = u."""
+    square = _square(A)
+    return lambda x, y: square(x, y) == (x, y) and not (x.is_zero and y.is_zero)
+
+
+def _quasiunit_test(A: MSC):
+    """(x, y) -> whether e = x*e1 + y*e2 is a left quasiunit.
+
+    The identity e(uv) = (eu)v + u(ev) - uv is checked coordinate by
+    coordinate on the four basis pairs u = e_i, v = e_j, which suffices by
+    bilinearity.  There uv = P_ij is a structure constant, and only
+    c_j = e*e_j = x*P_1j + y*P_2j depends on e: e(uv) combines c_1 and c_2
+    with the coordinates of P_ij, (eu)v = c_i*e_j combines column j of P,
+    and u(ev) = e_i*c_j combines row i of P.
+    """
+    a, b = A.alpha, A.beta
+    P = ((a[0], b[0]), (a[1], b[1])), ((a[2], b[2]), (a[3], b[3]))  # P[i][j] = e_(i+1)*e_(j+1)
+    eqs = [
+        (i, j, k, P[i][j], P[0][j][k], P[1][j][k], P[i][0][k], P[i][1][k])
+        for i in (0, 1)
+        for j in (0, 1)
+        for k in (0, 1)
+    ]
+
+    def test(x: Fel, y: Fel) -> bool:
+        c = _comb(x, P[0][0], y, P[1][0]), _comb(x, P[0][1], y, P[1][1])
+        for i, j, k, uv, col1, col2, row1, row2 in eqs:
+            (s, t), (s2, t2) = c[i], c[j]
+            lhs = uv[0] * c[0][k] + uv[1] * c[1][k]
+            if lhs != s * col1 + t * col2 + s2 * row1 + t2 * row2 - uv[k]:
+                return False
+        return True
+
+    return test
+
+
+def is_idempotent(A: MSC, u: Element) -> bool:
+    """v^2 = v for a nonzero v; the zero element is rejected by convention."""
+    return _idempotent_test(A)(u.x, u.y)
 
 
 def is_left_quasiunit(A: MSC, e: Element) -> bool:
-    """e(uv) = (eu)v + u(ev) - uv, checked on basis pairs (enough by bilinearity)."""
-    e1, e2 = basis(A.field)
-    for u in (e1, e2):
-        eu = mul(A, e, u)
-        for v in (e1, e2):
-            uv = mul(A, u, v)
-            lhs = mul(A, e, uv)
-            rhs = mul(A, eu, v) + mul(A, u, mul(A, e, v)) - uv
-            if lhs != rhs:
-                return False
-    return True
+    """e(uv) = (eu)v + u(ev) - uv for all u, v."""
+    return _quasiunit_test(A)(e.x, e.y)
 
 
-LINE_KINDS = ("subalgebras", "left", "right", "two_sided")
-POINT_KINDS = ("idempotents", "quasiunits")
-
-_LINE_CHECKERS = {
-    "subalgebras": is_subalgebra,
-    "left": is_left_ideal,
-    "right": is_right_ideal,
-    "two_sided": is_two_sided_ideal,
-}
+_POINT_TESTS = {"idempotents": _idempotent_test, "quasiunits": _quasiunit_test}
 
 
 def oracle_enumerate(A: MSC, kind: str) -> LineSet:
-    """Test every line of the plane with the direct definition checker."""
-    check = _LINE_CHECKERS[kind]
-    hits = [P for P in projective_points(A.field) if check(A, P)]
+    """Test every line of the plane against the definition of `kind`."""
+    check = _line_test(A, kind)
+    hits = [P for P in projective_points(A.field) if check(P) is not None]
     if len(hits) == A.field.order + 1:
         return LineSet.all_lines()
     return LineSet.of(hits)
 
 
 def oracle_points(A: MSC, kind: str) -> list[Element]:
-    """Exhaustive element scan: idempotents skip zero, quasiunits include it."""
+    """Exhaustive element scan: idempotents skip zero, quasiunits include it.
+    The scan runs over x, then y, in index order, so the hits come sorted."""
     F = A.field
     if not F.is_finite:
         raise InfiniteField("cannot enumerate elements over Q")
-    out = []
-    els = F.elements()
-    if kind == "idempotents":
-        for x in els:
-            for y in els:
-                u = Element(x, y)
-                if not u.is_zero and is_idempotent(A, u):
-                    out.append(u)
-    elif kind == "quasiunits":
-        for x in els:
-            for y in els:
-                u = Element(x, y)
-                if is_left_quasiunit(A, u):
-                    out.append(u)
-    else:
+    if kind not in _POINT_TESTS:
         raise ValueError(f"unknown point kind {kind!r}")
-    return sorted(out, key=lambda u: u.sort_key())
+    test = _POINT_TESTS[kind](A)
+    els = F.elements()
+    return [Element(x, y) for x in els for y in els if test(x, y)]
 
 
 def all_mscs(field: Field):

@@ -26,6 +26,8 @@ from .solvers import (
     left_quasiunits,
     line_count_closed,
     right_ideals,
+    subalgebra_count_closed,
+    subalgebra_roots,
     subalgebra_splitting,
     subalgebras,
     two_sided_ideals,
@@ -99,7 +101,8 @@ def verify_point(family: FamilyId, params, field: Field, flags=None) -> list[dic
     }
     records = []
     closure = ideal_closure(A)
-    solved_counts = {"subalgebras": line_count_closed(A, "subalgebras")}
+    found = subalgebra_roots(A)  # the one search of the subalgebra cubic over F
+    solved_counts = {"subalgebras": subalgebra_count_closed(A, found)}
     ideal_lines = {
         "left": left_ideals(closure),
         "right": right_ideals(closure),
@@ -125,9 +128,12 @@ def verify_point(family: FamilyId, params, field: Field, flags=None) -> list[dic
         )
         if not agree:
             if quantity == "subalgebras":
-                ext = subalgebra_splitting(A)
-                lifted = A.lift(ext) if ext != field else A
-                rec["oracle"] = _oracle_check(lifted, quantity, subalgebras(lifted))
+                ext = subalgebra_splitting(A, found)
+                if ext == field:
+                    rec["oracle"] = _oracle_check(A, quantity, subalgebras(A, found))
+                else:
+                    lifted = A.lift(ext)
+                    rec["oracle"] = _oracle_check(lifted, quantity, subalgebras(lifted))
             else:
                 rec["oracle"] = _oracle_check(closure, quantity, ideal_lines[quantity])
         records.append(rec)

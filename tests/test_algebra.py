@@ -10,6 +10,7 @@ from alg2d import (
     LineSet,
     MSC,
     ProjPoint,
+    all_mscs,
     basis,
     is_idempotent,
     is_left_ideal,
@@ -153,6 +154,74 @@ def test_quasiunit_examples():
     a1 = F5.el(2)
     A2 = MSC(F5, [a1, F5.zero, F5.zero, F5.one], [F5.zero, a1, F5.one - a1, F5.zero])
     assert is_left_quasiunit(A2, Element(a1.inv(), F5.zero))
+
+
+def _plane(field):
+    return [Element(x, y) for x in field.elements() for y in field.elements()]
+
+
+def _literal_quasiunit(A, e, pairs):
+    """The defining identity e(uv) = (eu)v + u(ev) - uv through `mul`."""
+    for u, v in pairs:
+        lhs = mul(A, e, mul(A, u, v))
+        rhs = mul(A, mul(A, e, u), v) + mul(A, u, mul(A, e, v)) - mul(A, u, v)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def test_checkers_match_the_literal_definitions():
+    """The checkers evaluate the definitions from the structure constants;
+    `mul` evaluates them literally.  Every element and line of the plane is
+    tried, so non-solutions are compared as well as solutions.  Over GF(2)
+    that is every algebra and every pair (u, v); over GF(3), GF(4) and GF(9)
+    seeded algebras, the A10 shape (which has a quasiunit and an idempotent)
+    and the basis pairs, which suffice by bilinearity."""
+    rng = random.Random(8)
+    F2 = GF(2)
+    plane2 = _plane(F2)
+    cases = [(A, [(u, v) for u in plane2 for v in plane2]) for A in all_mscs(F2)]
+    for field in (GF(3), GF(2, 2), GF(3, 2)):
+        pairs = [(u, v) for u in basis(field) for v in basis(field)]
+        algebras = [rand_msc(field, rng) for _ in range(25)]
+        algebras.append(MSC.from_ints(field, [0, 1, 1, 0], [0, 0, 0, -1]))
+        cases += [(A, pairs) for A in algebras]
+    outcomes = {}
+    for A, pairs in cases:
+        seen = outcomes.setdefault(A.field, set())
+        for e in _plane(A.field):
+            qu = is_left_quasiunit(A, e)
+            assert qu == _literal_quasiunit(A, e, pairs), (A, e)
+            idem = is_idempotent(A, e)
+            assert idem == (not e.is_zero and mul(A, e, e) == e), (A, e)
+            seen.update((("quasiunit", qu), ("idempotent", idem)))
+        for P in projective_points(A.field):
+            u = P.generator(A.field)
+            w = mul(A, u, u)
+            assert is_subalgebra(A, P) == (w.x * u.y - w.y * u.x).is_zero, (A, P)
+    for seen in outcomes.values():
+        assert seen == {(kind, b) for kind in ("quasiunit", "idempotent") for b in (True, False)}
+
+
+def test_oracle_point_scans_multiply_nothing_per_candidate(monkeypatch):
+    """Each scan evaluates its definition from the structure constants: no
+    `mul` and no `basis()` per candidate.  The line scan still goes through
+    `mul`, which shows that the wrapper sees the module's own calls."""
+    from alg2d import algebra
+
+    calls = []
+    for name in ("mul", "basis"):
+        fn = getattr(algebra, name)
+        monkeypatch.setattr(algebra, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+    rng = random.Random(13)
+    F9 = GF(3, 2)
+    for _ in range(10):
+        A = rand_msc(F9, rng)
+        oracle_points(A, "quasiunits")
+        oracle_points(A, "idempotents")
+    assert calls == []
+    oracle_enumerate(A, "left")
+    assert calls
 
 
 def test_oracle_enumerate_examples():

@@ -128,6 +128,33 @@ def test_verify_point_splits_the_ideal_systems_once(monkeypatch):
     assert rechecked
 
 
+def test_verify_point_searches_the_subalgebra_cubic_once(monkeypatch):
+    """One root search of the subalgebra cubic over F serves the solved count,
+    the oracle recheck's splitting field and, when the cubic splits in F, the
+    solver's lines of that recheck."""
+    from alg2d import solvers, sweep
+    from alg2d.sweep import _param_grid
+
+    calls = []
+
+    def counted(fn):
+        return lambda x: calls.append(x.field) or fn(x)
+
+    roots = counted(solvers.subalgebra_roots)
+    monkeypatch.setattr(solvers, "subalgebra_roots", roots)
+    monkeypatch.setattr(sweep, "subalgebra_roots", roots, raising=False)
+    monkeypatch.setattr(solvers, "distinct_root_count", counted(solvers.distinct_root_count))
+    rechecked = 0
+    for params in _param_grid(F7, 4, 300, 0):
+        calls.clear()
+        records = verify_point(fid(1), params, F7)
+        assert calls.count(F7) == 1, [c.text() for c in params]
+        rechecked += any(
+            r["oracle"] is not None and r["quantity"] == "subalgebras" for r in records
+        )
+    assert rechecked
+
+
 def test_flag_adjudications_pick_one_reading():
     assert adjudicate_flag("table1_A1_disc", F5)["verdict"] == "with3"
     assert adjudicate_flag("twosided_char3_A1_b1", F3)["verdict"] == "alpha1"
