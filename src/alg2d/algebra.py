@@ -267,6 +267,15 @@ class LineSet:
     def of(cls, points) -> "LineSet":
         return cls(points=points)
 
+    @classmethod
+    def in_plane(cls, field: Field, points) -> "LineSet":
+        """These lines of the plane over `field`, collapsed to the 'every
+        line' marker when they are all q + 1 of them."""
+        pts = frozenset(points)
+        if field.is_finite and len(pts) == field.order + 1:
+            return cls.all_lines()
+        return cls(pts)
+
     @property
     def is_all(self) -> bool:
         return self.points is None
@@ -470,10 +479,8 @@ _POINT_TESTS = {"idempotents": _idempotent_test, "quasiunits": _quasiunit_test}
 def oracle_enumerate(A: MSC, kind: str) -> LineSet:
     """Test every line of the plane against the definition of `kind`."""
     check = _line_test(A, kind)
-    hits = [P for P in projective_points(A.field) if check(P) is not None]
-    if len(hits) == A.field.order + 1:
-        return LineSet.all_lines()
-    return LineSet.of(hits)
+    hits = (P for P in projective_points(A.field) if check(P) is not None)
+    return LineSet.in_plane(A.field, hits)
 
 
 def oracle_points(A: MSC, kind: str) -> list[Element]:
@@ -493,23 +500,12 @@ def all_mscs(field: Field):
     """Iterate every MSC over a finite field in canonical order."""
     if not field.is_finite:
         raise InfiniteField("cannot enumerate MSCs over Q")
-    els = field.elements()
-    n = field.order
-    total = n**8
-    for idx in range(total):
-        digits = []
-        rem = idx
-        for _ in range(8):
-            digits.append(els[rem % n])
-            rem //= n
-        yield MSC(field, digits[:4], digits[4:])
+    for idx in range(field.order**8):
+        yield msc_from_index(field, idx)
 
 
 def msc_from_index(field: Field, idx: int) -> MSC:
-    els = field.elements()
-    n = field.order
-    digits = []
-    for _ in range(8):
-        digits.append(els[idx % n])
-        idx //= n
+    """MSC number idx in the canonical order: a1..a4, b1..b4 are the base-q
+    digits of idx, least significant first."""
+    digits = field.index_digits(idx, 8)
     return MSC(field, digits[:4], digits[4:])

@@ -24,7 +24,7 @@ import sys
 
 from .algebra import MSC
 from .fields import FieldError, InfiniteField, ParseError, parse_el, parse_field
-from .families import FamilyId, Regime
+from .families import FamilyId, Regime, all_family_ids, instantiate
 from .poly import cubic_root_count, parse_poly, roots_in_field, splitting_field
 from .report import analyze, render_text
 from .solvers import InternalInconsistency
@@ -33,7 +33,6 @@ from .sweep import (
     OracleMismatch,
     adjudicate_flag,
     mismatch_records,
-    sweep_all,
     sweep_family,
     verify_point,
 )
@@ -61,8 +60,6 @@ def cmd_canonical(args) -> int:
     params = tuple(
         parse_el(field, t) for t in args.params.split(",") if t.strip() != ""
     )
-    from .families import instantiate
-
     A = instantiate(family, params, field)
     report = analyze(A, closed=args.closed, oracle=args.oracle)
     records = verify_point(family, params, field)
@@ -102,20 +99,15 @@ def cmd_verify(args) -> int:
     budget = _budget(args.budget)
     regime = Regime.of_field(field)
     if args.scope.lower() == "all":
-        records = sweep_all(field, budget, args.seed)
-        flag_reports = [
-            adjudicate_flag(name, field, budget, args.seed)
-            for name, (_, r, _) in sorted(FLAG_ROWS.items())
-            if r == regime
-        ]
+        families = all_family_ids(regime)
     else:
-        family = FamilyId.parse(args.scope, regime)
-        records = sweep_family(family, field, budget, args.seed)
-        flag_reports = [
-            adjudicate_flag(name, field, budget, args.seed)
-            for name, (_, r, idx) in sorted(FLAG_ROWS.items())
-            if r == regime and idx == family.index
-        ]
+        families = [FamilyId.parse(args.scope, regime)]
+    records = [rec for fam in families for rec in sweep_family(fam, field, budget, args.seed)]
+    flag_reports = [
+        adjudicate_flag(name, field, budget, args.seed)
+        for name, (_, r, idx) in sorted(FLAG_ROWS.items())
+        if r == regime and any(fam.index == idx for fam in families)
+    ]
     bad = mismatch_records(records)
     if args.json:
         for rec in records:

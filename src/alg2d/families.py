@@ -89,10 +89,6 @@ class FamilyId:
 ARITY = {1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 2, 7: 1, 8: 1, 9: 0, 10: 0, 11: 0, 12: 0}
 
 
-def arity(family: FamilyId) -> int:
-    return ARITY[family.index]
-
-
 def _frac(F: Field, num: int, den: int) -> Fel:
     return F.el(num) / F.el(den)
 

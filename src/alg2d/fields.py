@@ -293,6 +293,15 @@ class Field:
             return self._kernel.els[idx % self.order]
         return Fel(self, self._digits(idx))
 
+    def index_digits(self, idx: int, n: int) -> tuple:
+        """The n elements whose indices are the base-q digits of idx, least
+        significant first."""
+        out = []
+        for _ in range(n):
+            idx, d = divmod(idx, self.order)
+            out.append(self.from_index(d))
+        return tuple(out)
+
     def _digits(self, idx: int) -> tuple:
         coeffs = []
         for _ in range(self.k):
@@ -700,6 +709,8 @@ def parse_field(text: str) -> Field:
             p, k = nums
         else:
             raise ParseError(f"bad field spec {text!r}")
+        if p == 0:  # make_field(0) is Q, which the text format spells q
+            raise NonPrimeCharacteristic(f"0 is not prime in {text!r}; write the rationals as q")
         if mod is not None:
             return GF(p, k, mod)
         return make_field(p, k)
@@ -745,7 +756,7 @@ def parse_el(field: Field, text: str) -> Fel:
                 raise ParseError(f"bad power in {text!r}")
         else:
             raise ParseError(f"bad term {term!r} in {text!r}")
-        if i >= field.k:
+        if not 0 <= i < field.k:
             raise ParseError(f"power w^{i} out of range for {field.text()}")
         if t == 0 and neg_first:
             c = -c

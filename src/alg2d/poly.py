@@ -103,10 +103,6 @@ class Poly:
     def zero(cls, field: Field) -> "Poly":
         return cls(field, [])
 
-    @classmethod
-    def const(cls, c: Fel) -> "Poly":
-        return cls(c.field, [c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -23,9 +23,9 @@ from .solvers import (
     left_ideals,
     left_quasiunits,
     right_ideals,
+    subalgebra_closure,
     subalgebra_count_closed,
     subalgebra_roots,
-    subalgebra_splitting,
     subalgebras,
     two_sided_ideals,
 )
@@ -39,6 +39,15 @@ ORACLE_LIMIT = 25
 # Largest field order whose idempotent families the text report lists member
 # by member; above it, as over Q, it names the eigenvalue polynomial.
 LISTING_LIMIT = 1024
+
+
+# (JSON key, attribute) of the four line quantities
+_LINE_PARTS = (
+    ("subalgebras", "subalgebras"),
+    ("left_ideals", "left"),
+    ("right_ideals", "right"),
+    ("two_sided", "two_sided"),
+)
 
 
 class AnalysisReport:
@@ -74,32 +83,19 @@ class AnalysisReport:
         return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
 
     def to_json(self) -> dict:
-        return {
+        data = {
             "field": self.field.text(),
             "msc": self.msc.text(),
             "closed": self.closed,
-            "subalgebras": {
-                "field": self.line_fields["subalgebras"].text(),
-                **self.subalgebras.to_json(),
-            },
             "subalgebra_category_closed": self.subalgebra_category_closed,
             "idempotents": self.idempotent_set.to_json(),
-            "left_ideals": {
-                "field": self.line_fields["left"].text(),
-                **self.left.to_json(),
-            },
-            "right_ideals": {
-                "field": self.line_fields["right"].text(),
-                **self.right.to_json(),
-            },
-            "two_sided": {
-                "field": self.line_fields["two_sided"].text(),
-                **self.two_sided.to_json(),
-            },
             "simple": self.simple,
             "quasiunits": self.quasiunits.to_json(),
             "splitting_fields_used": self.splitting_fields_used,
         }
+        for key, name in _LINE_PARTS:
+            data[key] = {"field": self.line_fields[name].text(), **getattr(self, name).to_json()}
+        return data
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -107,32 +103,20 @@ class AnalysisReport:
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisReport":
         field = parse_field(data["field"])
-        msc = MSC.parse(field, data["msc"])
-        line_fields = {}
-        linesets = {}
-        for key, name in (
-            ("subalgebras", "subalgebras"),
-            ("left_ideals", "left"),
-            ("right_ideals", "right"),
-            ("two_sided", "two_sided"),
-        ):
+        lines = {"line_fields": {}}
+        for key, name in _LINE_PARTS:
             part = dict(data[key])
-            sub_field = parse_field(part.pop("field"))
-            line_fields[name] = sub_field
-            linesets[name] = LineSet.from_json(sub_field, part)
+            lines["line_fields"][name] = sub_field = parse_field(part.pop("field"))
+            lines[name] = LineSet.from_json(sub_field, part)
         return cls(
             field=field,
-            msc=msc,
+            msc=MSC.parse(field, data["msc"]),
             closed=data["closed"],
-            line_fields=line_fields,
-            subalgebras=linesets["subalgebras"],
             subalgebra_category_closed=data["subalgebra_category_closed"],
             idempotent_set=IdempotentSet.from_json(field, data["idempotents"]),
-            left=linesets["left"],
-            right=linesets["right"],
-            two_sided=linesets["two_sided"],
             simple=data["simple"],
             quasiunits=AffineSolutionSet.from_json(field, data["quasiunits"]),
+            **lines,
         )
 
 
@@ -153,18 +137,14 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
     found = subalgebra_roots(A)
     closure = ideal_closure(A) if F.is_finite else A
     ideal_A = closure if closed else A
-    sub_A = A
-    if closed and found[1]:  # the cubic does not split in F
-        ext = subalgebra_splitting(A, found)
-        sub_A = closure if closure.field == ext else A.lift(ext)
+    sub = subalgebra_closure(A, found, closure) if closed else (A, subalgebras(A, found))
     # each line quantity with the algebra it was solved on
     parts = {
-        "subalgebras": (sub_A, subalgebras(sub_A, found if sub_A is A else None)),
+        "subalgebras": sub,
         "left": (ideal_A, left_ideals(ideal_A)),
         "right": (ideal_A, right_ideals(ideal_A)),
         "two_sided": (ideal_A, two_sided_ideals(ideal_A)),
     }
-    line_fields = {q: B.field for q, (B, _) in parts.items()}
     two_sided = parts["two_sided"][1] if ideal_A is closure else two_sided_ideals(closure)
     closed_cat = subalgebra_count_closed(A, found).label if F.is_finite else None
     simple = is_simple(A, two_sided)
@@ -184,15 +164,12 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
         field=F,
         msc=A,
         closed=closed,
-        line_fields=line_fields,
-        subalgebras=parts["subalgebras"][1],
+        line_fields={q: B.field for q, (B, _) in parts.items()},
         subalgebra_category_closed=closed_cat,
         idempotent_set=idem,
-        left=parts["left"][1],
-        right=parts["right"][1],
-        two_sided=parts["two_sided"][1],
         simple=simple,
         quasiunits=quasi,
+        **{q: lines for q, (_, lines) in parts.items()},
     )
 
 

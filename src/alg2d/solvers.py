@@ -13,7 +13,8 @@ F(e2):
 
 Callers solve each system once: the cubic's roots pass in as `found`, and
 the ideal lines of `ideal_closure(A)`, where all four quadratics split, as
-`is_simple`'s `two_sided`.
+`is_simple`'s `two_sided`.  `subalgebra_closure` lifts A to the cubic's
+splitting field, reusing the ideal closure when the two fields agree.
 
 The module also carries transcriptions of the published count predicates
 (`predict_left_line_count`, `predict_right_line_count`, `simple_by_cases`)
@@ -90,14 +91,6 @@ def right_ideal_system(A: MSC) -> tuple[Poly, Poly]:
 # ---------------------------------------------------------------------------
 # Subalgebras and idempotents.
 
-def _normalized_lines(field: Field, points) -> LineSet:
-    """Collapse an explicit set to the 'all lines' marker when it is full."""
-    pts = set(points)
-    if field.is_finite and len(pts) == field.order + 1:
-        return LineSet.all_lines()
-    return LineSet.of(pts)
-
-
 def subalgebra_roots(A: MSC) -> tuple:
     """One root search of the subalgebra cubic f in A's own field: (roots,
     rest, f) with the distinct in-field roots ([] when f is zero and every
@@ -119,7 +112,7 @@ def subalgebras(A: MSC, found: tuple | None = None) -> LineSet:
     points = [ProjPoint.affine(r) for r in roots]
     if A.alpha[3].is_zero:
         points.append(ProjPoint.e2())
-    return _normalized_lines(A.field, points)
+    return LineSet.in_plane(A.field, points)
 
 
 def subalgebra_splitting(A: MSC, found: tuple | None = None) -> Field:
@@ -130,6 +123,18 @@ def subalgebra_splitting(A: MSC, found: tuple | None = None) -> Field:
         raise InfiniteField("splitting fields need a finite field")
     _, rest, _ = subalgebra_roots(A) if found is None else found
     return GF(F.p, F.k * rest) if rest else F
+
+
+def subalgebra_closure(A: MSC, found: tuple, closure: MSC) -> tuple[MSC, LineSet]:
+    """A lifted to `subalgebra_splitting(A)`, or A itself when the cubic splits
+    in A's field, with its subalgebra lines there.  `found` is
+    `subalgebra_roots(A)`, and `closure` is `ideal_closure(A)`, which serves
+    as the lift when the two splitting fields are the same."""
+    if not found[1]:
+        return A, subalgebras(A, found)
+    ext = subalgebra_splitting(A, found)
+    lifted = closure if closure.field == ext else A.lift(ext)
+    return lifted, subalgebras(lifted)
 
 
 def subalgebra_count_closed(A: MSC, found: tuple | None = None) -> RootCount:
@@ -264,7 +269,7 @@ def _one_sided_ideals(F: Field, system: tuple[Poly, Poly], e2_ideal: bool) -> Li
     lines = _system_lines(*system)
     if lines.is_all or not e2_ideal:
         return lines
-    return _normalized_lines(F, lines.points | {ProjPoint.e2()})
+    return LineSet.in_plane(F, lines.points | {ProjPoint.e2()})
 
 
 def left_ideals(A: MSC) -> LineSet:
@@ -303,7 +308,7 @@ def two_sided_ideals(A: MSC) -> LineSet:
         points.update(lines.points)
     if a2.is_zero and a3.is_zero and a4.is_zero:
         points.add(ProjPoint.e2())
-    return _normalized_lines(A.field, points)
+    return LineSet.in_plane(A.field, points)
 
 
 def ideal_splitting(A: MSC) -> Field:

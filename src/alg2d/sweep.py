@@ -26,13 +26,12 @@ from .solvers import (
     left_quasiunits,
     line_count_closed,
     right_ideals,
+    subalgebra_closure,
     subalgebra_count_closed,
     subalgebra_roots,
-    subalgebra_splitting,
-    subalgebras,
     two_sided_ideals,
 )
-from .tables import DEFAULT_FLAGS, FLAG_CHOICES, predict_count, predict_quasiunits
+from .tables import FLAG_CHOICES, predict_count, predict_quasiunits
 
 COUNT_QUANTITIES = ("subalgebras", "left", "right", "two_sided")
 
@@ -82,84 +81,74 @@ def _param_grid(field: Field, n: int, budget, seed: int):
         rng = random.Random(seed)
         indices = sorted(rng.sample(range(total), budget))
     for idx in indices:
-        digits = []
-        rem = idx
-        for _ in range(n):
-            digits.append(field.from_index(rem % field.order))
-            rem //= field.order
-        yield tuple(digits)
+        yield field.index_digits(idx, n)
 
 
-def verify_point(family: FamilyId, params, field: Field, flags=None) -> list[dict]:
+def verify_point(family: FamilyId, params, field: Field) -> list[dict]:
     """All five quantity records for one (family, parameter) point."""
-    flags = {**DEFAULT_FLAGS, **(flags or {})}
     A = instantiate(family, params, field)
-    base = {
-        "family": family.name(),
-        "regime": family.regime.value,
-        "params": [c.text() for c in params],
-    }
-    records = []
     closure = ideal_closure(A)
     found = subalgebra_roots(A)  # the one search of the subalgebra cubic over F
-    solved_counts = {"subalgebras": subalgebra_count_closed(A, found)}
     ideal_lines = {
         "left": left_ideals(closure),
         "right": right_ideals(closure),
         "two_sided": two_sided_ideals(closure),
     }
+    solved_counts = {"subalgebras": subalgebra_count_closed(A, found)}
     solved_counts.update((q, RootCount(ls.count_label())) for q, ls in ideal_lines.items())
+    # (quantity, predicted, solved, agree, citation) per quantity
+    rows = []
     for quantity in COUNT_QUANTITIES:
-        pred = predict_count(quantity, family, params, field, flags)
+        pred = predict_count(quantity, family, params, field)
         solved = solved_counts[quantity]
         if pred.category is None:
             predicted = "ambiguous" if pred.matched else "none"
         else:
             predicted = pred.category.label
-        agree = pred.category == solved
-        rec = dict(base)
-        rec.update(
-            quantity=quantity,
-            predicted=predicted,
-            solved=solved.label,
-            oracle=None,
-            verdict="agree" if agree else "mismatch",
-            citation=";".join(pred.matched) if pred.matched else "none",
-        )
-        if not agree:
-            if quantity == "subalgebras":
-                ext = subalgebra_splitting(A, found)
-                if ext == field:
-                    rec["oracle"] = _oracle_check(A, quantity, subalgebras(A, found))
-                else:
-                    lifted = A.lift(ext)
-                    rec["oracle"] = _oracle_check(lifted, quantity, subalgebras(lifted))
-            else:
-                rec["oracle"] = _oracle_check(closure, quantity, ideal_lines[quantity])
-        records.append(rec)
-
-    predicted_set, cell = predict_quasiunits(family, params, field, flags)
+        citation = ";".join(pred.matched) if pred.matched else "none"
+        rows.append((quantity, predicted, solved.label, pred.category == solved, citation))
+    predicted_set, cell = predict_quasiunits(family, params, field)
     solved_set = left_quasiunits(A)
-    agree = predicted_set.materialize(field) == solved_set.materialize(field)
-    rec = dict(base)
-    rec.update(
-        quantity="quasiunits",
-        predicted=_qu_label(predicted_set),
-        solved=_qu_label(solved_set),
-        oracle=None,
-        verdict="agree" if agree else "mismatch",
-        citation=cell or "none",
-    )
-    if not agree:
+    rows.append((
+        "quasiunits",
+        _qu_label(predicted_set),
+        _qu_label(solved_set),
+        predicted_set == solved_set,
+        cell or "none",
+    ))
+
+    def recheck(quantity: str) -> str:
+        """The oracle's verdict on a point where the table and the solver part."""
+        if quantity == "subalgebras":
+            lifted, lines = subalgebra_closure(A, found, closure)
+            return _oracle_check(lifted, quantity, lines)
+        if quantity != "quasiunits":
+            return _oracle_check(closure, quantity, ideal_lines[quantity])
         brute = oracle_points(A, "quasiunits")
-        rec["oracle"] = f"{len(brute)} points"
         if brute != solved_set.materialize(field):
             raise OracleMismatch(
                 f"{family.name()}{[c.text() for c in params]} quasiunits: "
                 "solver disagrees with the brute-force scan"
             )
-    records.append(rec)
-    return records
+        return f"{len(brute)} points"
+
+    base = {
+        "family": family.name(),
+        "regime": family.regime.value,
+        "params": [c.text() for c in params],
+    }
+    return [
+        {
+            **base,
+            "quantity": quantity,
+            "predicted": predicted,
+            "solved": solved,
+            "oracle": None if agree else recheck(quantity),
+            "verdict": "agree" if agree else "mismatch",
+            "citation": citation,
+        }
+        for quantity, predicted, solved, agree, citation in rows
+    ]
 
 
 def _qu_label(s) -> str:
@@ -174,20 +163,18 @@ def _qu_label(s) -> str:
     return s.kind
 
 
-def sweep_family(
-    family: FamilyId, field: Field, budget="exhaustive", seed: int = 0, flags=None
-) -> list[dict]:
+def sweep_family(family: FamilyId, field: Field, budget="exhaustive", seed: int = 0) -> list[dict]:
     """Verify a whole family; exhaustive over the parameter grid when it fits."""
     records = []
     for params in _param_grid(field, ARITY[family.index], budget, seed):
-        records.extend(verify_point(family, params, field, flags))
+        records.extend(verify_point(family, params, field))
     return records
 
 
-def sweep_all(field: Field, budget="exhaustive", seed: int = 0, flags=None) -> list[dict]:
+def sweep_all(field: Field, budget="exhaustive", seed: int = 0) -> list[dict]:
     records = []
     for family in all_family_ids(Regime.of_field(field)):
-        records.extend(sweep_family(family, field, budget, seed, flags))
+        records.extend(sweep_family(family, field, budget, seed))
     return records
 
 
@@ -218,20 +205,11 @@ def adjudicate_flag(flag: str, field: Field, budget="exhaustive", seed: int = 0)
     ]
     counts = {}
     for choice in FLAG_CHOICES[flag]:
-        flags = {**DEFAULT_FLAGS, flag: choice}
         counts[choice] = sum(
-            predict_count(quantity, family, params, field, flags).category != count
+            predict_count(quantity, family, params, field, {flag: choice}).category != count
             for params, count in solved
         )
     ranked = sorted(counts.items(), key=lambda kv: kv[1])
     verdict = ranked[0][0] if ranked[0][1] < ranked[1][1] else "tie"
     return {"flag": flag, "readings": counts, "verdict": verdict}
 
-
-def adjudicate_all_flags(fields: dict[Regime, Field], budget="exhaustive", seed=0):
-    """Adjudicate every flag whose regime has a field supplied."""
-    out = []
-    for flag, (quantity, regime, index) in sorted(FLAG_ROWS.items()):
-        if regime in fields:
-            out.append(adjudicate_flag(flag, fields[regime], budget, seed))
-    return out

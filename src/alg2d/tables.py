@@ -62,10 +62,6 @@ class Prediction:
         self.category = category
         self.matched = matched
 
-    @property
-    def is_clean(self) -> bool:
-        return self.category is not None and len(self.matched) == 1
-
     def __repr__(self):
         cat = "none" if self.category is None else self.category.label
         return f"Prediction({cat}, {self.matched})"

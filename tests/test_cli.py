@@ -1,16 +1,21 @@
+import contextlib
+import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 
 import alg2d
 from alg2d import solvers
 from alg2d.cli import main
+from alg2d.families import ARITY
 from alg2d.report import LISTING_LIMIT, ORACLE_LIMIT, AnalysisReport, analyze
 from alg2d import GF, MSC
 from alg2d.sweep import GRID_LIMIT
@@ -209,6 +214,12 @@ def test_verify_reports_known_catalogue_defects(capsys):
         ("verify", "all", "gf(3,40)", "--budget", "2"),
         # a sweep visits at most GRID_LIMIT points, walked or sampled
         ("verify", "A1", "gf(101)", "--budget", str(GRID_LIMIT + 1)),
+        # a power of w lies in 0..k-1: no wrap-around to w^(k-n)
+        ("analyze", "gf(5)", "w^-1,0,0,0;0,0,0,0"),
+        ("analyze", "gf(3,2)", "w^-2,0,0,0;0,0,0,0"),
+        # the rationals are spelled q, not gf(0)
+        ("analyze", "gf(0)", "1,0,0,0;0,0,0,0"),
+        ("analyze", "gf(0,1)", "1,0,0,0;0,0,0,0"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -281,3 +292,121 @@ def test_large_rational_constants_finish_within_a_second(argv):
     done = subprocess.run(_cli_argv(*argv), capture_output=True, env=_cli_env(), timeout=10)
     assert done.returncode == 0, done.stderr
     assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract under argv built from a grammar of the CLI's inputs.
+
+_VALID_FIELDS = [
+    "gf(2)", "gf(3)", "gf(5)", "gf(7)", "gf(11)", "gf(13)", "gf(2,2)", "gf(2,3)", "gf(3,2)",
+    "gf(2,4)", "gf(5,2)", "gf(2,2;1,1,1)", " GF(7) ", "q",
+]
+_FIELD_SPECS = st.one_of(
+    st.sampled_from(_VALID_FIELDS),
+    # not a field, or not spelled the way the grammar spells it
+    st.sampled_from(
+        [
+            "gf(0)", "gf(0,1)", "gf(0,2)", "gf(0;1,1)", "gf(1)", "gf(4)", "gf(6)", "gf(-5)",
+            "gf()", "gf(2,0)", "gf(2,-1)", "gf(x)", "gf(5;1,1)", "gf(2,2;1,0,1)",
+            "gf(2,2;1,1)", "gf(3", "gf(5,1,1)", "", "r",
+        ]
+    ),
+)
+_SMALL_INTS = st.integers(-2, 6).map(str)
+_ELEMENT_TEXTS = st.one_of(
+    _SMALL_INTS,
+    st.integers(-(10**40), 10**40).map(str),
+    st.sampled_from(
+        [
+            "w", "w^0", "w^1", "w^2", "w^3", "w^-1", "w^-2", "w^-5", "2*w+1", "-w",
+            "1+w^2", "3*w^1+2", "1/2", "-3/4", "1/0", "1e3", "nan", "", " ", "x",
+            "w^x", "2*", "+", "1++1", "10**3",
+        ]
+    ),
+)
+
+
+@st.composite
+def _argv(draw):
+    """One argv in four may hold malformed pieces; the rest are well formed,
+    with small integer constants, which every field reads."""
+    wild = draw(st.integers(0, 3)) == 0
+
+    def pick(wild_strategy, tame_strategy):
+        return draw(wild_strategy if wild else tame_strategy)
+
+    def elements(n):
+        element = _ELEMENT_TEXTS if wild else _SMALL_INTS
+        return ",".join(draw(st.lists(element, min_size=n, max_size=n)))
+
+    command = draw(st.sampled_from(["analyze", "canonical", "verify", "roots"]))
+    field = pick(_FIELD_SPECS, st.sampled_from(_VALID_FIELDS))
+    regime = {"gf(2": "char2", "gf(3": "char3"}.get(field.strip().lower()[:4], "ne23")
+    index = pick(st.integers(0, 13), st.integers(1, 12))
+    family = f"A{index}"
+    family = pick(st.sampled_from([family, f"a_{index}", "A", "B2", ""]), st.just(family))
+    json_flag = draw(st.lists(st.just("--json"), max_size=1))
+    flags = draw(st.lists(st.sampled_from(["--closed", "--oracle", "--json"]), unique=True))
+    if command == "analyze":
+        if wild and draw(st.booleans()):  # the wrong number of rows or entries
+            rows = draw(st.lists(st.integers(0, 5), max_size=3))
+            msc = ";".join(elements(n) for n in rows)
+        else:
+            msc = elements(4) + ";" + elements(4)
+        positional = [field, msc]
+    elif command == "canonical":
+        regime = pick(st.sampled_from([regime, "NE23", "char2", "char5", ""]), st.just(regime))
+        n = pick(st.integers(0, 5), st.just(ARITY.get(index, 0)))
+        positional = [family, regime, elements(n), field]
+    elif command == "verify":
+        scope = draw(st.sampled_from([family, "all", "ALL"]))
+        budget = pick(st.sampled_from(["0", "-1", "abc", "1.5", "2"]), st.integers(1, 3).map(str))
+        seed = pick(st.sampled_from(["0", "x"]), st.integers(0, 9).map(str))
+        positional, flags = [scope, field], ["--budget", budget, "--seed", seed, *json_flag]
+    else:
+        positional = [field, elements(pick(st.integers(0, 5), st.integers(1, 4)))]
+        flags = json_flag
+    # "--" lets a positional argument start with a minus sign
+    return [command, *flags, "--", *positional]
+
+
+class _Hang(Exception):
+    pass
+
+
+def _main_within(argv, seconds):
+    """cli.main(argv) with its stdout and stderr captured; _Hang after `seconds`."""
+
+    def stop(signum, frame):
+        raise _Hang(f"{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_argv())
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    code, err = _main_within(argv, 10)
+    assert "Traceback" not in err
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        bug_lines = ("ORACLE MISMATCH", "error: internal inconsistency")
+        assert any(line.startswith(bug_lines) for line in err.splitlines()), (argv, err)

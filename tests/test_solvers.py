@@ -434,6 +434,36 @@ def test_analyze_searches_the_subalgebra_cubic_once(monkeypatch, closed):
     assert (lifted > 0) == closed
 
 
+def test_verify_point_lifts_at_most_once_per_field(monkeypatch):
+    """Every family point of GF(5), GF(7) and GF(4): no two lifts of the
+    point's algebra land in the same field, also when an oracle recheck of
+    the subalgebra count needs the splitting field of the cubic and that
+    field is the ideal closure's."""
+    import itertools
+
+    from alg2d import sweep
+    from alg2d.families import ARITY, all_family_ids
+    from alg2d.solvers import ideal_splitting, subalgebra_splitting
+
+    lifts = []
+    lift = MSC.lift
+    monkeypatch.setattr(MSC, "lift", lambda A, E: lifts.append(E) or lift(A, E))
+    shared = 0
+    for F in (GF(5), GF(7), GF(2, 2)):
+        for family in all_family_ids(Regime.of_field(F)):
+            for params in itertools.product(F.elements(), repeat=ARITY[family.index]):
+                lifts.clear()
+                records = sweep.verify_point(family, params, F)
+                assert len(lifts) == len(set(lifts)), (family, params)
+                rechecked = any(
+                    r["quantity"] == "subalgebras" and r["oracle"] is not None for r in records
+                )
+                if rechecked:
+                    A = instantiate(family, params, F)
+                    shared += subalgebra_splitting(A) == ideal_splitting(A) != F
+    assert shared > 0
+
+
 def test_inverse_cache_stays_empty_above_the_memo_limit():
     from alg2d.report import analyze
 
