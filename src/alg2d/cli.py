@@ -18,7 +18,6 @@ derivations disagree (a bug in this package), 2 on bad input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -26,7 +25,7 @@ from .algebra import MSC
 from .fields import FieldError, InfiniteField, ParseError, parse_el, parse_field
 from .families import FamilyId, Regime, all_family_ids, instantiate
 from .poly import cubic_root_count, parse_poly, roots_in_field, splitting_field
-from .report import analyze, render_text
+from .report import analyze, dumps, render_text
 from .solvers import InternalInconsistency
 from .sweep import (
     FLAG_ROWS,
@@ -36,10 +35,6 @@ from .sweep import (
     sweep_family,
     verify_point,
 )
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def cmd_analyze(args) -> int:
@@ -66,7 +61,7 @@ def cmd_canonical(args) -> int:
     if args.json:
         print(report.dumps())
         for rec in records:
-            print(_dump(rec))
+            print(dumps(rec))
     else:
         print(render_text(report))
         print("catalogue predictions:")
@@ -111,11 +106,11 @@ def cmd_verify(args) -> int:
     bad = mismatch_records(records)
     if args.json:
         for rec in records:
-            print(_dump(rec))
+            print(dumps(rec))
         for fr in flag_reports:
-            print(_dump(fr))
+            print(dumps(fr))
         print(
-            _dump(
+            dumps(
                 {
                     "summary": {
                         "records": len(records),
@@ -162,7 +157,7 @@ def cmd_roots(args) -> int:
         out["splitting_field"] = ext.text()
         out["roots_in_splitting_field"] = [r.text() for r in ext_roots]
     if args.json:
-        print(_dump(out))
+        print(dumps(out))
     else:
         print(f"{f.text()} over {field.text()}: {cat.label} distinct roots in closure")
         print(f"  in-field roots: {out['roots_in_field']}")

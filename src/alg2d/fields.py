@@ -446,11 +446,6 @@ class _Kernel:
         return self._table(self.field._mul)
 
     @cached_property
-    def div(self) -> list:
-        inv = self.inv
-        return [[None] + [row[b._i] for b in inv[1:]] for row in self.mul]
-
-    @cached_property
     def neg(self) -> list:
         return [self.of[self.field._neg(a.coeffs)] for a in self.els]
 
@@ -616,7 +611,8 @@ class _SmallFel(Fel):
     def __truediv__(self, other):
         F = self.field
         if other.__class__ is _SmallFel and other.field is F and other._i:
-            return F._kernel.div[self._i][other._i]
+            K = F._kernel
+            return K.mul[self._i][K.inv[other._i]._i]
         return F._fel(F._mul(self.coeffs, F._inv(self._check(other).coeffs)))
 
     def __neg__(self):
@@ -717,20 +713,36 @@ def parse_field(text: str) -> Field:
     raise ParseError(f"unrecognised field spec {text!r}")
 
 
+def _numeral(s: str, error: str) -> int:
+    """The value of a run of ASCII decimal digits; `int` alone would also read
+    signs, underscores, whitespace and non-ASCII digits."""
+    if not (s.isascii() and s.isdigit()):
+        raise ParseError(error)
+    try:
+        return int(s)
+    except ValueError:  # past int()'s digit limit
+        raise ParseError(error)
+
+
 def parse_el(field: Field, text: str) -> Fel:
-    """Parse an element in the canonical text format."""
+    """Parse an element in the canonical text format: `n` or `n/d` over Q,
+    terms `c`, `c*w^i` or `w^i` joined by `+` otherwise, every number in
+    ASCII decimal digits, and an optional leading minus."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ParseError("empty element")
-    if field.p == 0:
-        try:
-            return field.el(Fraction(s))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational {text!r}")
-    # allow a leading minus by folding it into the first term
+    # a leading minus negates the rational, or the first term
     neg_first = s.startswith("-")
     if neg_first:
         s = s[1:]
+    if field.p == 0:
+        error = f"bad rational {text!r}"
+        num, slash, den = s.partition("/")
+        try:
+            x = Fraction(_numeral(num, error), _numeral(den, error) if slash else 1)
+        except ZeroDivisionError:
+            raise ParseError(error)
+        return field.el(-x if neg_first else x)
     coeffs = [0] * field.k
     for t, term in enumerate(s.split("+")):
         if not term:
@@ -741,22 +753,16 @@ def parse_el(field: Field, text: str) -> Fel:
             cpart, wpart = "1", term
         else:
             cpart, wpart = term, ""
-        try:
-            c = int(cpart)
-        except ValueError:
-            raise ParseError(f"bad coefficient in {text!r}")
+        c = _numeral(cpart, f"bad coefficient in {text!r}")
         if wpart == "":
             i = 0
         elif wpart == "w":
             i = 1
         elif wpart.startswith("w^"):
-            try:
-                i = int(wpart[2:])
-            except ValueError:
-                raise ParseError(f"bad power in {text!r}")
+            i = _numeral(wpart[2:], f"bad power in {text!r}")
         else:
             raise ParseError(f"bad term {term!r} in {text!r}")
-        if not 0 <= i < field.k:
+        if i >= field.k:
             raise ParseError(f"power w^{i} out of range for {field.text()}")
         if t == 0 and neg_first:
             c = -c

@@ -41,6 +41,11 @@ ORACLE_LIMIT = 25
 LISTING_LIMIT = 1024
 
 
+def dumps(obj) -> str:
+    """Compact JSON with sorted keys, the one encoding of every printed record."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 # (JSON key, attribute) of the four line quantities
 _LINE_PARTS = (
     ("subalgebras", "subalgebras"),
@@ -98,7 +103,7 @@ class AnalysisReport:
         return data
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return dumps(self.to_json())
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisReport":
@@ -212,10 +217,7 @@ def render_text(report: AnalysisReport) -> str:
     elif q.kind == "point":
         lines.append(f"left quasiunits: {q.point.text()}")
     elif q.kind == "line":
-        n = q.normalized()
-        lines.append(
-            f"left quasiunits: {n.base.text()} + t*({n.direction.text()}) for all t"
-        )
+        lines.append(f"left quasiunits: {q.base.text()} + t*({q.direction.text()}) for all t")
     else:
         lines.append("left quasiunits: every element")
     return "\n".join(lines)

@@ -88,6 +88,17 @@ def right_ideal_system(A: MSC) -> tuple[Poly, Poly]:
     )
 
 
+def _lines(F: Field, roots, e2_line: bool) -> LineSet:
+    """Every line when `roots` is None; otherwise the lines F(e1 + r*e2) for
+    each root r, and F(e2) when `e2_line` holds."""
+    if roots is None:
+        return LineSet.all_lines()
+    points = [ProjPoint.affine(r) for r in roots]
+    if e2_line:
+        points.append(ProjPoint.e2())
+    return LineSet.in_plane(F, points)
+
+
 # ---------------------------------------------------------------------------
 # Subalgebras and idempotents.
 
@@ -107,12 +118,7 @@ def subalgebra_roots(A: MSC) -> tuple:
 def subalgebras(A: MSC, found: tuple | None = None) -> LineSet:
     """Lines closed under the product, with roots taken in A's own field."""
     roots, _, f = subalgebra_roots(A) if found is None else found
-    if f.is_zero:
-        return LineSet.all_lines()
-    points = [ProjPoint.affine(r) for r in roots]
-    if A.alpha[3].is_zero:
-        points.append(ProjPoint.e2())
-    return LineSet.in_plane(A.field, points)
+    return _lines(A.field, None if f.is_zero else roots, A.alpha[3].is_zero)
 
 
 def subalgebra_splitting(A: MSC, found: tuple | None = None) -> Field:
@@ -257,29 +263,22 @@ def idempotents(A: MSC, found: tuple | None = None) -> IdempotentSet:
 # ---------------------------------------------------------------------------
 # One-sided and two-sided ideals.
 
-def _system_lines(f: Poly, g: Poly) -> LineSet:
-    """Lines from the common roots of a system."""
+def _common_roots(f: Poly, g: Poly) -> list | None:
+    """In-field common roots of f and g; None when both vanish and every
+    slope is one."""
     if f.is_zero and g.is_zero:
-        return LineSet.all_lines()
-    return LineSet.of(ProjPoint.affine(r) for r in roots_in_field(poly_gcd(f, g)))
-
-
-def _one_sided_ideals(F: Field, system: tuple[Poly, Poly], e2_ideal: bool) -> LineSet:
-    """Lines of a one-sided ideal system, plus F(e2) when `e2_ideal` holds."""
-    lines = _system_lines(*system)
-    if lines.is_all or not e2_ideal:
-        return lines
-    return LineSet.in_plane(F, lines.points | {ProjPoint.e2()})
+        return None
+    return roots_in_field(poly_gcd(f, g))
 
 
 def left_ideals(A: MSC) -> LineSet:
     a2, a4 = A.alpha[1], A.alpha[3]
-    return _one_sided_ideals(A.field, left_ideal_system(A), a2.is_zero and a4.is_zero)
+    return _lines(A.field, _common_roots(*left_ideal_system(A)), a2.is_zero and a4.is_zero)
 
 
 def right_ideals(A: MSC) -> LineSet:
     a3, a4 = A.alpha[2], A.alpha[3]
-    return _one_sided_ideals(A.field, right_ideal_system(A), a3.is_zero and a4.is_zero)
+    return _lines(A.field, _common_roots(*right_ideal_system(A)), a3.is_zero and a4.is_zero)
 
 
 def two_sided_ideals(A: MSC) -> LineSet:
@@ -288,27 +287,19 @@ def two_sided_ideals(A: MSC) -> LineSet:
     The difference of the two quadratic leads reduces to the linear equation
     y*(a3-a2) - b3 + b2 = 0, so a single candidate slope exists when a2 != a3.
     """
-    F = A.field
     a1, a2, a3, a4 = A.alpha
     b1, b2, b3, b4 = A.beta
     l1, l2 = left_ideal_system(A)
-    r1, r2 = right_ideal_system(A)
-    points: set[ProjPoint] = set()
     if a2 != a3:
         y0 = (b3 - b2) / (a3 - a2)
-        if all(poly(y0).is_zero for poly in (l1, l2, r1, r2)):
-            points.add(ProjPoint.affine(y0))
+        r1, r2 = right_ideal_system(A)
+        roots = [y0] if all(poly(y0).is_zero for poly in (l1, l2, r1, r2)) else []
     elif b2 != b3:
-        pass  # the difference equation is a nonzero constant: no line qualifies
+        roots = []  # the difference equation is a nonzero constant: no line qualifies
     else:
         # commutative in the relevant entries: both systems coincide
-        lines = _system_lines(l1, l2)
-        if lines.is_all:
-            return lines
-        points.update(lines.points)
-    if a2.is_zero and a3.is_zero and a4.is_zero:
-        points.add(ProjPoint.e2())
-    return LineSet.in_plane(A.field, points)
+        roots = _common_roots(l1, l2)
+    return _lines(A.field, roots, a2.is_zero and a3.is_zero and a4.is_zero)
 
 
 def ideal_splitting(A: MSC) -> Field:
@@ -605,40 +596,31 @@ class AffineSolutionSet:
 
     @classmethod
     def line(cls, base: Element, direction: Element):
+        """The line base + t*direction, stored in its canonical form: monic
+        direction, and a base that is zero in the direction's pivot coordinate."""
         if direction.is_zero:
             raise ValueError("a line needs a nonzero direction")
-        return cls("line", base=base, direction=direction)
+        pivot = direction.x if not direction.x.is_zero else direction.y
+        d = direction.scale(pivot.inv())
+        t = base.x if not direction.x.is_zero else base.y
+        return cls("line", base=base - d.scale(t), direction=d)
 
     @classmethod
     def plane(cls):
         return cls("plane")
 
     def normalized(self) -> "AffineSolutionSet":
-        """Canonical representative: monic direction, base orthogonal to the pivot."""
-        if self.kind != "line":
-            return self
-        d = self.direction
-        if not d.x.is_zero:
-            inv = d.x.inv()
-            d = Element(d.x * inv, d.y * inv)
-            t = self.base.x
-            b = self.base - d.scale(t)
-        else:
-            inv = d.y.inv()
-            d = Element(d.x * inv, d.y * inv)
-            t = self.base.y
-            b = self.base - d.scale(t)
-        return AffineSolutionSet.line(b, d)
+        """The canonical representative, which every set already is."""
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, AffineSolutionSet):
             return NotImplemented
-        a, b = self.normalized(), other.normalized()
         return (
-            a.kind == b.kind
-            and a.point == b.point
-            and a.base == b.base
-            and a.direction == b.direction
+            self.kind == other.kind
+            and self.point == other.point
+            and self.base == other.base
+            and self.direction == other.direction
         )
 
     def materialize(self, field: Field) -> list[Element]:
@@ -662,9 +644,8 @@ class AffineSolutionSet:
         if self.kind == "point":
             data["point"] = self.point.to_json()
         elif self.kind == "line":
-            n = self.normalized()
-            data["base"] = n.base.to_json()
-            data["direction"] = n.direction.to_json()
+            data["base"] = self.base.to_json()
+            data["direction"] = self.direction.to_json()
         return data
 
     @classmethod
@@ -685,8 +666,7 @@ class AffineSolutionSet:
         if self.kind == "point":
             return f"AffineSolutionSet(point {self.point.text()})"
         if self.kind == "line":
-            n = self.normalized()
-            return f"AffineSolutionSet({n.base.text()} + t*{n.direction.text()})"
+            return f"AffineSolutionSet({self.base.text()} + t*{self.direction.text()})"
         return f"AffineSolutionSet({self.kind})"
 
 

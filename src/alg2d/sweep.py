@@ -155,10 +155,9 @@ def _qu_label(s) -> str:
     if s.kind == "point":
         return f"point({s.point.x.text()},{s.point.y.text()})"
     if s.kind == "line":
-        n = s.normalized()
         return (
-            f"line({n.base.x.text()},{n.base.y.text()};"
-            f"{n.direction.x.text()},{n.direction.y.text()})"
+            f"line({s.base.x.text()},{s.base.y.text()};"
+            f"{s.direction.x.text()},{s.direction.y.text()})"
         )
     return s.kind
 

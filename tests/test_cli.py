@@ -220,6 +220,12 @@ def test_verify_reports_known_catalogue_defects(capsys):
         # the rationals are spelled q, not gf(0)
         ("analyze", "gf(0)", "1,0,0,0;0,0,0,0"),
         ("analyze", "gf(0,1)", "1,0,0,0;0,0,0,0"),
+        # constants are ASCII decimal numerals: no exponent, decimal point,
+        # digit separator or non-ASCII digit
+        ("analyze", "q", "1e3,0,0,0;0,0,0,0"),
+        ("analyze", "q", "1.5,0,0,0;0,0,0,0"),
+        ("analyze", "gf(5)", "1_0,0,0,0;0,0,0,0"),
+        ("analyze", "gf(5)", "１,0,0,0;0,0,0,0"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
