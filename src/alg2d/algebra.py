@@ -8,7 +8,8 @@ An algebra is a 2x4 matrix of structure constants over an exact field:
 This module holds the bilinear product, definition checkers for every
 structure of interest (subalgebras, idempotents, one-sided and two-sided
 ideals, left quasiunits), and exhaustive enumeration oracles over finite
-fields.  Each checker is built once per algebra from the structure
+fields, with `oracle_check`, the one comparison of a solver's answer with
+them.  Each checker is built once per algebra from the structure
 constants, so that testing one candidate costs only the arithmetic that
 depends on it; the oracles scan with the same checkers.  Everything operates
 on immutable values.
@@ -58,20 +59,6 @@ class MSC:
             ",".join(c.text() for c in self.alpha)
             + ";"
             + ",".join(c.text() for c in self.beta)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": [c.text() for c in self.alpha],
-            "beta": [c.text() for c in self.beta],
-        }
-
-    @classmethod
-    def from_json(cls, field: Field, data: dict) -> "MSC":
-        return cls(
-            field,
-            [parse_el(field, t) for t in data["alpha"]],
-            [parse_el(field, t) for t in data["beta"]],
         )
 
     def lift(self, dst: Field) -> "MSC":
@@ -283,11 +270,6 @@ class LineSet:
     def sorted_points(self) -> list[ProjPoint]:
         return sorted(self.points, key=lambda p: p.sort_key())
 
-    def materialize(self, field: Field) -> list[ProjPoint]:
-        if self.is_all:
-            return projective_points(field)
-        return self.sorted_points()
-
     def count_label(self) -> str:
         return "inf" if self.is_all else str(len(self.points))
 
@@ -494,6 +476,20 @@ def oracle_points(A: MSC, kind: str) -> list[Element]:
     test = _POINT_TESTS[kind](A)
     els = F.elements()
     return [Element(x, y) for x in els for y in els if test(x, y)]
+
+
+class OracleMismatch(Exception):
+    """Solver and brute-force oracle disagree: an implementation bug."""
+
+
+def oracle_check(A: MSC, kind: str, solved):
+    """The oracle's answer for `kind` on A, insisting that it equals the
+    solver's: a LineSet for a line kind, the sorted element list of
+    `oracle_points` for idempotents and quasiunits."""
+    oracle = oracle_points(A, kind) if kind in _POINT_TESTS else oracle_enumerate(A, kind)
+    if oracle != solved:
+        raise OracleMismatch(f"{kind} of {A.text()} over {A.field.text()} disagree with the oracle")
+    return oracle
 
 
 def all_mscs(field: Field):

@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 
-from .algebra import MSC
+from .algebra import MSC, OracleMismatch
 from .fields import FieldError, InfiniteField, ParseError, parse_el, parse_field
 from .families import FamilyId, Regime, all_family_ids, instantiate
 from .poly import cubic_root_count, parse_poly, roots_in_field, splitting_field
@@ -29,7 +29,6 @@ from .report import analyze, dumps, render_text
 from .solvers import InternalInconsistency
 from .sweep import (
     FLAG_ROWS,
-    OracleMismatch,
     adjudicate_flag,
     mismatch_records,
     sweep_family,

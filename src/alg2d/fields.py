@@ -240,10 +240,6 @@ class Field:
         return f"gf({self.p},{self.k};{mod})"
 
     @property
-    def char(self) -> int:
-        return self.p
-
-    @property
     def is_finite(self) -> bool:
         return self.p != 0
 
@@ -470,10 +466,6 @@ QQ = GF(0)
 
 def make_field(p: int, k: int = 1) -> Field:
     """Field of characteristic p and degree k; p = 0 gives the rationals."""
-    if p == 0:
-        if k != 1:
-            raise UnsupportedRationalExtension("no extensions of Q are supported")
-        return QQ
     return GF(p, k)
 
 
@@ -681,36 +673,29 @@ def embed(a: Fel, dst: Field) -> Fel:
 # Text formats.
 
 def parse_field(text: str) -> Field:
-    """Parse gf(p) | gf(p,k) | gf(p,k;c0,...,ck) | q."""
-    s = text.strip().lower()
+    """Parse gf(p) | gf(p,k) | gf(p,k;c0,...,ck) | q, spaces ignored, every
+    number in ASCII decimal digits."""
+    s = text.strip().lower().replace(" ", "")
     if s == "q":
         return QQ
-    if s.startswith("gf(") and s.endswith(")"):
-        body = s[3:-1]
-        mod = None
-        if ";" in body:
-            body, modpart = body.split(";", 1)
-            try:
-                mod = tuple(int(c) for c in modpart.split(","))
-            except ValueError:
-                raise ParseError(f"bad modulus in {text!r}")
-        parts = body.split(",")
-        try:
-            nums = [int(x) for x in parts]
-        except ValueError:
-            raise ParseError(f"bad field spec {text!r}")
-        if len(nums) == 1:
-            p, k = nums[0], 1
-        elif len(nums) == 2:
-            p, k = nums
-        else:
-            raise ParseError(f"bad field spec {text!r}")
-        if p == 0:  # make_field(0) is Q, which the text format spells q
-            raise NonPrimeCharacteristic(f"0 is not prime in {text!r}; write the rationals as q")
-        if mod is not None:
-            return GF(p, k, mod)
-        return make_field(p, k)
-    raise ParseError(f"unrecognised field spec {text!r}")
+    if not (s.startswith("gf(") and s.endswith(")")):
+        raise ParseError(f"unrecognised field spec {text!r}")
+    body, semi, modpart = s[3:-1].partition(";")
+    mod = None
+    if semi:
+        error = f"bad modulus in {text!r}"
+        # a coefficient may carry one leading minus, as an element may
+        mod = tuple(
+            -_numeral(c[1:], error) if c.startswith("-") else _numeral(c, error)
+            for c in modpart.split(",")
+        )
+    nums = [_numeral(x, f"bad field spec {text!r}") for x in body.split(",")]
+    if len(nums) > 2:
+        raise ParseError(f"bad field spec {text!r}")
+    p, k = nums if len(nums) == 2 else (nums[0], 1)
+    if p == 0:  # GF(0) is Q, which the text format spells q
+        raise NonPrimeCharacteristic(f"0 is not prime in {text!r}; write the rationals as q")
+    return GF(p, k, mod)
 
 
 def _numeral(s: str, error: str) -> int:

@@ -9,7 +9,8 @@ Every root search over a finite field GF(q), `fields.embed` included, goes
 through `_roots`: g = gcd(f, x^q - x) by repeated squaring, then
 Cantor-Zassenhaus splitting of g into linear factors, O(d^2 log q) field
 operations for degree d and no scan of the field.  Callers that only count
-in-field roots stop at g.  Root lists are sorted by index, so they and the
+in-field roots stop at g, and `RootSearch` splits it only when its roots are
+read.  Root lists are sorted by index, so they and the
 chosen least-index roots are canonical.
 
 Over Q, `_rational_roots` runs `_roots` over a small GF(p) and Hensel-lifts
@@ -372,11 +373,11 @@ def _first_root(f: Poly) -> Fel | None:
 def roots_in_field(f: Poly):
     """All distinct roots in the coefficient field of a nonzero polynomial.
 
-    Finite fields go through `_roots`.  Over Q, powers of y are stripped and
-    `_rational_roots` finds the rest through `_roots` over a small GF(p) and
-    Hensel lifting.  Roots come back sorted by `Fel.sort_key`.  Every element
-    is a root of the zero polynomial, so it raises `ZeroPolynomial`, as
-    `splitting_field` does; callers decide that case from `f.is_zero`.
+    Finite fields go through `_roots`.  Over Q, `_rational_roots` finds them
+    through `_roots` over a small GF(p) and Hensel lifting.  Roots come back
+    sorted by `Fel.sort_key`.  Every element is a root of the zero
+    polynomial, so it raises `ZeroPolynomial`, as `splitting_field` does;
+    callers decide that case from `f.is_zero`.
     """
     if f.is_zero:
         raise ZeroPolynomial("every element is a root of the zero polynomial")
@@ -385,15 +386,7 @@ def roots_in_field(f: Poly):
     F = f.field
     if F.is_finite:
         return _roots(f)
-    coeffs = [c.coeffs for c in f.coeffs]
-    roots = []
-    if coeffs[0] == _zero(F):
-        roots.append(Fraction(0))
-        while coeffs[0] == _zero(F):
-            coeffs.pop(0)
-    if len(coeffs) > 1:
-        roots += _rational_roots(coeffs)
-    return [F.el(r) for r in sorted(roots)]
+    return [F.el(r) for r in sorted(_rational_roots(f._raw()))]
 
 
 def _rational_roots(h: list) -> list[Fraction]:
@@ -456,25 +449,38 @@ def _ieval(c: list[int], y: int) -> int:
     return acc
 
 
-def _cofactor_degree(f: Poly) -> tuple[list, int]:
-    """(g, n) for a nonzero f over a finite field: g = gcd(f, x^q - x) as in
-    `_root_gcd`, and n the degree of the cofactor left once every in-field
-    linear factor is divided out, multiplicities included."""
-    F = f.field
-    h, g = _root_gcd(f)
-    d = g
-    while len(d) > 1:
-        h = _rdivmod(F, h, d)[0]
-        d = _rgcd(F, h, d)
-    return g, len(h) - 1
+class RootSearch:
+    """One root search of f in its own field.  Over GF(q) it keeps g =
+    gcd(f, x^q - x), whose degree `count` is the number of distinct in-field
+    roots, and the degree `rest` of the cofactor left once every in-field
+    linear factor, multiplicities included, is divided out; `roots` splits g,
+    in index order, when first read.  Over Q the roots come at once and
+    `rest` is None.  A zero f lists no roots and has rest 0: every element is
+    a root."""
 
+    __slots__ = ("f", "count", "rest", "_g", "_roots")
 
-def root_split(f: Poly) -> tuple[list[Fel], int]:
-    """(roots, n) for a nonzero f over a finite field, from one gcd with
-    x^q - x: the distinct in-field roots in index order, and the degree n of
-    the cofactor left once every in-field linear factor is divided out."""
-    g, n = _cofactor_degree(f)
-    return _split(f.field, g), n
+    def __init__(self, f: Poly):
+        self.f, self.count, self.rest, self._g, self._roots = f, 0, 0, None, []
+        if f.is_zero:
+            return
+        F = f.field
+        if F.is_finite:
+            h, g = _root_gcd(f)
+            d = g
+            while len(d) > 1:
+                h = _rdivmod(F, h, d)[0]
+                d = _rgcd(F, h, d)
+            self._g, self.count, self.rest, self._roots = g, len(g) - 1, len(h) - 1, None
+        else:
+            self._roots = roots_in_field(f)
+            self.count, self.rest = len(self._roots), None
+
+    @property
+    def roots(self) -> list[Fel]:
+        if self._roots is None:
+            self._roots = _split(self.f.field, self._g)
+        return self._roots
 
 
 def splitting_field(f: Poly) -> tuple[Field, list[Fel]]:
@@ -491,11 +497,11 @@ def splitting_field(f: Poly) -> tuple[Field, list[Fel]]:
         raise RationalSplittingUnsupported("splitting fields over Q are out of scope")
     if f.degree > 3:
         raise PolyError("splitting fields only built for degree <= 3")
-    g, n = _cofactor_degree(f)
-    if n == 0:
-        return F, _split(F, g)
+    found = RootSearch(f)
+    if not found.rest:
+        return F, found.roots
     # the cofactor has no in-field roots, so for degree <= 3 it is irreducible
-    ext = GF(F.p, F.k * n)
+    ext = GF(F.p, F.k * found.rest)
     return ext, _roots(f.lift(ext))
 
 
@@ -548,8 +554,8 @@ def distinct_root_count(f: Poly) -> RootCount:
         raise PolyError("closed root counts stop at degree 3")
     F = f.field
     if F.is_finite:
-        g, n = _cofactor_degree(f)
-        return RootCount.of(len(g) - 1 + n)
+        found = RootSearch(f)
+        return RootCount.of(found.count + found.rest)
     return cubic_root_count(f.coeff(3), f.coeff(2), f.coeff(1), f.coeff(0))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import MSC, oracle_enumerate, oracle_points, LineSet
+from .algebra import MSC, LineSet, oracle_check
 from .fields import FieldError, InfiniteField, parse_field
 from .solvers import (
     AffineSolutionSet,
@@ -29,7 +29,6 @@ from .solvers import (
     subalgebras,
     two_sided_ideals,
 )
-from .sweep import OracleMismatch
 
 # Largest field order the oracle runs on.  It scans all q^2 elements and up
 # to q^3 + 1 lines of a splitting field: a closed oracle analysis over GF(25)
@@ -158,12 +157,9 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
 
     if oracle:
         for q, (B, got) in parts.items():
-            if oracle_enumerate(B, q) != got:
-                raise OracleMismatch(f"{q} of {A.text()} disagrees with the oracle")
-        if idem.materialize() != oracle_points(A, "idempotents"):
-            raise OracleMismatch(f"idempotents of {A.text()} disagree with the oracle")
-        if quasi.materialize(F) != oracle_points(A, "quasiunits"):
-            raise OracleMismatch(f"quasiunits of {A.text()} disagree with the oracle")
+            oracle_check(B, q, got)
+        oracle_check(A, "idempotents", idem.materialize())
+        oracle_check(A, "quasiunits", quasi.materialize(F))
 
     return AnalysisReport(
         field=F,

@@ -11,10 +11,11 @@ F(e2):
   two-sided    -- all four polynomials at once, F(e2) when a2 = a3 = a4 = 0;
   quasiunits   -- an 8x2 linear system in the coordinates of the candidate.
 
-Callers solve each system once: the cubic's roots pass in as `found`, and
-the ideal lines of `ideal_closure(A)`, where all four quadratics split, as
-`is_simple`'s `two_sided`.  `subalgebra_closure` lifts A to the cubic's
-splitting field, reusing the ideal closure when the two fields agree.
+Callers solve each system once: the root search of the cubic passes in as
+`found`, and the ideal lines of `ideal_closure(A)`, where all four
+quadratics split, as `is_simple`'s `two_sided`.  `subalgebra_closure` lifts
+A to the cubic's splitting field, reusing the ideal closure when the two
+fields agree.
 
 The module also carries transcriptions of the published count predicates
 (`predict_left_line_count`, `predict_right_line_count`, `simple_by_cases`)
@@ -36,10 +37,10 @@ from .fields import GF, Fel, Field, FieldError, InfiniteField
 from .poly import (
     Poly,
     RootCount,
+    RootSearch,
     distinct_root_count,
     joint_quadratic_splitting,
     poly_gcd,
-    root_split,
     roots_in_field,
 )
 
@@ -102,59 +103,51 @@ def _lines(F: Field, roots, e2_line: bool) -> LineSet:
 # ---------------------------------------------------------------------------
 # Subalgebras and idempotents.
 
-def subalgebra_roots(A: MSC) -> tuple:
-    """One root search of the subalgebra cubic f in A's own field: (roots,
-    rest, f) with the distinct in-field roots ([] when f is zero and every
-    slope is one), the degree of the factor without them (None over Q), and
-    f.  The solvers that take it as `found` search on their own without it."""
-    f = subalgebra_poly(A)
-    if f.is_zero:
-        return [], 0, f
-    if not A.field.is_finite:
-        return roots_in_field(f), None, f
-    return (*root_split(f), f)
+def subalgebra_roots(A: MSC) -> RootSearch:
+    """One root search of the subalgebra cubic in A's own field, which splits
+    out the roots only for a solver that reads them.  The solvers that take
+    it as `found` search on their own without it."""
+    return RootSearch(subalgebra_poly(A))
 
 
-def subalgebras(A: MSC, found: tuple | None = None) -> LineSet:
+def subalgebras(A: MSC, found: RootSearch | None = None) -> LineSet:
     """Lines closed under the product, with roots taken in A's own field."""
-    roots, _, f = subalgebra_roots(A) if found is None else found
-    return _lines(A.field, None if f.is_zero else roots, A.alpha[3].is_zero)
+    found = subalgebra_roots(A) if found is None else found
+    return _lines(A.field, None if found.f.is_zero else found.roots, A.alpha[3].is_zero)
 
 
-def subalgebra_splitting(A: MSC, found: tuple | None = None) -> Field:
+def subalgebra_splitting(A: MSC, found: RootSearch | None = None) -> Field:
     """Smallest extension where the subalgebra cubic splits: GF(q^n) for the
     degree n of its factor without roots in GF(q), which is irreducible."""
     F = A.field
     if not F.is_finite:
         raise InfiniteField("splitting fields need a finite field")
-    _, rest, _ = subalgebra_roots(A) if found is None else found
+    rest = (subalgebra_roots(A) if found is None else found).rest
     return GF(F.p, F.k * rest) if rest else F
 
 
-def subalgebra_closure(A: MSC, found: tuple, closure: MSC) -> tuple[MSC, LineSet]:
+def subalgebra_closure(A: MSC, found: RootSearch, closure: MSC) -> tuple[MSC, LineSet]:
     """A lifted to `subalgebra_splitting(A)`, or A itself when the cubic splits
     in A's field, with its subalgebra lines there.  `found` is
     `subalgebra_roots(A)`, and `closure` is `ideal_closure(A)`, which serves
     as the lift when the two splitting fields are the same."""
-    if not found[1]:
+    if not found.rest:
         return A, subalgebras(A, found)
     ext = subalgebra_splitting(A, found)
     lifted = closure if closure.field == ext else A.lift(ext)
     return lifted, subalgebras(lifted)
 
 
-def subalgebra_count_closed(A: MSC, found: tuple | None = None) -> RootCount:
-    """Number of subalgebras over a root-closed extension of a finite field."""
+def subalgebra_count_closed(A: MSC, found: RootSearch | None = None) -> RootCount:
+    """Number of subalgebras over a root-closed extension of a finite field:
+    the cubic's distinct roots there are its in-field roots plus the degree of
+    the rootless, hence irreducible and separable, factor."""
     if not A.field.is_finite:
         raise InfiniteField("closed subalgebra counts need a finite field")
-    if found is None:
-        cat = distinct_root_count(subalgebra_poly(A))
-    else:
-        roots, rest, p = found
-        cat = RootCount.INFINITE if p.is_zero else RootCount.of(len(roots) + rest)
-    if cat is RootCount.INFINITE:
-        return cat
-    n = int(cat.label) + (1 if A.alpha[3].is_zero else 0)
+    found = subalgebra_roots(A) if found is None else found
+    if found.f.is_zero:
+        return RootCount.INFINITE
+    n = found.count + found.rest + (1 if A.alpha[3].is_zero else 0)
     if n == 0:
         raise InternalInconsistency("a two-dimensional algebra always has a subalgebra")
     return RootCount.of(n)
@@ -234,7 +227,7 @@ class IdempotentSet:
         return "IdempotentSet{" + ", ".join(parts) + "}"
 
 
-def idempotents(A: MSC, found: tuple | None = None) -> IdempotentSet:
+def idempotents(A: MSC, found: RootSearch | None = None) -> IdempotentSet:
     """All v with v^2 = v, from the roots of the subalgebra cubic.
 
     A root y with nonzero eigenvalue c rescales to the idempotent (1/c)(e1+y*e2);
@@ -243,16 +236,16 @@ def idempotents(A: MSC, found: tuple | None = None) -> IdempotentSet:
     """
     F = A.field
     lam = eigenvalue_poly(A)
-    roots, _, f = subalgebra_roots(A) if found is None else found
+    found = subalgebra_roots(A) if found is None else found
     a4 = A.alpha[3]
     b4 = A.beta[3]
     e2_point = None
     if a4.is_zero and not b4.is_zero:
         e2_point = Element(F.zero, b4.inv())
-    if f.is_zero:
+    if found.f.is_zero:
         return IdempotentSet(F, [], lam, e2_point)
     isolated = []
-    for y in roots:
+    for y in found.roots:
         c = lam(y)
         if not c.is_zero:
             inv = c.inv()
@@ -635,9 +628,6 @@ class AffineSolutionSet:
         else:
             out = [Element(x, y) for x in field.elements() for y in field.elements()]
         return sorted(set(out), key=lambda u: u.sort_key())
-
-    def count_label(self) -> str:
-        return {"empty": "0", "point": "1", "line": "inf", "plane": "inf"}[self.kind]
 
     def to_json(self):
         data = {"kind": self.kind}

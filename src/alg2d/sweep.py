@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import sys
 
-from .algebra import MSC, oracle_enumerate, oracle_points
+from .algebra import MSC, oracle_check
 from .fields import Field, FieldError
 from .families import ARITY, FamilyId, Regime, all_family_ids, instantiate
 from .poly import RootCount
@@ -36,24 +36,11 @@ from .tables import FLAG_CHOICES, predict_count, predict_quasiunits
 COUNT_QUANTITIES = ("subalgebras", "left", "right", "two_sided")
 
 
-class OracleMismatch(Exception):
-    """Solver and brute-force oracle disagree: an implementation bug."""
-
-
 def _oracle_check(lifted: MSC, quantity: str, solver_lines) -> str:
-    """Re-enumerate the lines of an algebra already lifted to its splitting
-    extension and insist they equal the solver's lines there.
-
-    Returns the oracle's own count label over that extension (which reads
-    'inf' when every line of the finite extension qualifies).
-    """
-    oracle_lines = oracle_enumerate(lifted, quantity)
-    if oracle_lines != solver_lines:
-        raise OracleMismatch(
-            f"{lifted.text()} over {lifted.field.text()} {quantity}: solver line set "
-            "differs from the exhaustive scan"
-        )
-    return oracle_lines.count_label()
+    """The oracle's count label for the lines of an algebra already lifted to
+    its splitting extension ('inf' when every line there qualifies), insisting
+    that they equal the solver's lines there."""
+    return oracle_check(lifted, quantity, solver_lines).count_label()
 
 
 # Most parameter points one sweep visits, whether it walks the whole grid or
@@ -124,13 +111,7 @@ def verify_point(family: FamilyId, params, field: Field) -> list[dict]:
             return _oracle_check(lifted, quantity, lines)
         if quantity != "quasiunits":
             return _oracle_check(closure, quantity, ideal_lines[quantity])
-        brute = oracle_points(A, "quasiunits")
-        if brute != solved_set.materialize(field):
-            raise OracleMismatch(
-                f"{family.name()}{[c.text() for c in params]} quasiunits: "
-                "solver disagrees with the brute-force scan"
-            )
-        return f"{len(brute)} points"
+        return f"{len(oracle_check(A, quantity, solved_set.materialize(field)))} points"
 
     base = {
         "family": family.name(),

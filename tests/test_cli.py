@@ -13,11 +13,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 
 import alg2d
-from alg2d import solvers
+from alg2d import report, solvers, sweep
+from alg2d.algebra import LineSet
+from alg2d.solvers import AffineSolutionSet, IdempotentSet
 from alg2d.cli import main
 from alg2d.families import ARITY
 from alg2d.report import LISTING_LIMIT, ORACLE_LIMIT, AnalysisReport, analyze
-from alg2d import GF, MSC
+from alg2d import GF, MSC, Element
 from alg2d.sweep import GRID_LIMIT
 
 
@@ -226,6 +228,11 @@ def test_verify_reports_known_catalogue_defects(capsys):
         ("analyze", "q", "1.5,0,0,0;0,0,0,0"),
         ("analyze", "gf(5)", "1_0,0,0,0;0,0,0,0"),
         ("analyze", "gf(5)", "１,0,0,0;0,0,0,0"),
+        # so are the numbers of a field spec
+        ("analyze", "gf(1_1)", "1,0,0,0;0,0,0,0"),
+        ("analyze", "gf(+5)", "1,0,0,0;0,0,0,0"),
+        ("analyze", "gf(５)", "1,0,0,0;0,0,0,0"),
+        ("analyze", "gf(5,2;+2,4,1)", "1,0,0,0;0,0,0,0"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -248,6 +255,56 @@ def test_internal_inconsistency_exits_1_with_one_error_line(capsys, monkeypatch)
     code, out, err = run(capsys, "analyze", "gf(5)", "0,0,0,0;1,0,0,0")
     assert code == 1 and out == ""
     assert err.startswith("error: internal inconsistency")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _wrong_lines(solve):
+    """A line solver that always answers wrong: every line where it finds
+    none, and none otherwise."""
+    return lambda A: LineSet.all_lines() if solve(A) == LineSet.of([]) else LineSet.of([])
+
+
+def _wrong_idempotents(solve):
+    """An idempotent solver that always answers wrong: e2 where it finds
+    none, and none otherwise."""
+
+    def wrong(A, found=None):
+        F = A.field
+        e2 = None if solve(A, found).materialize() else Element(F.zero, F.one)
+        return IdempotentSet(F, [], None, e2)
+
+    return wrong
+
+
+def _wrong_quasiunits(solve):
+    """A quasiunit solver that always answers wrong: every element where it
+    finds none, and none otherwise."""
+    empty = AffineSolutionSet.empty()
+    return lambda A: AffineSolutionSet.plane() if solve(A) == empty else empty
+
+
+# F x F: its left ideals, idempotents and quasiunits are all nonempty
+_ANALYZE_ORACLE = ("analyze", "gf(5)", "1,0,0,0;0,0,0,1", "--oracle")
+
+
+@pytest.mark.parametrize(
+    "module, name, wrong, argv",
+    [
+        (report, "left_ideals", _wrong_lines, _ANALYZE_ORACLE),
+        (report, "idempotents", _wrong_idempotents, _ANALYZE_ORACLE),
+        (report, "left_quasiunits", _wrong_quasiunits, _ANALYZE_ORACLE),
+        # verify solves no idempotents; a wrong answer reaches the oracle
+        # through the recheck of a record where the table and the solver part
+        (sweep, "left_ideals", _wrong_lines, ("verify", "A1", "gf(3)")),
+        (sweep, "left_quasiunits", _wrong_quasiunits, ("verify", "A1", "gf(3)")),
+    ],
+)
+def test_oracle_mismatch_exits_1_with_one_error_line(capsys, monkeypatch, module, name, wrong,
+                                                     argv):
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("ORACLE MISMATCH")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
@@ -314,7 +371,7 @@ _FIELD_SPECS = st.one_of(
         [
             "gf(0)", "gf(0,1)", "gf(0,2)", "gf(0;1,1)", "gf(1)", "gf(4)", "gf(6)", "gf(-5)",
             "gf()", "gf(2,0)", "gf(2,-1)", "gf(x)", "gf(5;1,1)", "gf(2,2;1,0,1)",
-            "gf(2,2;1,1)", "gf(3", "gf(5,1,1)", "", "r",
+            "gf(2,2;1,1)", "gf(3", "gf(5,1,1)", "", "r", "gf(1_1)",
         ]
     ),
 )

@@ -207,6 +207,7 @@ def test_rational_arithmetic_exact():
         ("gf(2,2;1,1,1)", (2, 2)),
         ("q", (0, 1)),
         ("GF(5)", (5, 1)),
+        ("gf(5, 2)", (5, 2)),  # spaces are dropped, as in elements
     ],
 )
 def test_parse_field(text, expect):

@@ -175,8 +175,16 @@ def _rational_case(rng, i):
 
 def test_rational_roots_match_sympy_ground_roots():
     rng = random.Random(2024)
-    for i in range(80):
-        coeffs = _rational_case(rng, i)
+    cases = [_rational_case(rng, i) for i in range(80)]
+    # zero as a double and a triple root: y^2, y^3 and y^2 * (u*y - v)
+    zero = Fraction(0)
+    cases += [
+        [zero, zero, Fraction(1)],
+        [zero, zero, zero, Fraction(1)],
+        [zero, zero, Fraction(-7), Fraction(3)],
+        [zero, zero, Fraction(5, 2), Fraction(-4, 9)],
+    ]
+    for coeffs in cases:
         got = [r.coeffs[0] for r in roots_in_field(Poly(QQ, [QQ.el(c) for c in coeffs]))]
         expect = sorted(
             Fraction(int(r.p), int(r.q)) for r in set(_sympy_of(coeffs, 0).ground_roots())

@@ -155,6 +155,36 @@ def test_verify_point_searches_the_subalgebra_cubic_once(monkeypatch):
     assert rechecked
 
 
+@pytest.mark.parametrize(
+    "field, family, params",
+    [
+        ((7,), fid(1), (2, 0, 1, 0)),
+        ((7,), fid(2), (0, 0, 1)),
+        ((7,), fid(3), (3, 0)),
+        ((3, 2), fid(2, Regime.CHAR3), (1, 1, 0)),
+        ((2, 2), fid(3, Regime.CHAR2), (0, (0, 1))),
+    ],
+)
+def test_verify_point_splits_no_cubic_it_only_counts(monkeypatch, field, family, params):
+    """Where the subalgebra cubic has at least two roots in F and its count is
+    not rechecked, verify_point needs only the cubic's gcd with x^q - x, and
+    these points make no Cantor-Zassenhaus split at all."""
+    from alg2d import poly
+    from alg2d.families import instantiate
+    from alg2d.solvers import subalgebra_roots
+
+    F = GF(*field)
+    params = tuple(F.el(c) for c in params)
+    assert subalgebra_roots(instantiate(family, params, F)).count >= 2
+    verify_point(family, params, F)  # fills the square-root and embedding caches
+    calls = []
+    split = poly._split
+    monkeypatch.setattr(poly, "_split", lambda F, g: calls.append(g) or split(F, g))
+    records = verify_point(family, params, F)
+    assert records[0]["quantity"] == "subalgebras" and records[0]["oracle"] is None
+    assert calls == []
+
+
 def test_flag_adjudications_pick_one_reading():
     assert adjudicate_flag("table1_A1_disc", F5)["verdict"] == "with3"
     assert adjudicate_flag("twosided_char3_A1_b1", F3)["verdict"] == "alpha1"
