@@ -181,17 +181,16 @@ class Field:
                 raise NonPrimeCharacteristic(f"{p} is not prime")
             if k < 1:
                 raise FieldError("degree must be positive")
+            if modulus is not None:
+                modulus = tuple(c % p for c in modulus)
+                if len(modulus) != k + 1 or modulus[-1] != 1:
+                    raise FieldError("modulus must be monic of degree k")
+                if not _is_irreducible(list(modulus), p):
+                    raise FieldError("modulus is reducible")
             if k == 1:
-                modulus = None
-            else:
-                if modulus is None:
-                    modulus = _smallest_irreducible(p, k)
-                else:
-                    modulus = tuple(c % p for c in modulus)
-                    if len(modulus) != k + 1 or modulus[-1] != 1:
-                        raise FieldError("modulus must be monic of degree k")
-                    if not _is_irreducible(list(modulus), p):
-                        raise FieldError("modulus is reducible")
+                modulus = None  # every monic x - a presents the same GF(p)
+            elif modulus is None:
+                modulus = _smallest_irreducible(p, k)
         self.p = p
         self.k = k
         self.modulus = modulus
@@ -453,14 +452,19 @@ class _Kernel:
 _FIELDS: dict = {}
 
 
-@lru_cache(maxsize=None)
 def GF(p: int, k: int = 1, modulus: tuple[int, ...] | None = None) -> Field:
-    """Construct (and cache) GF(p^k); modulus defaults to the lex-smallest
-    irreducible.  Every spelling of one field returns the same object."""
+    """GF(p^k), cached by (p, k, modulus) however passed; modulus defaults to
+    the lex-smallest irreducible.  Every spelling of one field is one object."""
+    return _field(p, k, modulus)
+
+
+@lru_cache(maxsize=None)
+def _field(p: int, k: int, modulus: tuple[int, ...] | None) -> Field:
     F = Field(p, k, modulus)
     return _FIELDS.setdefault(F, F)
 
 
+GF.cache_info = _field.cache_info
 QQ = GF(0)
 
 
@@ -661,12 +665,13 @@ def embed(a: Fel, dst: Field) -> Fel:
     src = a.field
     if src == dst:
         return a if a.field is dst else dst._fel(a.coeffs)
-    images = _embedding_images(src, dst)
-    acc = dst.zero
-    for c, img in zip(a.coeffs, images):
+    # sum c_i * image_i on dst's coefficient tuples over Z, reduced once mod p
+    acc = [0] * dst.k
+    for c, img in zip(a.coeffs, _embedding_images(src, dst)):
         if c:
-            acc = acc + dst.el(c) * img
-    return acc
+            for i, x in enumerate(img.coeffs):
+                acc[i] += c * x
+    return dst._fel(tuple(x % dst.p for x in acc))
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +695,7 @@ def parse_field(text: str) -> Field:
             for c in modpart.split(",")
         )
     nums = [_numeral(x, f"bad field spec {text!r}") for x in body.split(",")]
-    if len(nums) > 2:
+    if len(nums) > 2 or (semi and len(nums) == 1):  # a modulus follows the degree
         raise ParseError(f"bad field spec {text!r}")
     p, k = nums if len(nums) == 2 else (nums[0], 1)
     if p == 0:  # GF(0) is Q, which the text format spells q

@@ -10,8 +10,9 @@ through `_roots`: g = gcd(f, x^q - x) by repeated squaring, then
 Cantor-Zassenhaus splitting of g into linear factors, O(d^2 log q) field
 operations for degree d and no scan of the field.  Callers that only count
 in-field roots stop at g, and `RootSearch` splits it only when its roots are
-read.  Root lists are sorted by index, so they and the
-chosen least-index roots are canonical.
+read.  Root lists are sorted by index, so they and the chosen least-index
+roots are canonical.  `joint_quadratic_splitting` searches no roots: the
+quadratic character of each ideal quadratic decides whether it splits.
 
 Over Q, `_rational_roots` runs `_roots` over a small GF(p) and Hensel-lifts
 each root past Cauchy's bound of a monic integer form, so no divisor of a
@@ -510,9 +511,28 @@ def joint_quadratic_splitting(field: Field, polys) -> Field:
     if not field.is_finite:
         raise RationalSplittingUnsupported("splitting fields over Q are out of scope")
     for f in polys:
-        if f.degree == 2 and len(_root_gcd(f)[1]) == 1:
+        if f.degree == 2 and _rootless_quadratic(f):
             return GF(field.p, field.k * 2)
     return field
+
+
+def _rootless_quadratic(f: Poly) -> bool:
+    """Whether f = c + b*y + a*y^2 over GF(q) has no root, found by no root
+    search: b^2 - 4ac is a nonsquare (Euler's criterion) for odd q; b != 0 and
+    Tr(ac/b^2) = 1 for q = 2^k, as y = (b/a)*z gives a multiple of
+    z^2 + z + ac/b^2 (Berlekamp, Rumsey & Solomon 1967)."""
+    F = f.field
+    c, b, a = f.coeffs
+    if F.p == 2:
+        if b.is_zero:
+            return False
+        t = s = a * c / (b * b)
+        for _ in range(F.k - 1):
+            t = t * t
+            s = s + t
+        return not s.is_zero
+    d = b * b - F.el(4) * a * c
+    return not d.is_zero and d ** ((F.order - 1) // 2) != F.one
 
 
 _SQRT_CACHE: dict = {}

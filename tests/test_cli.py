@@ -233,6 +233,9 @@ def test_verify_reports_known_catalogue_defects(capsys):
         ("analyze", "gf(+5)", "1,0,0,0;0,0,0,0"),
         ("analyze", "gf(５)", "1,0,0,0;0,0,0,0"),
         ("analyze", "gf(5,2;+2,4,1)", "1,0,0,0;0,0,0,0"),
+        # a prime field takes no modulus but a monic linear one, after its degree
+        ("analyze", "gf(5,1;3,3)", "1,0,0,0;0,0,0,0"),
+        ("analyze", "gf(5;1,1)", "1,0,0,0;0,0,0,0"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

@@ -96,6 +96,27 @@ def test_explicit_modulus_validated():
     GF(3, 2, (1, 0, 1))  # y^2 + 1 is irreducible over GF(3)
     with pytest.raises(Exception):
         GF(3, 2, (2, 0, 1))  # y^2 + 2 = (y+1)(y+2)
+    # a prime field's modulus, if any, is checked too: monic of degree 1
+    assert GF(5, 1, (1, 1)) is GF(5)
+    for modulus in [(3, 3), (1, 0, 1), (1,)]:
+        with pytest.raises(FieldError, match="monic of degree"):
+            GF(5, 1, modulus)
+    with pytest.raises(ParseError):
+        parse_field("gf(5;1,1)")  # a modulus follows the degree
+
+
+def test_every_spelling_builds_a_field_once(monkeypatch):
+    from alg2d import fields
+
+    searches = []
+    search = fields._smallest_irreducible
+    monkeypatch.setattr(
+        fields, "_smallest_irreducible", lambda p, k: searches.append((p, k)) or search(p, k)
+    )
+    fields._field.cache_clear()  # GF's objects live on in _FIELDS
+    F = parse_field("gf(3,4)")
+    assert F is GF(3, 4) is GF(3, 4, None) is GF(3, k=4)
+    assert searches == [(3, 4)]
 
 
 def test_inverse_examples():
@@ -158,6 +179,23 @@ def test_embedding_is_homomorphism_sampled(src, dst):
         b = S.from_index(rng.randrange(S.order))
         assert embed(a * b, D) == embed(a, D) * embed(b, D)
         assert embed(a + b, D) == embed(a, D) + embed(b, D)
+
+
+@pytest.mark.parametrize("src,dst", [((2, 2), (2, 4)), ((5, 1), (5, 2)), ((3, 2), (3, 4)), ((2, 2), (2, 6))])
+def test_embedding_is_the_sum_of_scaled_images(src, dst):
+    from alg2d.fields import _embedding_images
+
+    S, D = GF(*src), GF(*dst)
+    images = _embedding_images(S, D)
+    for i in range(S.order):
+        a = S.from_index(i)
+        want = D.zero
+        for c, img in zip(a.coeffs, images):
+            want = want + D.el(c) * img
+        got = embed(a, D)
+        assert got == want, a
+        if D._kernel is not None:
+            assert got is D._kernel.els[want.index()]
 
 
 def test_incompatible_embeddings_rejected():

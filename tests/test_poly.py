@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -271,3 +272,51 @@ def test_splitting_field_of_an_irreducible_cubic_over_gf1009():
     assert len(set(roots)) == 3
     assert all(f.lift(ext)(r).is_zero for r in roots)
     assert roots == sorted(roots, key=lambda r: r.index())
+
+
+def _is_rootless_by_root_gcd(f):
+    return len(poly._root_gcd(f)[1]) == 1
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_rootless_quadratic_matches_the_root_gcd_on_every_quadratic(spec):
+    F = GF(*spec)
+    els = [F.from_index(i) for i in range(F.order)]
+    for a, b, c in itertools.product(els[1:], els, els):
+        f = Poly(F, [c, b, a])
+        assert poly._rootless_quadratic(f) == _is_rootless_by_root_gcd(f), f
+
+
+@pytest.mark.parametrize("spec", [(2003, 1), (2, 8), (5, 4), (2**61 - 1, 1)])
+def test_rootless_quadratic_matches_the_root_gcd_sampled(spec):
+    F = GF(*spec)
+    rng = random.Random(sum(spec))
+
+    def draw():
+        return F.from_index(rng.randrange(F.order))
+
+    rootless = 0
+    for i in range(300):
+        a, b, c = F.from_index(rng.randrange(1, F.order)), draw(), draw()
+        if i % 4 == 1:
+            b = F.zero
+        elif i % 4 == 2:  # a*(y - r)^2, a double root
+            r = draw()
+            b, c = -(a * (r + r)), a * r * r
+        f = Poly(F, [c, b, a])
+        rootless += poly._rootless_quadratic(f)
+        assert poly._rootless_quadratic(f) == _is_rootless_by_root_gcd(f), f
+    assert 0 < rootless < 300
+
+
+def test_joint_quadratic_splitting_searches_no_roots(monkeypatch):
+    def search(f):
+        raise AssertionError("root search")
+
+    monkeypatch.setattr(poly, "_root_gcd", search)
+    F7, F4 = GF(7), GF(2, 2)
+    w = F4.el([0, 1])
+    assert poly.joint_quadratic_splitting(F7, [P(F7, -1, 0, 1), P(F7, 3, 2)]) is F7
+    assert poly.joint_quadratic_splitting(F7, [P(F7, -1, 0, 1), P(F7, 1, 0, 1)]) is GF(7, 2)
+    assert poly.joint_quadratic_splitting(F4, [P(F4, 1, 1, 1), P(F4, 0, 0, 1)]) is F4
+    assert poly.joint_quadratic_splitting(F4, [Poly(F4, [w, F4.one, F4.one])]) is GF(2, 4)

@@ -74,6 +74,21 @@ def test_is_irreducible_matches_sympy_on_every_monic(p, degrees):
             assert _is_irreducible(m, p) == _sympy_poly(m, p).is_irreducible, m
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_rootless_quadratic_is_irreducibility_per_sympy(p):
+    from alg2d.poly import _rootless_quadratic
+
+    if p <= 7:
+        quadratics = [[c, b, a] for a in range(1, p) for b in range(p) for c in range(p)]
+    else:
+        rng = random.Random(p)
+        quadratics = [_random_coeffs(rng, p, 2) for _ in range(200)]
+    F = GF(p)
+    for coeffs in quadratics:
+        f = Poly.from_ints(F, coeffs)
+        assert _rootless_quadratic(f) == _sympy_poly(coeffs, p).is_irreducible, coeffs
+
+
 def _random_coeffs(rng, p, degree):
     """Constant-first coefficients of exactly this degree: ints mod p, or
     Fractions over Q (p = 0)."""
