@@ -41,7 +41,6 @@ from .poly import (
 )
 from .algebra import (
     Element,
-    IdealWitness,
     LineSet,
     MSC,
     ProjPoint,
@@ -53,13 +52,10 @@ from .algebra import (
     is_right_ideal,
     is_subalgebra,
     is_two_sided_ideal,
-    left_ideal_witness,
     mul,
     oracle_enumerate,
     oracle_points,
     projective_points,
-    right_ideal_witness,
-    subalgebra_scalar,
 )
 from .solvers import (
     AffineSolutionSet,

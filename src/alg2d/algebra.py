@@ -31,7 +31,7 @@ class MSC:
         if len(alpha) != 4 or len(beta) != 4:
             raise ValueError("an MSC needs 4 alpha and 4 beta entries")
         for c in alpha + beta:
-            if c.field != field:
+            if c.field is not field and c.field != field:
                 raise FieldMismatch("structure constants must share the field")
         self.field = field
         self.alpha = alpha
@@ -296,26 +296,6 @@ class LineSet:
         return "LineSet{" + ", ".join(p.text() for p in self.sorted_points()) + "}"
 
 
-class IdealWitness:
-    """The functional values (lambda(e1), lambda(e2)) certifying an ideal line."""
-
-    __slots__ = ("lambda_e1", "lambda_e2")
-
-    def __init__(self, lambda_e1: Fel, lambda_e2: Fel):
-        self.lambda_e1 = lambda_e1
-        self.lambda_e2 = lambda_e2
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IdealWitness)
-            and self.lambda_e1 == other.lambda_e1
-            and self.lambda_e2 == other.lambda_e2
-        )
-
-    def __repr__(self):
-        return f"IdealWitness({self.lambda_e1.text()}, {self.lambda_e2.text()})"
-
-
 def _comb(x: Fel, p: tuple, y: Fel, q: tuple) -> tuple:
     """The coordinates of x*p + y*q, for p and q given by their coordinates."""
     return x * p[0] + y * q[0], x * p[1] + y * q[1]
@@ -336,76 +316,59 @@ def _square(A: MSC):
     return square
 
 
-def _scalar_on_line(wx: Fel, wy: Fel, P: ProjPoint) -> Fel | None:
-    """The scalar c with wx*e1 + wy*e2 = c * generator(P), or None if that
-    vector is off the line."""
+def _on_line(wx: Fel, wy: Fel, P: ProjPoint) -> bool:
+    """Whether wx*e1 + wy*e2 lies on the line P."""
     if P.y0 is None:
-        return wy if wx.is_zero else None
-    return wx if wy == wx * P.y0 else None
+        return wx.is_zero
+    return wy == wx * P.y0
 
 
 def _line_test(A: MSC, kind: str):
-    """The definition of a line kind as a function of the line P.  It returns
-    the subalgebra scalar (u*u = c*u) or the ideal witness (e_i*u, or u*e_i,
-    equal to lambda(e_i)*u for both basis vectors, which suffices by
-    linearity) of the normalised generator u of P, or None.  The basis is
-    built once per algebra, and a two-sided ideal checks both sides on one
-    generator."""
+    """The definition of a line kind as a predicate on the line P, tested on
+    the normalised generator u of P: u*u in F*u for a subalgebra; e_i*u (or
+    u*e_i) in F*u for both basis vectors for an ideal, which suffices by
+    linearity.  The basis is built once per algebra, and a two-sided ideal
+    checks both sides on one generator."""
     F = A.field
     if kind == "subalgebras":
         square = _square(A)
 
-        def scalar(P):
+        def closed(P):
             u = P.generator(F)
-            return _scalar_on_line(*square(u.x, u.y), P)
+            return _on_line(*square(u.x, u.y), P)
 
-        return scalar
+        return closed
     sides = {"left": (False,), "right": (True,), "two_sided": (False, True)}[kind]
     e1, e2 = basis(F)
 
-    def witness(P):
+    def absorbs(P):
         u = P.generator(F)
         for right in sides:
-            scalars = []
             for v in (e1, e2):
                 w = mul(A, u, v) if right else mul(A, v, u)
-                c = _scalar_on_line(w.x, w.y, P)
-                if c is None:
-                    return None
-                scalars.append(c)
-        return IdealWitness(*scalars)
+                if not _on_line(w.x, w.y, P):
+                    return False
+        return True
 
-    return witness
-
-
-def subalgebra_scalar(A: MSC, P: ProjPoint) -> Fel | None:
-    """u^2 = c*u for the normalised generator u of P; None if not a subalgebra."""
-    return _line_test(A, "subalgebras")(P)
+    return absorbs
 
 
 def is_subalgebra(A: MSC, P: ProjPoint) -> bool:
-    return subalgebra_scalar(A, P) is not None
-
-
-def left_ideal_witness(A: MSC, P: ProjPoint) -> IdealWitness | None:
-    """Checks v*u in F*u on the two basis vectors v, which suffices by linearity."""
-    return _line_test(A, "left")(P)
-
-
-def right_ideal_witness(A: MSC, P: ProjPoint) -> IdealWitness | None:
-    return _line_test(A, "right")(P)
+    """u^2 in F*u for the normalised generator u of P."""
+    return _line_test(A, "subalgebras")(P)
 
 
 def is_left_ideal(A: MSC, P: ProjPoint) -> bool:
-    return left_ideal_witness(A, P) is not None
+    """v*u in F*u for the two basis vectors v, which suffices by linearity."""
+    return _line_test(A, "left")(P)
 
 
 def is_right_ideal(A: MSC, P: ProjPoint) -> bool:
-    return right_ideal_witness(A, P) is not None
+    return _line_test(A, "right")(P)
 
 
 def is_two_sided_ideal(A: MSC, P: ProjPoint) -> bool:
-    return _line_test(A, "two_sided")(P) is not None
+    return _line_test(A, "two_sided")(P)
 
 
 def _idempotent_test(A: MSC):
@@ -461,7 +424,7 @@ _POINT_TESTS = {"idempotents": _idempotent_test, "quasiunits": _quasiunit_test}
 def oracle_enumerate(A: MSC, kind: str) -> LineSet:
     """Test every line of the plane against the definition of `kind`."""
     check = _line_test(A, kind)
-    hits = (P for P in projective_points(A.field) if check(P) is not None)
+    hits = (P for P in projective_points(A.field) if check(P))
     return LineSet.in_plane(A.field, hits)
 
 

@@ -49,6 +49,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_canonical(args) -> int:
     field = parse_field(args.field)
+    if not field.is_finite:
+        raise InfiniteField("canonical checks the catalogue over a finite field")
     regime = Regime.parse(args.regime)
     family = FamilyId.parse(args.family, regime)
     params = tuple(

@@ -3,8 +3,8 @@
 Every nontrivial two-dimensional algebra is isomorphic to a member of the
 families A1..A12; the parameterisation differs between characteristic not in
 {2,3}, characteristic 2, and characteristic 3, so a family is identified by
-(index, regime).  `instantiate` substitutes a parameter vector into the
-printed matrix of structure constants.
+(index, regime).  `check_point` validates a parameter vector, and
+`instantiate` substitutes it into the printed matrix of structure constants.
 
 The member is not always unique as printed: the change of basis e2 -> -e2
 identifies A2(a1, b1, b2) with A2(a1, -b1, b2) and A6(a1, b1) with
@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 
 from .algebra import MSC
-from .fields import Fel, Field, FieldError
+from .fields import Fel, Field, FieldError, FieldMismatch
 
 
 class RegimeMismatch(FieldError):
@@ -93,8 +93,10 @@ def _frac(F: Field, num: int, den: int) -> Fel:
     return F.el(num) / F.el(den)
 
 
-def instantiate(family: FamilyId, params, F: Field) -> MSC:
-    """The printed structure constants of the family at the given parameters."""
+def check_point(family: FamilyId, params, F: Field) -> tuple:
+    """The parameters as a tuple, after checking that they are a point of the
+    family over F: F has the family's regime, and there are ARITY[index] of
+    them, each an element of F."""
     if Regime.of_field(F) != family.regime:
         raise RegimeMismatch(
             f"{family.name()} belongs to regime {family.regime.value}, "
@@ -106,8 +108,14 @@ def instantiate(family: FamilyId, params, F: Field) -> MSC:
             f"{family.name()} takes {ARITY[family.index]} parameters, got {len(params)}"
         )
     for c in params:
-        if c.field != F:
-            raise FieldError("parameters must live in the target field")
+        if c.field is not F and c.field != F:
+            raise FieldMismatch(f"parameters must live in {F.text()}")
+    return params
+
+
+def instantiate(family: FamilyId, params, F: Field) -> MSC:
+    """The printed structure constants of the family at the given parameters."""
+    params = check_point(family, params, F)
     one = F.one
     zero = F.zero
     i = family.index

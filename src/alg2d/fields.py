@@ -5,7 +5,7 @@ field (constant term first).  When no modulus is given, the lexicographically
 smallest irreducible polynomial of the requested degree is chosen, so field
 construction is reproducible.  Elements are kept in a unique canonical form:
 residue vectors in [0, p) for finite fields, one reduced Fraction for Q.
-Modulus selection (Rabin's irreducibility test) and inversion in GF(p^k)
+Modulus selection (Ben-Or's irreducibility test) and inversion in GF(p^k)
 run on `poly`'s raw polynomial helpers over GF(p).
 
 Fields and elements are immutable; the only mutable state is a set of
@@ -96,23 +96,9 @@ def is_prime(n: int) -> bool:
 # GF(p), with 1-tuple coefficients, constant first; `poly` imports this
 # module, so both import the helpers at function level.
 
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_irreducible(m: list[int], p: int) -> bool:
-    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic m of degree k over
-    GF(p): x^(p^k) = x mod m, and gcd(m, x^(p^(k/r)) - x) = 1 for each prime
-    r dividing k."""
+    """Ben-Or's test (1981) for a monic m of degree k over GF(p):
+    gcd(m, x^(p^i) - x) = 1 for every i <= k/2."""
     from .poly import _rgcd, _rpow_linear, _rsub
 
     k = len(m) - 1
@@ -120,15 +106,11 @@ def _is_irreducible(m: list[int], p: int) -> bool:
         return k == 1
     P = GF(p)
     h = [(c,) for c in m]
-
-    def frobenius_minus_x(j):  # x^(p^j) - x mod h
-        return _rsub(P, _rpow_linear(P, (0,), p**j, h), [(0,), (1,)])
-
-    # cheapest exponents first: most reducible candidates fail a gcd early
-    coprime = all(
-        len(_rgcd(P, h, frobenius_minus_x(k // r))) == 1 for r in reversed(_prime_factors(k))
+    # a reducible m has a factor of degree i <= k/2, which divides x^(p^i) - x
+    return all(
+        len(_rgcd(P, h, _rsub(P, _rpow_linear(P, (0,), p**i, h), [(0,), (1,)]))) == 1
+        for i in range(1, k // 2 + 1)
     )
-    return coprime and not frobenius_minus_x(k)
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -663,8 +645,10 @@ def _embedding_images(src: Field, dst: Field) -> tuple[Fel, ...]:
 def embed(a: Fel, dst: Field) -> Fel:
     """Image of a under the fixed ring embedding of its field into dst."""
     src = a.field
-    if src == dst:
-        return a if a.field is dst else dst._fel(a.coeffs)
+    if src is dst:
+        return a
+    if src.k == dst.k and src == dst:  # an equal field object built apart from GF
+        return dst._fel(a.coeffs)
     # sum c_i * image_i on dst's coefficient tuples over Z, reduced once mod p
     acc = [0] * dst.k
     for c, img in zip(a.coeffs, _embedding_images(src, dst)):

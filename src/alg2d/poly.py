@@ -539,24 +539,18 @@ _SQRT_CACHE: dict = {}
 
 
 def sqrt_in_ext(x: Fel) -> tuple[Fel, Field]:
-    """Deterministic square root: in the base field when x is a square there,
-    otherwise in the quadratic extension.  The lex-smallest root is returned."""
+    """Deterministic square root: the root of least index of y^2 - x in its
+    splitting field, which is the base field when x is a square there and
+    the quadratic extension otherwise."""
     F = x.field
     if not F.is_finite:
         raise InfiniteField("square roots in an extension need a finite base")
     key = (F, x.coeffs)
     got = _SQRT_CACHE.get(key)
-    if got is not None:
-        return got
-    E = F
-    s = _first_root(Poly(F, [-x, F.zero, F.one]))
-    if s is None:
-        E = GF(F.p, F.k * 2)
-        s = _first_root(Poly(E, [-embed(x, E), E.zero, E.one]))
-    if s is None:
-        raise FieldError("no square root found in the quadratic extension")
-    _SQRT_CACHE[key] = (s, E)
-    return s, E
+    if got is None:
+        E, roots = splitting_field(Poly(F, [-x, F.zero, F.one]))
+        got = _SQRT_CACHE[key] = roots[0], E
+    return got
 
 
 def distinct_root_count(f: Poly) -> RootCount:

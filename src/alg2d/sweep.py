@@ -31,7 +31,7 @@ from .solvers import (
     subalgebra_roots,
     two_sided_ideals,
 )
-from .tables import FLAG_CHOICES, predict_count, predict_quasiunits
+from .tables import FLAGS, predict_count, predict_quasiunits
 
 COUNT_QUANTITIES = ("subalgebras", "left", "right", "two_sided")
 
@@ -163,18 +163,12 @@ def mismatch_records(records: list[dict]) -> list[dict]:
 
 
 # Rows governed by each ambiguous-reading flag: (quantity, regime, family index).
-FLAG_ROWS = {
-    "left_char3_P": ("left", Regime.CHAR3, 1),
-    "twosided_char3_A1_b1": ("two_sided", Regime.CHAR3, 1),
-    "table2_A23_one": ("subalgebras", Regime.CHAR3, 2),
-    "table1_A1_disc": ("subalgebras", Regime.NE23, 1),
-    "table6_A23_sq": ("right", Regime.CHAR3, 2),
-}
+FLAG_ROWS = {flag: row[:3] for flag, row in FLAGS.items()}
 
 
 def adjudicate_flag(flag: str, field: Field, budget="exhaustive", seed: int = 0) -> dict:
     """Mismatch counts of a flagged table row under each candidate reading."""
-    quantity, regime, index = FLAG_ROWS[flag]
+    quantity, regime, index, readings = FLAGS[flag]
     if Regime.of_field(field) != regime:
         raise ValueError(f"flag {flag} needs a field of regime {regime.value}")
     family = FamilyId(index, regime)
@@ -184,7 +178,7 @@ def adjudicate_flag(flag: str, field: Field, budget="exhaustive", seed: int = 0)
         for params in _param_grid(field, ARITY[index], budget, seed)
     ]
     counts = {}
-    for choice in FLAG_CHOICES[flag]:
+    for choice in readings:
         counts[choice] = sum(
             predict_count(quantity, family, params, field, {flag: choice}).category != count
             for params, count in solved

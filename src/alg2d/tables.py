@@ -14,7 +14,7 @@ from __future__ import annotations
 from .algebra import Element
 from .fields import Fel, Field
 from .poly import Poly, RootCount, sqrt_in_ext
-from .families import FamilyId, Regime, RegimeMismatch, ArityMismatch, ARITY
+from .families import FamilyId, Regime, check_point
 from .fields import embed
 from .solvers import AffineSolutionSet
 
@@ -25,32 +25,27 @@ THREE = RootCount.THREE
 INF = RootCount.INFINITE
 
 # Ambiguous readings, adjudicated by the table sweep (see the verification
-# report): each flag's first listed value is the reading the sweep confirms.
-DEFAULT_FLAGS = {
+# report): each flag governs one row, (quantity, regime, family index), and
+# lists its readings with the one the sweep confirms first.
+FLAGS = {
     # symbol P in the char-3 left-ideal rows: formula from the left-ideal
     # caption ("left") or from the right-ideal caption ("right")
-    "left_char3_P": "left",
+    "left_char3_P": ("left", Regime.CHAR3, 1, ("left", "right")),
     # char-3 one-ideal condition for A1: b1 = 2*a1 + a2 ("alpha1") or the
     # literal prose b1 = a2 + 2*a2 ("alpha2")
-    "twosided_char3_A1_b1": "alpha1",
+    "twosided_char3_A1_b1": ("two_sided", Regime.CHAR3, 1, ("alpha1", "alpha2")),
     # char-3 single-subalgebra condition for A2: b2 = 2*a1 - 1 ("alpha1") or
     # the literal b2 = 2*a2 - 1 with a2 the (zero) matrix entry ("alpha2")
-    "table2_A23_one": "alpha1",
+    "table2_A23_one": ("subalgebras", Regime.CHAR3, 2, ("alpha1", "alpha2")),
     # discriminant under the square root in the two/three-subalgebra cells of
-    # A1: as printed ("printed") or with the factor 3 restored ("with3")
-    "table1_A1_disc": "with3",
+    # A1: with the factor 3 restored ("with3") or as printed ("printed")
+    "table1_A1_disc": ("subalgebras", Regime.NE23, 1, ("with3", "printed")),
     # squared factor in the char-3 right-ideal A2 row: (2*a1-1)^2 ("alpha1")
     # or the literal (2*a2-1)^2 with a2 the (zero) matrix entry ("alpha2")
-    "table6_A23_sq": "alpha1",
+    "table6_A23_sq": ("right", Regime.CHAR3, 2, ("alpha1", "alpha2")),
 }
-
-FLAG_CHOICES = {
-    "left_char3_P": ("left", "right"),
-    "twosided_char3_A1_b1": ("alpha1", "alpha2"),
-    "table2_A23_one": ("alpha1", "alpha2"),
-    "table1_A1_disc": ("with3", "printed"),
-    "table6_A23_sq": ("alpha1", "alpha2"),
-}
+FLAG_CHOICES = {flag: row[3] for flag, row in FLAGS.items()}
+DEFAULT_FLAGS = {flag: choices[0] for flag, choices in FLAG_CHOICES.items()}
 
 
 class Prediction:
@@ -1213,25 +1208,14 @@ _TABLES = {
 QUANTITIES = ("subalgebras", "left", "right", "two_sided", "quasiunits")
 
 
-def _check_family(family: FamilyId, params, field: Field):
-    if Regime.of_field(field) != family.regime:
-        raise RegimeMismatch(
-            f"{family.name()} is a {family.regime.value} family, field has char {field.p}"
-        )
-    if len(params) != ARITY[family.index]:
-        raise ArityMismatch(
-            f"{family.name()} takes {ARITY[family.index]} parameters, got {len(params)}"
-        )
-
-
 def predict_count(
     quantity: str, family: FamilyId, params, field: Field, flags=None
 ) -> Prediction:
     """Table prediction for the count of the given quantity at a parameter point."""
-    _check_family(family, params, field)
+    params = check_point(family, params, field)
     flags = {**DEFAULT_FLAGS, **(flags or {})}
     fn = _TABLES[(quantity, family.regime)]
-    return _resolve(fn(family.index, field, tuple(params), flags))
+    return _resolve(fn(family.index, field, params, flags))
 
 
 # ---------------------------------------------------------------------------
@@ -1241,7 +1225,7 @@ def predict_quasiunits(
     family: FamilyId, params, field: Field, flags=None
 ) -> tuple[AffineSolutionSet, str | None]:
     """The catalogued quasiunit set for a family row; Empty when no row matches."""
-    _check_family(family, params, field)
+    params = check_point(family, params, field)
     F = field
     one_ = F.one
     zero = F.zero

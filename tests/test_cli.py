@@ -245,6 +245,15 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("canonical", "A1", "ne23", "1,2,3,4", "q"), ("verify", "all", "q")]
+)
+def test_finite_field_commands_refuse_q_by_name(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {argv[0]} ") and "finite field" in err
+
+
 def test_grid_limit_error_names_the_limit_and_the_budget(capsys):
     code, out, err = run(capsys, "verify", "A1", "gf(65537)")
     assert code == 2 and out == ""

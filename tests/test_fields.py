@@ -81,6 +81,17 @@ MODULI = {
     (13, 2): (1, 3, 1),
     (13, 3): (1, 0, 4, 1),
     (13, 4): (1, 0, 0, 1, 1),
+    (2, 5): (1, 0, 0, 1, 0, 1),
+    (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (5, 5): (1, 0, 0, 0, 4, 1),
+    (5, 6): (1, 0, 0, 0, 1, 1, 1),
+    (7, 5): (1, 0, 0, 0, 3, 1),
+    (7, 6): (1, 0, 0, 0, 1, 0, 1),
+    (17, 3): (1, 0, 3, 1),
 }
 
 

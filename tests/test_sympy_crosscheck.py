@@ -65,7 +65,13 @@ def test_is_prime_matches_sympy():
 
 
 @pytest.mark.parametrize(
-    "p, degrees", [(2, (1, 2, 3, 4)), (3, (1, 2, 3, 4)), (5, (1, 2, 3, 4)), (7, (1, 2, 3))]
+    "p, degrees",
+    [
+        (2, (1, 2, 3, 4, 5, 6, 7, 8)),
+        (3, (1, 2, 3, 4, 5, 6)),
+        (5, (1, 2, 3, 4)),
+        (7, (1, 2, 3)),
+    ],
 )
 def test_is_irreducible_matches_sympy_on_every_monic(p, degrees):
     for k in degrees:

@@ -1,10 +1,10 @@
 import pytest
 
-from alg2d import GF, Element, RootCount
+from alg2d import GF, Element, FieldMismatch, RootCount
 from alg2d.families import FamilyId, Regime, RegimeMismatch
 from alg2d.solvers import AffineSolutionSet
 from alg2d.sweep import adjudicate_flag, mismatch_records, sweep_family, verify_point
-from alg2d.tables import predict_count, predict_quasiunits
+from alg2d.tables import DEFAULT_FLAGS, predict_count, predict_quasiunits
 
 F5 = GF(5)
 F7 = GF(7)
@@ -76,6 +76,15 @@ def test_prediction_regime_and_arity_guards():
         predict_count("subalgebras", fid(9), (), F3)
     with pytest.raises(Exception):
         predict_count("left", fid(8), els(F5, 1, 2), F5)
+
+
+def test_predictions_reject_parameters_from_another_field():
+    F25 = GF(5, 2)
+    for quantity in ("subalgebras", "left", "right", "two_sided"):
+        with pytest.raises(FieldMismatch):
+            predict_count(quantity, fid(4), els(F5, 2, 3), F25)
+    with pytest.raises(FieldMismatch):
+        predict_quasiunits(fid(4), els(F5, 2, 3), F25)
 
 
 def test_verify_point_agreement_for_a12():
@@ -186,10 +195,20 @@ def test_verify_point_splits_no_cubic_it_only_counts(monkeypatch, field, family,
 
 
 def test_flag_adjudications_pick_one_reading():
-    assert adjudicate_flag("table1_A1_disc", F5)["verdict"] == "with3"
-    assert adjudicate_flag("twosided_char3_A1_b1", F3)["verdict"] == "alpha1"
-    assert adjudicate_flag("table2_A23_one", F3)["verdict"] == "alpha1"
-    assert adjudicate_flag("left_char3_P", F3)["verdict"] == "left"
+    fields = {
+        "table1_A1_disc": F5,
+        "twosided_char3_A1_b1": F3,
+        "table2_A23_one": F3,
+        "left_char3_P": F3,
+        "table6_A23_sq": GF(3, 2),  # over GF(3) both readings tie
+    }
+    assert fields.keys() == DEFAULT_FLAGS.keys()
+    for flag, field in fields.items():
+        assert adjudicate_flag(flag, field)["verdict"] == DEFAULT_FLAGS[flag]
+    assert adjudicate_flag("table6_A23_sq", GF(3, 2))["readings"] == {
+        "alpha1": 81,
+        "alpha2": 177,
+    }
 
 
 def test_sweep_is_deterministic():
