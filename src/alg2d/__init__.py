@@ -22,7 +22,6 @@ from .fields import (
     ParseError,
     UnsupportedRationalExtension,
     embed,
-    make_field,
     parse_el,
     parse_field,
 )

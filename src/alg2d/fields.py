@@ -3,10 +3,12 @@
 Extension fields carry an explicit monic irreducible modulus over the prime
 field (constant term first).  When no modulus is given, the lexicographically
 smallest irreducible polynomial of the requested degree is chosen, so field
-construction is reproducible.  Elements are kept in a unique canonical form:
-residue vectors in [0, p) for finite fields, one reduced Fraction for Q.
-Modulus selection (Ben-Or's irreducibility test) and inversion in GF(p^k)
-run on `poly`'s raw polynomial helpers over GF(p).
+construction is reproducible.  An element's raw value is its canonical form:
+over GF(p^k) its enumeration index, the int sum c_i * p^i of its residue
+coefficients c_i in [0, p) (for GF(p) the residue itself), and over Q one
+reduced Fraction.  Arithmetic over GF(p^k) decodes the base-p digits only
+where it needs them.  Modulus selection (Ben-Or's irreducibility test) and
+inversion in GF(p^k) run on `poly`'s raw polynomial helpers over GF(p).
 
 Fields and elements are immutable; the only mutable state is a set of
 memoisation caches (construction, embeddings, products, inverses, element
@@ -93,8 +95,8 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Modulus selection.  It and `Field._inv` run on `poly`'s raw helpers over
-# GF(p), with 1-tuple coefficients, constant first; `poly` imports this
-# module, so both import the helpers at function level.
+# GF(p), whose raw values are the residues, constant first; `poly` imports
+# this module, so both import the helpers at function level.
 
 def _is_irreducible(m: list[int], p: int) -> bool:
     """Ben-Or's test (1981) for a monic m of degree k over GF(p):
@@ -105,10 +107,9 @@ def _is_irreducible(m: list[int], p: int) -> bool:
     if k < 2:  # x itself is only reduced mod m from degree 2 on
         return k == 1
     P = GF(p)
-    h = [(c,) for c in m]
     # a reducible m has a factor of degree i <= k/2, which divides x^(p^i) - x
     return all(
-        len(_rgcd(P, h, _rsub(P, _rpow_linear(P, (0,), p**i, h), [(0,), (1,)]))) == 1
+        len(_rgcd(P, m, _rsub(P, _rpow_linear(P, 0, p**i, m), [0, 1]))) == 1
         for i in range(1, k // 2 + 1)
     )
 
@@ -230,29 +231,22 @@ class Field:
         """Coerce an int, Fraction, or coefficient sequence into this field."""
         if self.p == 0:
             if isinstance(value, (int, Fraction)):
-                return Fel(self, (Fraction(value),))
-            if isinstance(value, (tuple, list)) and len(value) == 1:
-                return Fel(self, (Fraction(value[0]),))
+                return Fel(self, Fraction(value))
             raise FieldError(f"cannot coerce {value!r} into Q")
         if isinstance(value, int):
-            if self._kernel is not None:
-                return self._kernel.els[value % self.p]  # a constant's index is itself
-            coeffs = [0] * self.k
-            coeffs[0] = value % self.p
-            return self._fel(tuple(coeffs))
+            return self._fel(value % self.p)  # a constant's index is itself
         if isinstance(value, (tuple, list)):
             if len(value) > self.k:
                 raise FieldError("too many coefficients")
-            coeffs = [int(c) % self.p for c in value] + [0] * (self.k - len(value))
-            return self._fel(tuple(coeffs))
+            return self._fel(self._index([int(c) for c in value]))
         raise FieldError(f"cannot coerce {value!r} into {self.text()}")
 
-    def _fel(self, coeffs: tuple) -> "Fel":
-        """The element with these canonical coefficients; interned when the
-        field has a kernel."""
+    def _fel(self, raw) -> "Fel":
+        """The element with this raw value; interned when the field has a
+        kernel."""
         if self._kernel is None:
-            return Fel(self, coeffs)
-        return self._kernel.of[coeffs]
+            return Fel(self, raw)
+        return self._kernel.els[raw]
 
     @property
     def zero(self) -> "Fel":
@@ -266,9 +260,7 @@ class Field:
         """Element number idx in the canonical enumeration order."""
         if self.p == 0:
             raise InfiniteField("Q is not enumerable")
-        if self._kernel is not None:
-            return self._kernel.els[idx % self.order]
-        return Fel(self, self._digits(idx))
+        return self._fel(idx % self.order)
 
     def index_digits(self, idx: int, n: int) -> tuple:
         """The n elements whose indices are the base-q digits of idx, least
@@ -279,12 +271,22 @@ class Field:
             out.append(self.from_index(d))
         return tuple(out)
 
-    def _digits(self, idx: int) -> tuple:
+    def _digits(self, idx: int) -> list[int]:
+        """The k base-p digits of an index: its residue coefficients, constant
+        first."""
         coeffs = []
         for _ in range(self.k):
-            coeffs.append(idx % self.p)
-            idx //= self.p
-        return tuple(coeffs)
+            idx, c = divmod(idx, self.p)
+            coeffs.append(c)
+        return coeffs
+
+    def _index(self, coeffs) -> int:
+        """The index of the element with these integer coefficients, each
+        read mod p."""
+        p, idx = self.p, 0
+        for c in reversed(coeffs):
+            idx = idx * p + c % p
+        return idx
 
     def elements(self):
         """All field elements in canonical order (finite fields only)."""
@@ -294,36 +296,38 @@ class Field:
             self._elements = [self.from_index(i) for i in range(self.order)]
         return self._elements
 
-    # -- raw coefficient arithmetic ------------------------------------------
+    # -- raw arithmetic ------------------------------------------------------
+    # For k = 1 a raw value is a residue mod p (a Fraction over Q), so each
+    # operation is one integer operation.  For k > 1 sums and differences
+    # combine base-p digits without carries, and products decode, convolve,
+    # reduce by the modulus and encode again.
 
     def _add(self, a, b):
-        if self.p == 0:
-            return (a[0] + b[0],)
-        p = self.p
-        if self.k == 1:
-            return ((a[0] + b[0]) % p,)
-        return tuple((x + y) % p for x, y in zip(a, b))
+        if self.k > 1:
+            return self._digitwise(a, b, 1)
+        return (a + b) % self.p if self.p else a + b
 
     def _sub(self, a, b):
-        if self.p == 0:
-            return (a[0] - b[0],)
-        p = self.p
-        if self.k == 1:
-            return ((a[0] - b[0]) % p,)
-        return tuple((x - y) % p for x, y in zip(a, b))
+        if self.k > 1:
+            return self._digitwise(a, b, -1)
+        return (a - b) % self.p if self.p else a - b
 
     def _neg(self, a):
-        if self.p == 0:
-            return (-a[0],)
-        p = self.p
-        return tuple((-x) % p for x in a)
+        return self._sub(0, a)
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        p, out, place = self.p, 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + sign * y) % p * place
+            place *= p
+        return out
 
     def _mul(self, a, b):
-        if self.p == 0:
-            return (a[0] * b[0],)
         p = self.p
         if self.k == 1:
-            return ((a[0] * b[0]) % p,)
+            return a * b % p if p else a * b
         cache = self._mul_cache
         if cache is not None:
             got = cache.get((a, b))
@@ -331,33 +335,32 @@ class Field:
                 return got
         k = self.k
         conv = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
+        db = self._digits(b)
+        for i, x in enumerate(self._digits(a)):
             if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:k]]
+                for j, y in enumerate(db, i):
+                    conv[j] += x * y
+        # fold x^d for d >= k back through the reduction rows over Z; the
+        # encoding reduces each coefficient once mod p
+        out = conv[:k]
         red = self._red
         for d in range(k, 2 * k - 1):
             c = conv[d] % p
             if c:
                 row = red[d - k]
                 for i in range(k):
-                    out[i] = (out[i] + c * row[i]) % p
-        res = tuple(out)
+                    out[i] += c * row[i]
+        res = self._index(out)
         if cache is not None:
             cache[(a, b)] = res
         return res
 
     def _inv(self, a):
-        if self.p == 0:
-            if a[0] == 0:
-                raise DivisionByZero("inverse of zero")
-            return (1 / a[0],)
-        if all(c == 0 for c in a):
+        if not a:
             raise DivisionByZero("inverse of zero")
         p = self.p
         if self.k == 1:
-            return (pow(a[0], -1, p),)
+            return pow(a, -1, p) if p else 1 / a
         memo = self.order <= _MUL_CACHE_MAX_ORDER  # at most q - 1 entries
         if memo:
             got = self._inv_cache.get(a)
@@ -369,16 +372,16 @@ class Field:
         from .poly import _rdivmod, _rmul, _rsub
 
         P = GF(p)
-        r0, r1 = [(c,) for c in self.modulus], [(c,) for c in a]
-        while r1[-1] == (0,):
+        r0, r1 = list(self.modulus), self._digits(a)
+        while not r1[-1]:
             r1.pop()
-        s0, s1 = [], [(1,)]
+        s0, s1 = [], [1]
         while r1:
-            lead_inv = [P._inv(r1[-1])]
+            lead_inv = [pow(r1[-1], -1, p)]
             r1, s1 = _rmul(P, r1, lead_inv), _rmul(P, s1, lead_inv)
             q, r = _rdivmod(P, r0, r1)
             r0, r1, s0, s1 = r1, r, s1, _rsub(P, s0, _rmul(P, q, s1))
-        res = tuple(c for (c,) in s0) + (0,) * (self.k - len(s0))
+        res = self._index(s0)
         if memo:
             self._inv_cache[a] = res
         return res
@@ -395,20 +398,11 @@ class _Kernel:
     @cached_property
     def els(self) -> list:
         """One element object per field element, in index order."""
-        out = []
-        for i in range(self.field.order):
-            e = _SmallFel(self.field, self.field._digits(i))
-            e._i = i
-            out.append(e)
-        return out
-
-    @cached_property
-    def of(self) -> dict:
-        return {e.coeffs: e for e in self.els}
+        return [_SmallFel(self.field, i) for i in range(self.field.order)]
 
     def _table(self, op) -> list:
-        of, els = self.of, self.els
-        return [[of[op(a.coeffs, b.coeffs)] for b in els] for a in els]
+        els = self.els
+        return [[els[op(a.raw, b.raw)] for b in els] for a in els]
 
     @cached_property
     def add(self) -> list:
@@ -424,11 +418,11 @@ class _Kernel:
 
     @cached_property
     def neg(self) -> list:
-        return [self.of[self.field._neg(a.coeffs)] for a in self.els]
+        return [self.els[self.field._neg(a.raw)] for a in self.els]
 
     @cached_property
     def inv(self) -> list:
-        return [None] + [self.of[self.field._inv(a.coeffs)] for a in self.els[1:]]
+        return [None] + [self.els[self.field._inv(a.raw)] for a in self.els[1:]]
 
 
 _FIELDS: dict = {}
@@ -450,19 +444,15 @@ GF.cache_info = _field.cache_info
 QQ = GF(0)
 
 
-def make_field(p: int, k: int = 1) -> Field:
-    """Field of characteristic p and degree k; p = 0 gives the rationals."""
-    return GF(p, k)
-
-
 class Fel:
-    """A field element in canonical form; immutable and hashable."""
+    """A field element in canonical form; immutable and hashable.  `raw` is
+    the index over a finite field and a Fraction over Q."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "raw")
 
-    def __init__(self, field: Field, coeffs: tuple):
+    def __init__(self, field: Field, raw):
         self.field = field
-        self.coeffs = coeffs
+        self.raw = raw
 
     def _check(self, other) -> "Fel":
         if not isinstance(other, Fel):
@@ -475,26 +465,26 @@ class Fel:
 
     def __add__(self, other):
         other = self._check(other)
-        return Fel(self.field, self.field._add(self.coeffs, other.coeffs))
+        return Fel(self.field, self.field._add(self.raw, other.raw))
 
     def __sub__(self, other):
         other = self._check(other)
-        return Fel(self.field, self.field._sub(self.coeffs, other.coeffs))
+        return Fel(self.field, self.field._sub(self.raw, other.raw))
 
     def __mul__(self, other):
         other = self._check(other)
-        return Fel(self.field, self.field._mul(self.coeffs, other.coeffs))
+        return Fel(self.field, self.field._mul(self.raw, other.raw))
 
     def __truediv__(self, other):
         other = self._check(other)
-        return Fel(self.field, self.field._mul(self.coeffs, self.field._inv(other.coeffs)))
+        return Fel(self.field, self.field._mul(self.raw, self.field._inv(other.raw)))
 
     def __neg__(self):
-        return Fel(self.field, self.field._neg(self.coeffs))
+        return Fel(self.field, self.field._neg(self.raw))
 
     def inv(self) -> "Fel":
         """Multiplicative inverse; raises DivisionByZero on zero."""
-        return Fel(self.field, self.field._inv(self.coeffs))
+        return Fel(self.field, self.field._inv(self.raw))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -511,33 +501,25 @@ class Fel:
     def __eq__(self, other):
         return (
             isinstance(other, Fel)
-            and self.coeffs == other.coeffs
-            and self.field == other.field
+            and self.raw == other.raw
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.raw)
 
     @property
     def is_zero(self) -> bool:
-        if self.field.p == 0:
-            return self.coeffs[0] == 0
-        return all(c == 0 for c in self.coeffs)
+        return not self.raw
 
     def index(self) -> int:
         """Position in the canonical enumeration (finite fields)."""
-        f = self.field
-        if f.p == 0:
+        if self.field.p == 0:
             raise InfiniteField("Q elements have no enumeration index")
-        idx = 0
-        for c in reversed(self.coeffs):
-            idx = idx * f.p + c
-        return idx
+        return self.raw
 
     def sort_key(self):
-        if self.field.p == 0:
-            return self.coeffs[0]
-        return self.index()
+        return self.raw
 
     def __repr__(self):
         return f"<{self.text()} in {self.field.text()}>"
@@ -545,12 +527,10 @@ class Fel:
     def text(self) -> str:
         """Canonical element text: c0+c1*w+... for extensions, n/d for Q."""
         f = self.field
-        if f.p == 0:
-            return str(self.coeffs[0])
         if f.k == 1:
-            return str(self.coeffs[0])
+            return str(self.raw)
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(f._digits(self.raw)):
             if c == 0:
                 continue
             if i == 0:
@@ -562,66 +542,54 @@ class Fel:
 
 
 class _SmallFel(Fel):
-    """An interned element of a field with a kernel, `_i` its index.  Between
-    two such elements of one field object, every operation is a table lookup;
-    any other operand takes the generic checks and returns an interned result."""
+    """An interned element of a field with a kernel.  Between two such
+    elements of one field object, every operation is a table lookup by raw
+    value; any other operand takes the generic checks and returns an
+    interned result."""
 
-    __slots__ = ("_i",)
+    __slots__ = ()
 
     def __add__(self, other):
         F = self.field
         if other.__class__ is _SmallFel and other.field is F:
-            return F._kernel.add[self._i][other._i]
-        return F._fel(F._add(self.coeffs, self._check(other).coeffs))
+            return F._kernel.add[self.raw][other.raw]
+        return F._fel(F._add(self.raw, self._check(other).raw))
 
     def __sub__(self, other):
         F = self.field
         if other.__class__ is _SmallFel and other.field is F:
-            return F._kernel.sub[self._i][other._i]
-        return F._fel(F._sub(self.coeffs, self._check(other).coeffs))
+            return F._kernel.sub[self.raw][other.raw]
+        return F._fel(F._sub(self.raw, self._check(other).raw))
 
     def __mul__(self, other):
         F = self.field
         if other.__class__ is _SmallFel and other.field is F:
-            return F._kernel.mul[self._i][other._i]
-        return F._fel(F._mul(self.coeffs, self._check(other).coeffs))
+            return F._kernel.mul[self.raw][other.raw]
+        return F._fel(F._mul(self.raw, self._check(other).raw))
 
     def __truediv__(self, other):
         F = self.field
-        if other.__class__ is _SmallFel and other.field is F and other._i:
+        if other.__class__ is _SmallFel and other.field is F and other.raw:
             K = F._kernel
-            return K.mul[self._i][K.inv[other._i]._i]
-        return F._fel(F._mul(self.coeffs, F._inv(self._check(other).coeffs)))
+            return K.mul[self.raw][K.inv[other.raw].raw]
+        return F._fel(F._mul(self.raw, F._inv(self._check(other).raw)))
 
     def __neg__(self):
-        return self.field._kernel.neg[self._i]
+        return self.field._kernel.neg[self.raw]
 
     def inv(self) -> "Fel":
-        if self._i:
-            return self.field._kernel.inv[self._i]
+        if self.raw:
+            return self.field._kernel.inv[self.raw]
         raise DivisionByZero("inverse of zero")
-
-    def __eq__(self, other):
-        if other.__class__ is _SmallFel and other.field is self.field:
-            return self._i == other._i
-        return Fel.__eq__(self, other)
-
-    __hash__ = Fel.__hash__
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._i
-
-    def index(self) -> int:
-        return self._i
 
 
 # ---------------------------------------------------------------------------
 # Embeddings between compatible finite fields.
 
 @lru_cache(maxsize=None)
-def _embedding_images(src: Field, dst: Field) -> tuple[Fel, ...]:
-    """Powers 0..k-1 of the chosen image of src's generator inside dst."""
+def _embedding_images(src: Field, dst: Field) -> tuple[list[int], ...]:
+    """Powers 0..k-1 of the chosen image of src's generator inside dst, as
+    dst's coefficient lists."""
     if src.p != dst.p:
         raise IncompatibleFields("different characteristic")
     if src.p == 0:
@@ -629,7 +597,7 @@ def _embedding_images(src: Field, dst: Field) -> tuple[Fel, ...]:
     if dst.k % src.k != 0:
         raise IncompatibleFields(f"{src.text()} does not embed in {dst.text()}")
     if src.k == 1:
-        return (dst.one,)
+        return (dst._digits(1),)
     # the image of the generator is the lex-smallest root of src's modulus in dst
     from .poly import Poly, _first_root  # poly imports this module
 
@@ -639,7 +607,7 @@ def _embedding_images(src: Field, dst: Field) -> tuple[Fel, ...]:
     images = [dst.one]
     for _ in range(src.k - 1):
         images.append(images[-1] * root)
-    return tuple(images)
+    return tuple(dst._digits(x.raw) for x in images)
 
 
 def embed(a: Fel, dst: Field) -> Fel:
@@ -648,14 +616,18 @@ def embed(a: Fel, dst: Field) -> Fel:
     if src is dst:
         return a
     if src.k == dst.k and src == dst:  # an equal field object built apart from GF
-        return dst._fel(a.coeffs)
-    # sum c_i * image_i on dst's coefficient tuples over Z, reduced once mod p
+        return dst._fel(a.raw)
+    images = _embedding_images(src, dst)
+    if src.k == 1:  # a constant's index is itself in every extension
+        return dst._fel(a.raw)
+    # sum c_i * image_i on dst's coefficient lists over Z, reduced once mod p
+    # by the encoding
     acc = [0] * dst.k
-    for c, img in zip(a.coeffs, _embedding_images(src, dst)):
+    for c, img in zip(src._digits(a.raw), images):
         if c:
-            for i, x in enumerate(img.coeffs):
+            for i, x in enumerate(img):
                 acc[i] += c * x
-    return dst._fel(tuple(x % dst.p for x in acc))
+    return dst._fel(dst._index(acc))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ coefficient is ever searched; rational roots are sorted by value.
 The raw helpers (`_rsub`, `_rmul`, `_rdivmod`, `_rmonic`, `_rgcd`,
 `_rpow_linear`) are the package's only polynomial arithmetic: `Poly`'s
 product, division and gcd convert to them and back, and `fields` runs
-modulus selection and inversion in GF(p^k) on them over GF(p).
+modulus selection and inversion in GF(p^k) on them over GF(p).  They work
+on raw element values: over a finite field an element's raw value is its
+enumeration index, so sorting raw roots sorts them by index.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class Poly:
         return cls(field, [field._fel(c) for c in raw])
 
     def _raw(self) -> list:
-        return [c.coeffs for c in self.coeffs]
+        return [c.raw for c in self.coeffs]
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
@@ -166,7 +168,7 @@ class Poly:
             raise DivisionByZero("polynomial division by zero")
         F = self.field
         # divide by other made monic, then scale the quotient back
-        lead_inv = [F._inv(other.coeffs[-1].coeffs)]
+        lead_inv = [F._inv(other.coeffs[-1].raw)]
         q, r = _rdivmod(F, self._raw(), _rmul(F, other._raw(), lead_inv))
         return Poly._of_raw(F, _rmul(F, q, lead_inv)), Poly._of_raw(F, r)
 
@@ -218,18 +220,14 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return Poly._of_raw(F, _rgcd(F, _rmonic(F, f._raw()), g._raw()))
 
 
-# Raw polynomial arithmetic over a field F.  A polynomial is a list of
-# coefficient tuples (`Fel.coeffs`), constant first, without trailing zeros;
-# over Q each is a 1-tuple holding a Fraction, `_zero` included.  Only F's
-# `_add`, `_sub`, `_mul` and `_inv` run here: root finding builds no Fel or
-# Poly until it hands the roots back.
+# Raw polynomial arithmetic over a field F.  A polynomial is a list of raw
+# values (`Fel.raw`: the element's index over a finite field, a Fraction over
+# Q), constant first, without trailing zeros, so 0 is zero and 1 is one.
+# Only F's `_add`, `_sub`, `_mul` and `_inv` run here: root finding builds no
+# Fel or Poly until it hands the roots back.
 
-def _zero(F: Field) -> tuple:
-    return (0,) * F.k if F.p else (Fraction(0),)
-
-
-def _one(F: Field) -> tuple:
-    return (1,) + (0,) * (F.k - 1)
+def _zero(F: Field):
+    return 0 if F.p else Fraction(0)  # Q's raw values stay Fractions
 
 
 def _rsub(F: Field, a: list, b: list) -> list:
@@ -284,16 +282,16 @@ def _rgcd(F: Field, a: list, b: list) -> list:
     return a
 
 
-def _rpow_linear(F: Field, a: tuple, e: int, m: list) -> list:
-    """(x + a)^e mod the monic m for e >= 1, by left-to-right repeated squaring."""
-    zero = _zero(F)
+def _rpow_linear(F: Field, a: int, e: int, m: list) -> list:
+    """(x + a)^e mod the monic m over a finite field, for e >= 1, by
+    left-to-right repeated squaring."""
     add, mul = F._add, F._mul
-    r = _rdivmod(F, [a, _one(F)], m)[1]
+    r = _rdivmod(F, [a, 1], m)[1]
     for bit in bin(e)[3:]:
         r = _rdivmod(F, _rmul(F, r, r), m)[1]
         if bit == "1":
-            s = [zero] + r
-            if a != zero:
+            s = [0] + r
+            if a:
                 for i, c in enumerate(r):
                     s[i] = add(s[i], mul(a, c))
             r = _rdivmod(F, s, m)[1]
@@ -308,37 +306,35 @@ def _root_gcd(f: Poly) -> tuple[list, list]:
     h = _rmonic(F, f._raw())
     if len(h) == 1:
         return h, h
-    x = [_zero(F), _one(F)]
-    return h, _rgcd(F, h, _rsub(F, _rpow_linear(F, _zero(F), F.order, h), x))
+    return h, _rgcd(F, h, _rsub(F, _rpow_linear(F, 0, F.order, h), [0, 1]))
 
 
 def _shifts(F: Field):
-    """Split parameters c for `_splitter`.  In characteristic 2 they are the
-    basis w^j (j < k): the traces Tr(w^j * r) separate any two distinct
-    elements r.  Otherwise they are drawn from a fixed-seed pseudo-random
-    sequence over all of F, restarted on every call so that runs repeat;
-    shifts from the prime subfield alone would never separate conjugates."""
-    p, k = F.p, F.k
-    if p == 2:
-        for j in range(k):
-            yield tuple(int(i == j) for i in range(k))
+    """Split parameters c for `_splitter`, as raw values.  In characteristic 2
+    they are the basis w^j (j < k), of index 2^j: the traces Tr(w^j * r)
+    separate any two distinct elements r.  Otherwise they are drawn from a
+    fixed-seed pseudo-random sequence over all of F, restarted on every call
+    so that runs repeat; shifts from the prime subfield alone would never
+    separate conjugates."""
+    if F.p == 2:
+        yield from (2**j for j in range(F.k))
         return
     rng = random.Random(0)
     while True:
-        yield F._digits(rng.randrange(F.order))
+        yield rng.randrange(F.order)
 
 
-def _splitter(F: Field, c: tuple, g: list) -> list:
+def _splitter(F: Field, c: int, g: list) -> list:
     """A polynomial whose gcd with g (deg >= 2, monic, distinct in-field roots)
     collects the roots r with Tr(c * r) = 0 in characteristic 2, and the roots
     with r + c a nonzero square otherwise."""
     if F.p == 2:
-        t = s = [_zero(F), c]
+        t = s = [0, c]
         for _ in range(F.k - 1):
             t = _rdivmod(F, _rmul(F, t, t), g)[1]
             s = _rsub(F, s, t)  # minus is plus in characteristic 2
         return s
-    return _rsub(F, _rpow_linear(F, c, (F.order - 1) // 2, g), [_one(F)])
+    return _rsub(F, _rpow_linear(F, c, (F.order - 1) // 2, g), [1])
 
 
 def _split(F: Field, g: list) -> list[Fel]:
@@ -356,8 +352,7 @@ def _split(F: Field, g: list) -> list[Fel]:
                     continue
             refined.append(h)
         factors = refined
-    roots = sorted((F._neg(h[0]) for h in factors), key=lambda r: r[::-1])
-    return [F._fel(r) for r in roots]
+    return [F._fel(r) for r in sorted(F._neg(h[0]) for h in factors)]
 
 
 def _roots(f: Poly) -> list[Fel]:
@@ -403,12 +398,11 @@ def _rational_roots(h: list) -> list[Fraction]:
     when g vanishes there.
     """
     h = _rmonic(QQ, h)
-    d = _rgcd(QQ, h, [(i * c[0],) for i, c in enumerate(h)][1:])
+    d = _rgcd(QQ, h, [i * c for i, c in enumerate(h)][1:])
     if len(d) > 1:
         h = _rdivmod(QQ, h, d)[0]
-    fracs = [c[0] for c in h]
-    den = math.lcm(*(c.denominator for c in fracs))
-    ints = [int(c * den) for c in fracs]
+    den = math.lcm(*(c.denominator for c in h))
+    ints = [int(c * den) for c in h]
     content = math.gcd(*ints)
     ints = [c // content for c in ints]
     a, n = ints[-1], len(ints) - 1
@@ -419,15 +413,15 @@ def _rational_roots(h: list) -> list[Fraction]:
         if a % p == 0:
             continue
         P = GF(p)
-        gp = [(c % p,) for c in g]
-        dgp = [(c % p,) for c in dg]
-        while dgp and dgp[-1] == (0,):
+        gp = [c % p for c in g]
+        dgp = [c % p for c in dg]
+        while dgp and not dgp[-1]:
             dgp.pop()
         if len(_rgcd(P, gp, dgp)) == 1:
             break
     roots = []
     for r in _roots(Poly._of_raw(P, gp)):
-        y = _lift_root(g, dg, r.coeffs[0], p, bound)
+        y = _lift_root(g, dg, r.raw, p, bound)
         if _ieval(g, y) == 0:
             roots.append(Fraction(y, a))
     return roots
@@ -545,7 +539,7 @@ def sqrt_in_ext(x: Fel) -> tuple[Fel, Field]:
     F = x.field
     if not F.is_finite:
         raise InfiniteField("square roots in an extension need a finite base")
-    key = (F, x.coeffs)
+    key = (F, x.raw)
     got = _SQRT_CACHE.get(key)
     if got is None:
         E, roots = splitting_field(Poly(F, [-x, F.zero, F.one]))
@@ -577,8 +571,8 @@ def cubic_root_count(a: Fel, b: Fel, c: Fel, d: Fel) -> RootCount:
     """Distinct-root count of a*y^3+b*y^2+c*y+d over a root-closed extension.
 
     Case analysis depends on the characteristic (0 behaves like any
-    characteristic other than 2 and 3); square-root conditions are evaluated
-    in a quadratic extension when needed.
+    characteristic other than 2 and 3); every condition is evaluated in the
+    coefficients' own field.
     """
     F = a.field
     for other in (b, c, d):
@@ -591,8 +585,11 @@ def cubic_root_count(a: Fel, b: Fel, c: Fel, d: Fel) -> RootCount:
             disc = b * b - three * a * c
             if disc.is_zero and (b * c - F.el(9) * a * d).is_zero:
                 return RootCount.ONE
-            prod = _critical_product(a, b, c, d, disc)
-            if not disc.is_zero and prod.is_zero:
+            # the values at the critical points y± = (-b ± sqrt(disc)) / (3a)
+            # multiply to (d1^2 - 4*disc^3) / (729 a^4), symmetric in the
+            # sign, so a double root shows without taking the square root
+            d1 = F.el(2) * b * b * b - F.el(9) * a * b * c + F.el(27) * a * a * d
+            if not disc.is_zero and (d1 * d1 - F.el(4) * disc * disc * disc).is_zero:
                 return RootCount.TWO
             return RootCount.THREE
         if p == 2:
@@ -620,26 +617,3 @@ def cubic_root_count(a: Fel, b: Fel, c: Fel, d: Fel) -> RootCount:
     disc2 = c * c - b * d
     return RootCount.ONE if disc2.is_zero else RootCount.TWO
 
-
-def _critical_product(a: Fel, b: Fel, c: Fel, d: Fel, disc: Fel) -> Fel:
-    """p(y+)*p(y-) at the critical points y± = (-b ± sqrt(b^2-3ac)) / (3a).
-
-    Over finite fields the root is taken in a quadratic extension with the
-    lex-smaller sign; the product is symmetric so the choice is immaterial.
-    Over Q the symmetric closed form is used instead.
-    """
-    F = a.field
-    if F.is_finite:
-        s, ext = sqrt_in_ext(disc)
-        ae, be, ce, de = (embed(x, ext) for x in (a, b, c, d))
-        denom = (ext.el(3) * ae).inv()
-        vals = []
-        for sig in (s, -s):
-            y = (-be + sig) * denom
-            vals.append(((ae * y + be) * y + ce) * y + de)
-        prod = vals[0] * vals[1]
-        return prod
-    # symmetric form: v+ * v- = (D1^2 - 4*D0^3) / (729 a^4)
-    d0 = disc
-    d1 = F.el(2) * b * b * b - F.el(9) * a * b * c + F.el(27) * a * a * d
-    return (d1 * d1 - F.el(4) * d0 * d0 * d0) / (F.el(729) * (a**4))

@@ -1205,8 +1205,6 @@ _TABLES = {
     ("two_sided", Regime.CHAR3): _twosided_char3,
 }
 
-QUANTITIES = ("subalgebras", "left", "right", "two_sided", "quasiunits")
-
 
 def predict_count(
     quantity: str, family: FamilyId, params, field: Field, flags=None
@@ -1222,7 +1220,7 @@ def predict_count(
 # Left quasiunits (single table covering all three regimes).
 
 def predict_quasiunits(
-    family: FamilyId, params, field: Field, flags=None
+    family: FamilyId, params, field: Field
 ) -> tuple[AffineSolutionSet, str | None]:
     """The catalogued quasiunit set for a family row; Empty when no row matches."""
     params = check_point(family, params, field)

@@ -117,13 +117,11 @@ def _sympy_of(coeffs, p):
     return sympy.Poly(rationals, sympy.Symbol("y"), domain="QQ")
 
 
-def _leading_first(f: Poly, p):
+def _leading_first(f: Poly):
     """Coefficients leading first as sympy lists them ([0] for zero)."""
     if f.is_zero:
         return [0]
-    if p:
-        return [c.index() for c in reversed(f.coeffs)]
-    return [c.coeffs[0] for c in reversed(f.coeffs)]
+    return [c.raw for c in reversed(f.coeffs)]  # residues, or Fractions over Q
 
 
 def _sympy_leading_first(sp, p):
@@ -147,7 +145,33 @@ def test_product_division_and_gcd_match_sympy(p):
         sq, sr = sympy.div(sf, sg)
         pairs = [(f, sf), (g, sg), (q, sq), (r, sr), (poly_gcd(f, g), sympy.gcd(sf, sg))]
         for got, expect in pairs:
-            assert _leading_first(got, p) == _sympy_leading_first(expect, p), (a, b, c)
+            assert _leading_first(got) == _sympy_leading_first(expect, p), (a, b, c)
+
+
+@pytest.mark.parametrize("p, k", [(5, 4), (2, 10), (3, 7), (10007, 2), (2**61 - 1, 2)])
+def test_extension_arithmetic_matches_sympy_modulo_the_modulus(p, k):
+    """Sums, differences, negatives and products in fields above the kernel's
+    table limit, with memoised products (GF(5^4), GF(2^10)) or without,
+    against sympy's arithmetic over GF(p) reduced by the field's modulus."""
+    from alg2d.fields import _TABLE_MAX_ORDER
+
+    F = GF(p, k)
+    assert F.order > _TABLE_MAX_ORDER
+    modulus = _sympy_poly(list(F.modulus), p)
+    rng = random.Random(p + k)
+
+    def back(sp):
+        """sympy's reduced result as an element, through its coefficients."""
+        return F.el([int(c) % p for c in reversed(sp.rem(modulus).all_coeffs())])
+
+    for _ in range(100):
+        ca, cb = ([rng.randrange(p) for _ in range(k)] for _ in range(2))
+        a, b = F.el(ca), F.el(cb)
+        sa, sb = _sympy_poly(ca, p), _sympy_poly(cb, p)
+        assert a + b == back(sa + sb), (ca, cb)
+        assert a - b == back(sa - sb), (ca, cb)
+        assert -a == back(-sa), ca
+        assert a * b == back(sa * sb), (ca, cb)
 
 
 def _big(rng, digits):
@@ -206,7 +230,7 @@ def test_rational_roots_match_sympy_ground_roots():
         [zero, zero, Fraction(5, 2), Fraction(-4, 9)],
     ]
     for coeffs in cases:
-        got = [r.coeffs[0] for r in roots_in_field(Poly(QQ, [QQ.el(c) for c in coeffs]))]
+        got = [r.raw for r in roots_in_field(Poly(QQ, [QQ.el(c) for c in coeffs]))]
         expect = sorted(
             Fraction(int(r.p), int(r.q)) for r in set(_sympy_of(coeffs, 0).ground_roots())
         )
