@@ -53,9 +53,8 @@ def cmd_canonical(args) -> int:
         raise InfiniteField("canonical checks the catalogue over a finite field")
     regime = Regime.parse(args.regime)
     family = FamilyId.parse(args.family, regime)
-    params = tuple(
-        parse_el(field, t) for t in args.params.split(",") if t.strip() != ""
-    )
+    text = args.params
+    params = tuple(parse_el(field, t) for t in text.split(",")) if text.strip() else ()
     A = instantiate(family, params, field)
     report = analyze(A, closed=args.closed, oracle=args.oracle)
     records = verify_point(family, params, field)

@@ -661,50 +661,28 @@ class AffineSolutionSet:
 
 
 def solve_plane_system(rows, rhs, field: Field) -> AffineSolutionSet:
-    """Exact Gaussian elimination of an m x 2 system; first nonzero pivot wins."""
-    work = [(r[0], r[1], b) for r, b in zip(rows, rhs)]
-    pivots = []
-    for col in range(2):
-        pivot_row = None
-        for i, row in enumerate(work):
-            if not row[col].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        prow = work.pop(pivot_row)
-        inv = prow[col].inv()
-        prow = tuple(c * inv for c in prow)
-        reduced = []
-        for row in work:
-            factor = row[col]
-            if factor.is_zero:
-                reduced.append(row)
-            else:
-                reduced.append(tuple(c - factor * pc for c, pc in zip(row, prow)))
-        work = reduced
-        pivots.append((col, prow))
-        for j, (pc, prow2) in enumerate(pivots[:-1]):
-            factor = prow2[col]
-            if not factor.is_zero:
-                pivots[j] = (pc, tuple(c - factor * p for c, p in zip(prow2, prow)))
-    for row in work:
-        if not row[2].is_zero:
-            return AffineSolutionSet.empty()
-    if len(pivots) == 2:
-        sol = {col: prow[2] for col, prow in pivots}
-        return AffineSolutionSet.single(Element(sol[0], sol[1]))
-    if len(pivots) == 1:
-        col, prow = pivots[0]
-        if col == 0:
-            # x0 + prow[1]*y0 = prow[2]; free y0
-            base = Element(prow[2], field.zero)
-            direction = Element(-prow[1], field.one)
-        else:
-            base = Element(field.zero, prow[2])
-            direction = Element(field.one, field.zero)
-        return AffineSolutionSet.line(base, direction)
-    return AffineSolutionSet.plane()
+    """Cramer's rule on the first nonzero row and the first row independent
+    of it.  The candidate, their one point or the first row's line, is the
+    answer exactly when every row holds at it (at the line's base, which
+    suffices when every row is a multiple of the first)."""
+    eqs = [(a, b, c) for (a, b), c in zip(rows, rhs)]
+    first = next(((a, b, c) for a, b, c in eqs if not (a.is_zero and b.is_zero)), None)
+    if first is None:
+        plane = all(c.is_zero for _, _, c in eqs)
+        return AffineSolutionSet.plane() if plane else AffineSolutionSet.empty()
+    a, b, c = first
+    for a2, b2, c2 in eqs:
+        det = a * b2 - b * a2
+        if not det.is_zero:
+            at = Element((c * b2 - b * c2) / det, (a * c2 - c * a2) / det)
+            answer = AffineSolutionSet.single(at)
+            break
+    else:
+        at = Element(c / a, field.zero) if not a.is_zero else Element(field.zero, c / b)
+        answer = AffineSolutionSet.line(at, Element(-b, a))
+    if all(r0 * at.x + r1 * at.y == r for r0, r1, r in eqs):
+        return answer
+    return AffineSolutionSet.empty()
 
 
 def left_quasiunits(A: MSC) -> AffineSolutionSet:

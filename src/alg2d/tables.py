@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from .algebra import Element
 from .fields import Fel, Field
-from .poly import Poly, RootCount, sqrt_in_ext
+from .poly import Poly, RootCount, poly_gcd
 from .families import FamilyId, Regime, check_point
-from .fields import embed
 from .solvers import AffineSolutionSet
 
 ZERO = RootCount.ZERO
@@ -79,26 +78,20 @@ def _fr(F: Field, num: int, den: int = 1) -> Fel:
 def _pm_product_zero(cubic: Poly, neg_b: Fel, disc: Fel, denom: Fel) -> bool:
     """Whether cubic((neg_b+s)/denom) * cubic((neg_b-s)/denom) vanishes, s = sqrt(disc).
 
-    The root is taken in a quadratic extension when needed; the product is
-    symmetric in the sign choice.
+    The two points are the roots of g(y) = (denom*y - neg_b)^2 - disc, so the
+    product vanishes exactly when the cubic shares a root with g, which the
+    base field decides: gcd(cubic, g) is not constant.
     """
-    s, ext = sqrt_in_ext(disc)
-    f = cubic.lift(ext)
-    nb = embed(neg_b, ext)
-    dn = embed(denom, ext)
-    inv = dn.inv()
-    v1 = f((nb + s) * inv)
-    v2 = f((nb - s) * inv)
-    return (v1 * v2).is_zero
+    F = denom.field
+    g = Poly(F, [neg_b * neg_b - disc, -F.el(2) * denom * neg_b, denom * denom])
+    return poly_gcd(cubic, g).degree > 0
 
 
 def _pm_target_hit(target: Fel, center: Fel, coef: Fel, radicand: Fel) -> bool:
-    """Whether target equals center + coef*sqrt(radicand) for either sign."""
-    s, ext = sqrt_in_ext(radicand)
-    t = embed(target, ext)
-    c = embed(center, ext)
-    k = embed(coef, ext)
-    return t == c + k * s or t == c - k * s
+    """Whether target equals center + coef*sqrt(radicand) for either sign,
+    that is, whether (target - center)^2 = coef^2 * radicand."""
+    d = target - center
+    return d * d == coef * coef * radicand
 
 
 # ---------------------------------------------------------------------------

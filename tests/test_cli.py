@@ -211,6 +211,10 @@ def test_verify_reports_known_catalogue_defects(capsys):
         ("verify", "A1", "gf(5)", "--budget", "1" * 5000),
         ("canonical", "A" + "1" * 5000, "ne23", "", "gf(5)"),
         ("canonical", "A1", "ne23", "1,2,3,4", "q"),
+        # every PARAMS entry is an element: none may be empty or blank
+        ("canonical", "A1", "ne23", "1,,2,3,4", "gf(5)"),
+        ("canonical", "A1", "ne23", "1,2,3,4,", "gf(5)"),
+        ("canonical", "A1", "ne23", "1,2, ,3,4", "gf(5)"),
         # parameter grids longer than sys.maxsize cannot be sampled
         ("verify", "all", "gf(65537)", "--budget", "2"),
         ("verify", "all", "gf(3,40)", "--budget", "2"),

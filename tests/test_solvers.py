@@ -37,6 +37,7 @@ from alg2d import (
 )
 from alg2d.algebra import all_mscs
 from alg2d.families import FamilyId, Regime, instantiate
+from alg2d.solvers import solve_plane_system
 
 F5 = GF(5)
 F7 = GF(7)
@@ -347,6 +348,72 @@ def test_quasiunit_solutions_pass_the_checker():
             for e in sol.materialize(field):
                 assert is_left_quasiunit(A, e)
             assert sol.materialize(field) == oracle_points(A, "quasiunits")
+
+
+def _plane_systems(F, rng, m, n):
+    """n seeded m x 2 systems of each rank 0, 1 and 2, half with a
+    right-hand side that holds at a point and half with a random one: rank 0
+    is zero rows, rank 1 multiples of one nonzero row."""
+    if F.is_finite:
+        draw = lambda: F.from_index(rng.randrange(F.order))
+    else:
+        draw = lambda: F.el(rng.randrange(-3, 4))
+    for rank in (0, 1, 2):
+        for consistent in (True, False):
+            for _ in range(n):
+                if rank == 0:
+                    rows = [(F.zero, F.zero)] * m
+                elif rank == 1:
+                    a, b = draw(), draw()
+                    while a.is_zero and b.is_zero:
+                        a, b = draw(), draw()
+                    rows = [(t * a, t * b) for t in (draw() for _ in range(m))]
+                else:
+                    rows = [(draw(), draw()) for _ in range(m)]
+                if consistent:
+                    x, y = draw(), draw()
+                    rhs = [r0 * x + r1 * y for r0, r1 in rows]
+                else:
+                    rhs = [draw() for _ in range(m)]
+                yield rows, rhs
+
+
+def _holds(rows, rhs, e):
+    return all(r0 * e.x + r1 * e.y == r for (r0, r1), r in zip(rows, rhs))
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_solve_plane_system_matches_a_scan(spec):
+    F = GF(*spec)
+    rng = random.Random(spec[0] * 10 + spec[1])
+    plane = [Element(x, y) for x in F.elements() for y in F.elements()]
+    kinds = set()
+    for m in (1, 2, 3, 8):
+        for rows, rhs in _plane_systems(F, rng, m, 25):
+            got = solve_plane_system(rows, rhs, F)
+            want = sorted((e for e in plane if _holds(rows, rhs, e)), key=lambda u: u.sort_key())
+            assert got.materialize(F) == want, (rows, rhs)
+            kinds.add(got.kind)
+    assert kinds == {"empty", "point", "line", "plane"}
+
+
+def test_solve_plane_system_over_q_satisfies_every_row():
+    rng = random.Random(59)
+    kinds = set()
+    for m in (1, 2, 3, 8):
+        for rows, rhs in _plane_systems(QQ, rng, m, 25):
+            got = solve_plane_system(rows, rhs, QQ)
+            kinds.add(got.kind)
+            if got.kind == "point":
+                assert _holds(rows, rhs, got.point)
+            elif got.kind == "line":
+                base, d = got.base, got.direction
+                for e in (base, base + d, base + d.scale(QQ.el(2))):
+                    assert _holds(rows, rhs, e)
+            elif got.kind == "plane":
+                assert all(r == (QQ.zero, QQ.zero) for r in rows)
+                assert all(c.is_zero for c in rhs)
+    assert kinds == {"empty", "point", "line", "plane"}
 
 
 def test_closed_counts_reject_q():

@@ -1,10 +1,21 @@
+import itertools
+import random
+
 import pytest
 
-from alg2d import GF, Element, FieldMismatch, RootCount
+from alg2d import GF, Element, FieldMismatch, Poly, RootCount
+from alg2d.fields import embed
+from alg2d.poly import sqrt_in_ext
 from alg2d.families import FamilyId, Regime, RegimeMismatch
 from alg2d.solvers import AffineSolutionSet
 from alg2d.sweep import adjudicate_flag, mismatch_records, sweep_family, verify_point
-from alg2d.tables import DEFAULT_FLAGS, predict_count, predict_quasiunits
+from alg2d.tables import (
+    DEFAULT_FLAGS,
+    _pm_product_zero,
+    _pm_target_hit,
+    predict_count,
+    predict_quasiunits,
+)
 
 F5 = GF(5)
 F7 = GF(7)
@@ -226,3 +237,57 @@ def test_sampled_sweep_respects_budget_and_seed():
     assert len(recs1) == 10 * 5  # five quantities per sampled point
     recs3 = sweep_family(fid(1), F5, budget=10, seed=43)
     assert [r["params"] for r in recs3] != [r["params"] for r in recs1]
+
+
+def _ext_pm_product_zero(cubic, neg_b, disc, denom):
+    """Reference: evaluate at the two points (neg_b ± s)/denom in the field of
+    s = sqrt(disc)."""
+    s, ext = sqrt_in_ext(disc)
+    f = cubic.lift(ext)
+    nb, dn = embed(neg_b, ext), embed(denom, ext)
+    return (f((nb + s) / dn) * f((nb - s) / dn)).is_zero
+
+
+def _ext_pm_target_hit(target, center, coef, radicand):
+    """Reference: compare with center ± coef*s in the field of s = sqrt(radicand)."""
+    s, ext = sqrt_in_ext(radicand)
+    t, c, k = (embed(v, ext) for v in (target, center, coef))
+    return t == c + k * s or t == c - k * s
+
+
+def _pm_cubics(F, g, rng):
+    """The zero cubic, a multiple of g (zero at both points), and random ones."""
+    draw = lambda: F.from_index(rng.randrange(F.order))
+    linear = Poly(F, [draw(), F.one])
+    return [Poly.zero(F), g * linear] + [Poly(F, [draw() for _ in range(4)]) for _ in range(6)]
+
+
+def _pm_check(F, neg_b, disc, denom, rng):
+    g = Poly(F, [neg_b * neg_b - disc, -F.el(2) * denom * neg_b, denom * denom])
+    for cubic in _pm_cubics(F, g, rng):
+        want = _ext_pm_product_zero(cubic, neg_b, disc, denom)
+        assert _pm_product_zero(cubic, neg_b, disc, denom) == want, (cubic, neg_b, disc, denom)
+
+
+@pytest.mark.parametrize("F", [F5, F7])
+def test_base_field_pm_helpers_match_the_extension_exhaustively(F):
+    rng = random.Random(F.order)
+    els_ = list(F.elements())
+    for args in itertools.product(els_, repeat=4):
+        assert _pm_target_hit(*args) == _ext_pm_target_hit(*args), args
+    for neg_b, disc, denom in itertools.product(els_, els_, els_[1:]):
+        _pm_check(F, neg_b, disc, denom, rng)
+
+
+@pytest.mark.parametrize("spec", [(11, 1), (5, 2)])
+def test_base_field_pm_helpers_match_the_extension_on_seeded_tuples(spec):
+    F = GF(*spec)
+    rng = random.Random(spec[0] ** spec[1])
+    draw = lambda: F.from_index(rng.randrange(F.order))
+    for _ in range(300):
+        args = (draw(), draw(), draw(), draw())
+        assert _pm_target_hit(*args) == _ext_pm_target_hit(*args), args
+    for _ in range(100):
+        denom = draw()
+        if not denom.is_zero:
+            _pm_check(F, draw(), draw(), denom, rng)
