@@ -70,7 +70,6 @@ from .solvers import (
     predict_left_line_count,
     predict_right_line_count,
     quasiunit_system,
-    quasiunit_system_derived,
     right_ideal_system,
     right_ideals,
     simple_by_cases,

@@ -1,11 +1,14 @@
 """Full structure analysis of one algebra, with JSON round-tripping.
 
 The report bundles every quantity this package computes for a single matrix
-of structure constants.  The algebra is lifted at most once per field: to
-`solvers.ideal_closure`, where its ideal systems split, and with
-``closed=True`` to the splitting field of its subalgebra cubic.  Each line
-quantity is solved once on its lifted algebra, and simplicity and the oracle
-reuse that answer; idempotents and quasiunits live in the algebra's own field.
+of structure constants.  Plain analysis builds no extension field: the line
+quantities are solved in the algebra's own field, and simplicity and the
+closed subalgebra count are read from polynomials over that field.  With
+``closed=True`` the algebra is lifted at most once per field, to
+`solvers.ideal_closure`, where its ideal systems split, and to the splitting
+field of its subalgebra cubic.  Each line quantity is solved once on the
+algebra it is reported over, and the oracle reuses that answer; idempotents
+and quasiunits live in the algebra's own field.
 """
 
 from __future__ import annotations
@@ -139,9 +142,8 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
         )
     # one root search of the subalgebra cubic in F serves every solver below
     found = subalgebra_roots(A)
-    closure = ideal_closure(A) if F.is_finite else A
-    ideal_A = closure if closed else A
-    sub = subalgebra_closure(A, found, closure) if closed else (A, subalgebras(A, found))
+    ideal_A = ideal_closure(A) if closed else A
+    sub = subalgebra_closure(A, found, ideal_A) if closed else (A, subalgebras(A, found))
     # each line quantity with the algebra it was solved on
     parts = {
         "subalgebras": sub,
@@ -149,9 +151,8 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
         "right": (ideal_A, right_ideals(ideal_A)),
         "two_sided": (ideal_A, two_sided_ideals(ideal_A)),
     }
-    two_sided = parts["two_sided"][1] if ideal_A is closure else two_sided_ideals(closure)
     closed_cat = subalgebra_count_closed(A, found).label if F.is_finite else None
-    simple = is_simple(A, two_sided)
+    simple = is_simple(A)
     idem = idempotents(A, found)
     quasi = left_quasiunits(A)
 

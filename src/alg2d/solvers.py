@@ -11,11 +11,13 @@ F(e2):
   two-sided    -- all four polynomials at once, F(e2) when a2 = a3 = a4 = 0;
   quasiunits   -- an 8x2 linear system in the coordinates of the candidate.
 
-Callers solve each system once: the root search of the cubic passes in as
-`found`, and the ideal lines of `ideal_closure(A)`, where all four
-quadratics split, as `is_simple`'s `two_sided`.  `subalgebra_closure` lifts
-A to the cubic's splitting field, reusing the ideal closure when the two
-fields agree.
+Callers search the cubic once and pass the search in as `found`.  A count
+over the root closure needs no extension field: `line_count_closed` counts
+the distinct roots of each ideal system's gcd, a polynomial over A's own
+field, and `is_simple` reads it.  Only callers that list the lines there
+lift A: to `ideal_closure(A)`, where all four quadratics split, and through
+`subalgebra_closure` to the cubic's splitting field, which reuses the ideal
+closure when the two fields agree.
 
 The module also carries transcriptions of the published count predicates
 (`predict_left_line_count`, `predict_right_line_count`, `simple_by_cases`)
@@ -25,14 +27,7 @@ are compared against.
 
 from __future__ import annotations
 
-from .algebra import (
-    Element,
-    LineSet,
-    MSC,
-    ProjPoint,
-    basis,
-    mul,
-)
+from .algebra import Element, LineSet, MSC, ProjPoint
 from .fields import GF, Fel, Field, FieldError, InfiniteField
 from .poly import (
     Poly,
@@ -264,35 +259,44 @@ def _common_roots(f: Poly, g: Poly) -> list | None:
     return roots_in_field(poly_gcd(f, g))
 
 
+# alpha entries that all vanish exactly when F(e2) is an ideal of each kind
+_E2_IDEAL = {"left": (1, 3), "right": (2, 3), "two_sided": (1, 2, 3)}
+
+
+def _e2_ideal(A: MSC, which: str) -> bool:
+    return all(A.alpha[i].is_zero for i in _E2_IDEAL[which])
+
+
 def left_ideals(A: MSC) -> LineSet:
-    a2, a4 = A.alpha[1], A.alpha[3]
-    return _lines(A.field, _common_roots(*left_ideal_system(A)), a2.is_zero and a4.is_zero)
+    return _lines(A.field, _common_roots(*left_ideal_system(A)), _e2_ideal(A, "left"))
 
 
 def right_ideals(A: MSC) -> LineSet:
-    a3, a4 = A.alpha[2], A.alpha[3]
-    return _lines(A.field, _common_roots(*right_ideal_system(A)), a3.is_zero and a4.is_zero)
+    return _lines(A.field, _common_roots(*right_ideal_system(A)), _e2_ideal(A, "right"))
 
 
-def two_sided_ideals(A: MSC) -> LineSet:
-    """Lines satisfying both one-sided systems, plus F(e2) when a2 = a3 = a4 = 0.
+def _two_sided_slopes(A: MSC) -> list | None:
+    """The two-sided slopes, all in A's own field, when a2 != a3 or b2 != b3;
+    None when both one-sided systems coincide and the left one decides.
 
     The difference of the two quadratic leads reduces to the linear equation
-    y*(a3-a2) - b3 + b2 = 0, so a single candidate slope exists when a2 != a3.
+    y*(a3-a2) - b3 + b2 = 0, so a single candidate slope exists when a2 != a3,
+    and none when a2 = a3 and b2 != b3.
     """
     a1, a2, a3, a4 = A.alpha
     b1, b2, b3, b4 = A.beta
-    l1, l2 = left_ideal_system(A)
-    if a2 != a3:
-        y0 = (b3 - b2) / (a3 - a2)
-        r1, r2 = right_ideal_system(A)
-        roots = [y0] if all(poly(y0).is_zero for poly in (l1, l2, r1, r2)) else []
-    elif b2 != b3:
-        roots = []  # the difference equation is a nonzero constant: no line qualifies
-    else:
-        # commutative in the relevant entries: both systems coincide
-        roots = _common_roots(l1, l2)
-    return _lines(A.field, roots, a2.is_zero and a3.is_zero and a4.is_zero)
+    if a2 == a3:
+        return None if b2 == b3 else []
+    y0 = (b3 - b2) / (a3 - a2)
+    return [y0] if all(f(y0).is_zero for f in left_ideal_system(A) + right_ideal_system(A)) else []
+
+
+def two_sided_ideals(A: MSC) -> LineSet:
+    """Lines satisfying both one-sided systems, plus F(e2) when a2 = a3 = a4 = 0."""
+    roots = _two_sided_slopes(A)
+    if roots is None:
+        roots = _common_roots(*left_ideal_system(A))
+    return _lines(A.field, roots, _e2_ideal(A, "two_sided"))
 
 
 def ideal_splitting(A: MSC) -> Field:
@@ -309,14 +313,37 @@ def ideal_closure(A: MSC) -> MSC:
     return A.lift(ext) if ext != A.field else A
 
 
+def system_count_closed(f: Poly, g: Poly) -> RootCount:
+    """Common-root count of a pair of degree <= 2 polynomials over the closure."""
+    if f.is_zero and g.is_zero:
+        return RootCount.INFINITE
+    if f.is_zero:
+        f, g = g, f
+    if g.is_zero:
+        return distinct_root_count(f) if f.degree > 0 else RootCount.ZERO
+    h = poly_gcd(f, g)
+    if h.degree <= 0:
+        return RootCount.ZERO
+    return distinct_root_count(h)
+
+
 def line_count_closed(A: MSC, which: str) -> RootCount:
-    """Count of lines of the given kind over a root-closed extension."""
+    """Count of lines of the given kind over a root-closed extension, with no
+    extension built: the distinct roots of the gcd of the kind's system, a
+    polynomial over A's own field, plus F(e2) when that line qualifies."""
     if not A.field.is_finite:
         raise InfiniteField("closed line counts need a finite field")
     if which == "subalgebras":
         return subalgebra_count_closed(A)
-    fn = {"left": left_ideals, "right": right_ideals, "two_sided": two_sided_ideals}[which]
-    return RootCount(fn(ideal_closure(A)).count_label())
+    slopes = _two_sided_slopes(A) if which == "two_sided" else None
+    if slopes is not None:
+        n = RootCount.of(len(slopes))
+    else:
+        system = right_ideal_system if which == "right" else left_ideal_system
+        n = system_count_closed(*system(A))
+    if n is RootCount.INFINITE:
+        return n
+    return RootCount.of(int(n.value) + _e2_ideal(A, which))
 
 
 # ---------------------------------------------------------------------------
@@ -434,20 +461,6 @@ def predict_right_line_count(A: MSC) -> RootCount:
     )
 
 
-def system_count_closed(f: Poly, g: Poly) -> RootCount:
-    """Common-root count of a pair of degree <= 2 polynomials over the closure."""
-    if f.is_zero and g.is_zero:
-        return RootCount.INFINITE
-    if f.is_zero:
-        f, g = g, f
-    if g.is_zero:
-        return distinct_root_count(f) if f.degree > 0 else RootCount.ZERO
-    h = poly_gcd(f, g)
-    if h.degree <= 0:
-        return RootCount.ZERO
-    return distinct_root_count(h)
-
-
 # ---------------------------------------------------------------------------
 # Simplicity.
 
@@ -492,21 +505,19 @@ def simple_by_cases_extended(A: MSC) -> bool:
     return system_count_closed(l1, l2) == RootCount.ZERO
 
 
-def is_simple(A: MSC, two_sided: LineSet | None = None) -> bool:
+def is_simple(A: MSC) -> bool:
     """No nontrivial two-sided ideal over the root-closed extension.
 
-    Ground truth is the two-sided line set of `ideal_closure(A)`, which a
-    caller that already holds it passes as `two_sided`.  The repaired case
-    predicate is recomputed alongside and any disagreement raises, since that
-    would mean a transcription bug rather than a published erratum.  Over Q
-    the case analysis is the closure-exact answer and `two_sided` is not read.
+    Ground truth is `line_count_closed(A, "two_sided")`, which builds no
+    extension.  The repaired case predicate is recomputed alongside and any
+    disagreement raises, since that would mean a transcription bug rather
+    than a published erratum.  Over Q the case analysis is the closure-exact
+    answer.
     """
     by_cases = simple_by_cases_extended(A)
     if not A.field.is_finite:
         return by_cases
-    if two_sided is None:
-        two_sided = two_sided_ideals(ideal_closure(A))
-    solved = two_sided.count_label() == "0"
+    solved = line_count_closed(A, "two_sided") is RootCount.ZERO
     if solved != by_cases:
         raise InternalInconsistency(
             f"simplicity transcription bug on {A.text()} over {A.field.text()}: "
@@ -543,29 +554,6 @@ def quasiunit_system(A: MSC) -> tuple[list[tuple[Fel, Fel]], list[Fel]]:
     ]
     rhs = [-c for c in (a1, a2, a3, a4, b1, b2, b3, b4)]
     return rows, rhs
-
-
-def quasiunit_system_derived(A: MSC) -> tuple[list[tuple[Fel, Fel]], list[Fel]]:
-    """The same system derived directly from the defining identity.
-
-    For basis vectors u, v the identity e(uv) - (eu)v - u(ev) + uv = 0 is
-    linear in e; collecting the e1- and e2-coordinates over the four basis
-    pairs gives eight equations.  Used to cross-check the transcription.
-    """
-    F = A.field
-    e1, e2 = basis(F)
-    rows_c1, rows_c2 = [], []
-    rhs_c1, rhs_c2 = [], []
-    for u in (e1, e2):
-        for v in (e1, e2):
-            w = mul(A, u, v)
-            cx = mul(A, e1, w) - mul(A, mul(A, e1, u), v) - mul(A, u, mul(A, e1, v))
-            cy = mul(A, e2, w) - mul(A, mul(A, e2, u), v) - mul(A, u, mul(A, e2, v))
-            rows_c1.append((cx.x, cy.x))
-            rows_c2.append((cx.y, cy.y))
-            rhs_c1.append(-w.x)
-            rhs_c2.append(-w.y)
-    return rows_c1 + rows_c2, rhs_c1 + rhs_c2
 
 
 class AffineSolutionSet:

@@ -200,6 +200,16 @@ def test_verify_reports_known_catalogue_defects(capsys):
     assert all(r["oracle"] is not None for r in bad)
 
 
+def test_canonical_skips_a_recheck_past_the_limit(capsys):
+    """The left A2 mismatch at (0, 5, 5) over GF(10007) would recheck the
+    10007^2 + 1 lines of the ideal closure; it exits 0 with the recheck
+    skipped, as CI checks through the installed script."""
+    code, out, _ = run(capsys, "canonical", "A2", "ne23", "0,5,5", "gf(10007)", "--json")
+    assert code == 0
+    left = [json.loads(l) for l in out.splitlines()][2]
+    assert (left["quantity"], left["verdict"], left["oracle"]) == ("left", "mismatch", "skipped")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

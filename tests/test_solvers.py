@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from alg2d import (
     ProjPoint,
     RootCount,
     WrongCharacteristic,
+    basis,
     eigenvalue_poly,
     idempotents,
     is_idempotent,
@@ -21,11 +23,12 @@ from alg2d import (
     left_ideal_system,
     left_ideals,
     left_quasiunits,
+    line_count_closed,
+    mul,
     oracle_points,
     predict_left_line_count,
     predict_right_line_count,
     quasiunit_system,
-    quasiunit_system_derived,
     right_ideal_system,
     right_ideals,
     simple_by_cases,
@@ -37,7 +40,7 @@ from alg2d import (
 )
 from alg2d.algebra import all_mscs
 from alg2d.families import FamilyId, Regime, instantiate
-from alg2d.solvers import solve_plane_system
+from alg2d.solvers import ideal_closure, solve_plane_system
 
 F5 = GF(5)
 F7 = GF(7)
@@ -288,6 +291,75 @@ def test_simplicity_matches_two_sided_emptiness_exhaustively_gf2():
         is_simple(A)
 
 
+def _line_count_over_closure(A, which):
+    """The closed count by its definition: the lines of the kind, solved on A
+    lifted to the ideal closure, where every ideal system splits."""
+    fn = {"left": left_ideals, "right": right_ideals, "two_sided": two_sided_ideals}[which]
+    return RootCount(fn(ideal_closure(A)).count_label())
+
+
+def _witness_mscs():
+    """Every MSC over GF(2), every one over GF(3) with a2, a3, a4 in {0, 1},
+    and seeded ones over larger fields, each with a copy where a2 = a3 and
+    b2 = b3 and one where a2 = a3 = a4 = 0, plus the zero algebra."""
+    yield from all_mscs(GF(2))
+    F3 = GF(3)
+    for a2, a3, a4 in itertools.product((0, 1), repeat=3):
+        for a1, b1, b2, b3, b4 in itertools.product(range(3), repeat=5):
+            yield MSC.from_ints(F3, [a1, a2, a3, a4], [b1, b2, b3, b4])
+    for spec in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2)):
+        F = GF(*spec)
+        yield MSC.from_ints(F, [0] * 4, [0] * 4)
+        for A in _seeded_mscs(F, 40, seed=F.order):
+            (a1, a2, a3, a4), (b1, b2, b3, b4) = A.alpha, A.beta
+            yield A
+            yield MSC(F, [a1, a2, a2, a4], [b1, b2, b2, b4])
+            yield MSC(F, [a1, F.zero, F.zero, F.zero], [b1, b2, b3, b4])
+
+
+def test_line_count_closed_equals_the_lines_of_the_ideal_closure():
+    """The gcd rule, which builds no extension field, counts the lines the
+    solvers list over the ideal closure, including F(e2) and 'inf'."""
+    seen = set()
+    for A in _witness_mscs():
+        for which in ("left", "right", "two_sided"):
+            got = line_count_closed(A, which)
+            assert got is _line_count_over_closure(A, which), (which, A.text(), A.field.text())
+            seen.add((which, got))
+    # every count occurs; none passes 2, as F(e2) is an ideal only where the
+    # system is linear
+    assert seen == {
+        (which, n)
+        for which in ("left", "right", "two_sided")
+        for n in (RootCount.ZERO, RootCount.ONE, RootCount.TWO, RootCount.INFINITE)
+    }
+
+
+def test_plain_analyze_builds_no_extension_field(monkeypatch):
+    """Plain analyze of a simple algebra over GF(3^27) decides simplicity
+    without GF(3^54), which embedding alone made take over a minute."""
+    from functools import lru_cache
+
+    from alg2d import fields
+    from alg2d.report import analyze
+
+    # a fresh construction cache, so every field GF returns is built here;
+    # GF still returns the one object per field through fields._FIELDS
+    monkeypatch.setattr(fields, "_field", lru_cache(maxsize=None)(fields._field.__wrapped__))
+    degrees = []
+    init = fields.Field.__init__
+
+    def counted(self, p, k=1, modulus=None):
+        degrees.append(k)
+        init(self, p, k, modulus)
+
+    monkeypatch.setattr(fields.Field, "__init__", counted)
+    F = fields.parse_field("gf(3,27)")
+    report = analyze(MSC.parse(F, "1,1,0,1;1,0,1,1"))
+    assert report.simple
+    assert 27 in degrees and max(degrees) == 27
+
+
 def test_quasiunit_system_printed_rows():
     rows, rhs = quasiunit_system(A10)
     # rows 2 and 8 pin y0 = -1, row 4 pins -3*x0 = 0
@@ -308,6 +380,29 @@ def test_quasiunit_system_printed_rows():
     assert all(r == (F5.zero, F5.zero) for r in rows)
     assert all(b.is_zero for b in rhs)
     assert left_quasiunits(ZERO5).kind == "plane"
+
+
+def quasiunit_system_derived(A: MSC):
+    """The same system derived directly from the defining identity.
+
+    For basis vectors u, v the identity e(uv) - (eu)v - u(ev) + uv = 0 is
+    linear in e; collecting the e1- and e2-coordinates over the four basis
+    pairs gives eight equations.  Used to cross-check the transcription.
+    """
+    F = A.field
+    e1, e2 = basis(F)
+    rows_c1, rows_c2 = [], []
+    rhs_c1, rhs_c2 = [], []
+    for u in (e1, e2):
+        for v in (e1, e2):
+            w = mul(A, u, v)
+            cx = mul(A, e1, w) - mul(A, mul(A, e1, u), v) - mul(A, u, mul(A, e1, v))
+            cy = mul(A, e2, w) - mul(A, mul(A, e2, u), v) - mul(A, u, mul(A, e2, v))
+            rows_c1.append((cx.x, cy.x))
+            rows_c2.append((cx.y, cy.y))
+            rhs_c1.append(-w.x)
+            rhs_c2.append(-w.y)
+    return rows_c1 + rows_c2, rhs_c1 + rhs_c2
 
 
 def test_quasiunit_printed_system_equals_derived():
@@ -462,16 +557,15 @@ def test_shared_subalgebra_roots_give_the_same_answers(spec):
 @pytest.mark.parametrize("closed", [False, True])
 def test_analyze_searches_the_subalgebra_cubic_once(monkeypatch, closed):
     """One search of the cubic over F (and, in closed mode, one over its
-    splitting field), one ideal splitting, at most one lift per extension,
-    and the two-sided ideals solved once unless plain mode needs them over
-    both F and the ideal closure."""
+    splitting field) and the two-sided ideals solved once.  Plain mode
+    splits no ideal system and lifts nothing; closed mode splits the ideal
+    systems once and lifts at most once per extension."""
     from alg2d import poly, report as report_mod, solvers
     from alg2d.report import analyze
 
     seen, calls, lifts = [], [], []
     root_gcd = poly._root_gcd
     monkeypatch.setattr(poly, "_root_gcd", lambda f: seen.append(f) or root_gcd(f))
-    ideal_splitting = solvers.ideal_splitting
     for name in ("ideal_splitting", "two_sided_ideals"):
         fn = getattr(solvers, name)
         counted = lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)
@@ -482,7 +576,6 @@ def test_analyze_searches_the_subalgebra_cubic_once(monkeypatch, closed):
     monkeypatch.setattr(MSC, "lift", lambda A, E: lifts.append(E) or lift(A, E))
     searched = lifted = 0
     for A in _seeded_mscs(GF(1009), 30, seed=4):
-        ideal_field = ideal_splitting(A)
         seen.clear(), calls.clear(), lifts.clear()
         report = analyze(A, closed=closed)
         f = subalgebra_poly(A)
@@ -493,10 +586,10 @@ def test_analyze_searches_the_subalgebra_cubic_once(monkeypatch, closed):
             if E != A.field:
                 assert seen.count(f.lift(E)) == 1
                 lifted += 1
-        assert calls.count("ideal_splitting") == 1
+        assert calls.count("ideal_splitting") == (1 if closed else 0)
         assert len(lifts) == len(set(lifts)) and A.field not in lifts
-        two_sided = 1 if closed or ideal_field == A.field else 2
-        assert calls.count("two_sided_ideals") == two_sided
+        assert closed or not lifts
+        assert calls.count("two_sided_ideals") == 1
     assert searched >= 3
     assert (lifted > 0) == closed
 

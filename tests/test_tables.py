@@ -119,6 +119,37 @@ def test_fixed_rows_all_agree_over_gf5():
             assert rec["verdict"] == "agree", rec
 
 
+def test_oracle_recheck_past_the_limit_is_skipped(monkeypatch):
+    """A recheck whose scan passes RECHECK_LIMIT is not run and reads
+    "skipped"; GF(101^2), whose recheck takes about half a second, is inside."""
+    from alg2d import sweep
+
+    # a1 = 0, b1 = b2 a nonsquare other than -1: the left A2 row predicts no
+    # ideal, the system has one, and the ideal closure is GF(p^2)
+    F = GF(1009)
+    left = verify_point(fid(2), els(F, 0, 11, 11), F)[1]
+    assert (left["quantity"], left["verdict"], left["oracle"]) == ("left", "mismatch", "skipped")
+    F = GF(101)
+    left = verify_point(fid(2), els(F, 0, 2, 2), F)[1]
+    assert (left["quantity"], left["verdict"], left["oracle"]) == ("left", "mismatch", "1")
+
+    # every kind of recheck over GF(5); a wrong quasiunit prediction forces that kind
+    wrong = AffineSolutionSet.single(Element(F5.one, F5.one))
+    monkeypatch.setattr(sweep, "predict_quasiunits", lambda *a: (wrong, "cell"))
+    rechecked = mismatch_records(sweep_family(fid(1), F5))
+    assert {r["quantity"] for r in rechecked} == {"subalgebras", "left", "right", "quasiunits"}
+    assert "skipped" not in {r["oracle"] for r in rechecked}
+    # at q the q + 1 lines of GF(q) are rechecked, the q^2 elements of F^2 not
+    monkeypatch.setattr(sweep, "RECHECK_LIMIT", F5.order)
+    at_q = mismatch_records(sweep_family(fid(1), F5))
+    assert {r["oracle"] for r in at_q if r["quantity"] == "quasiunits"} == {"skipped"}
+    assert {r["oracle"] for r in at_q if r["quantity"] == "left"} > {"skipped"}
+    monkeypatch.setattr(sweep, "RECHECK_LIMIT", F5.order - 1)
+    skipped = mismatch_records(sweep_family(fid(1), F5))
+    assert [r["quantity"] for r in skipped] == [r["quantity"] for r in rechecked]
+    assert {r["oracle"] for r in skipped} == {"skipped"}
+
+
 def test_every_mismatch_carries_oracle_confirmation():
     records = sweep_family(fid(2), F5)
     bad = mismatch_records(records)
@@ -129,46 +160,72 @@ def test_every_mismatch_carries_oracle_confirmation():
 
 
 def test_verify_point_splits_the_ideal_systems_once(monkeypatch):
-    """Oracle rechecks of ideal counts reuse the point's lifted algebra and lines."""
+    """The ideal counts split no ideal system; only an oracle recheck lifts
+    the point, once however many of its quantities it rechecks."""
     from alg2d import solvers
     from alg2d.sweep import _param_grid
 
     calls = []
     split = solvers.ideal_splitting
     monkeypatch.setattr(solvers, "ideal_splitting", lambda A: calls.append(A) or split(A))
-    rechecked = 0
+    rechecked = plain = 0
     for params in _param_grid(F5, 3, "exhaustive", 0):
         calls.clear()
         records = verify_point(fid(2), params, F5)
-        assert len(calls) == 1
-        rechecked += any(
-            r["oracle"] is not None and r["quantity"] in ("left", "right", "two_sided")
-            for r in records
-        )
-    assert rechecked
+        oracles = {r["quantity"] for r in records if r["oracle"] is not None}
+        if oracles & {"left", "right", "two_sided"}:
+            assert len(calls) == 1
+            rechecked += 1
+        elif not oracles:
+            assert calls == []
+            plain += 1
+        else:
+            assert len(calls) <= 1
+    assert rechecked and plain
 
 
 def test_verify_point_searches_the_subalgebra_cubic_once(monkeypatch):
     """One root search of the subalgebra cubic over F serves the solved count,
     the oracle recheck's splitting field and, when the cubic splits in F, the
-    solver's lines of that recheck."""
+    solver's lines of that recheck.  The ideal counts' gcds are not searches
+    of the cubic, even where a gcd equals a cubic with a4 = 0."""
     from alg2d import solvers, sweep
+    from alg2d.families import instantiate
+    from alg2d.solvers import subalgebra_poly
     from alg2d.sweep import _param_grid
 
-    calls = []
+    searched = []  # the polynomial each root search or count ran on
+    in_gcd = []  # nonempty while the ideal counts' gcd rule runs
 
-    def counted(fn):
-        return lambda x: calls.append(x.field) or fn(x)
+    def counted(fn, poly_of):
+        def search(x):
+            if not in_gcd:
+                searched.append(poly_of(x))
+            return fn(x)
 
-    roots = counted(solvers.subalgebra_roots)
+        return search
+
+    def gcd_rule(f, g):
+        in_gcd.append(f)
+        try:
+            return system_count_closed(f, g)
+        finally:
+            in_gcd.pop()
+
+    system_count_closed = solvers.system_count_closed
+    roots = counted(solvers.subalgebra_roots, subalgebra_poly)
     monkeypatch.setattr(solvers, "subalgebra_roots", roots)
     monkeypatch.setattr(sweep, "subalgebra_roots", roots, raising=False)
-    monkeypatch.setattr(solvers, "distinct_root_count", counted(solvers.distinct_root_count))
+    monkeypatch.setattr(
+        solvers, "distinct_root_count", counted(solvers.distinct_root_count, lambda f: f)
+    )
+    monkeypatch.setattr(solvers, "system_count_closed", gcd_rule)
     rechecked = 0
     for params in _param_grid(F7, 4, 300, 0):
-        calls.clear()
+        cubic = subalgebra_poly(instantiate(fid(1), params, F7))
+        searched.clear()
         records = verify_point(fid(1), params, F7)
-        assert calls.count(F7) == 1, [c.text() for c in params]
+        assert searched.count(cubic) == 1, [c.text() for c in params]
         rechecked += any(
             r["oracle"] is not None and r["quantity"] == "subalgebras" for r in records
         )
