@@ -77,7 +77,6 @@ from .solvers import (
     subalgebra_count_closed,
     subalgebra_poly,
     subalgebras,
-    system_count_closed,
     two_sided_ideals,
 )
 

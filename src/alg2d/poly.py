@@ -301,10 +301,11 @@ def _rpow_linear(F: Field, a: int, e: int, m: list) -> list:
 def _root_gcd(f: Poly) -> tuple[list, list]:
     """(h, g) for a nonzero f over a finite field GF(q): h is f made monic and
     g = gcd(h, x^q - x), the product of x - r over the distinct in-field roots
-    r, both raw."""
+    r, both raw.  A constant has no root and a linear h is its own g, so
+    neither raises x to the q-th power."""
     F = f.field
     h = _rmonic(F, f._raw())
-    if len(h) == 1:
+    if len(h) <= 2:
         return h, h
     return h, _rgcd(F, h, _rsub(F, _rpow_linear(F, 0, F.order, h), [0, 1]))
 
@@ -449,9 +450,9 @@ class RootSearch:
     gcd(f, x^q - x), whose degree `count` is the number of distinct in-field
     roots, and the degree `rest` of the cofactor left once every in-field
     linear factor, multiplicities included, is divided out; `roots` splits g,
-    in index order, when first read.  Over Q the roots come at once and
-    `rest` is None.  A zero f lists no roots and has rest 0: every element is
-    a root."""
+    in index order, when first read, and never when g has no root.  Over Q
+    the roots come at once and `rest` is None.  A zero f lists no roots and
+    has rest 0: every element is a root."""
 
     __slots__ = ("f", "count", "rest", "_g", "_roots")
 
@@ -466,7 +467,8 @@ class RootSearch:
             while len(d) > 1:
                 h = _rdivmod(F, h, d)[0]
                 d = _rgcd(F, h, d)
-            self._g, self.count, self.rest, self._roots = g, len(g) - 1, len(h) - 1, None
+            self._g, self.count, self.rest = g, len(g) - 1, len(h) - 1
+            self._roots = None if self.count else []
         else:
             self._roots = roots_in_field(f)
             self.count, self.rest = len(self._roots), None
@@ -609,11 +611,7 @@ def cubic_root_count(a: Fel, b: Fel, c: Fel, d: Fel) -> RootCount:
         return RootCount.INFINITE if d.is_zero else RootCount.ZERO
     if b.is_zero:
         return RootCount.ONE
-    if p not in (2, 3):
-        disc2 = c * c - F.el(4) * b * d
-        return RootCount.ONE if disc2.is_zero else RootCount.TWO
-    if p == 2:
-        return RootCount.ONE if c.is_zero else RootCount.TWO
-    disc2 = c * c - b * d
+    # 4 = 0 in characteristic 2, where c = 0 makes the root double
+    disc2 = c * c - F.el(4) * b * d
     return RootCount.ONE if disc2.is_zero else RootCount.TWO
 

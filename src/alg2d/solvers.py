@@ -1,23 +1,26 @@
 """Closed-form enumeration of the structures of a two-dimensional algebra.
 
-Every quantity is derived from small polynomial systems in the slope y of a
-candidate line F(e1 + y*e2), plus an explicit side condition for the line
-F(e2):
+Every subalgebra and every left, right and two-sided ideal is a line: either
+F(e1 + y*e2), whose slope y is a root of the kind's `slope_poly`, or F(e2),
+which qualifies when the alpha entries named in `_E2_LINE` vanish:
 
-  subalgebras  -- the cubic `subalgebra_poly`;
-  idempotents  -- the same cubic scaled through `eigenvalue_poly`;
-  left ideals  -- the pair `left_ideal_system`, F(e2) when a2 = a4 = 0;
-  right ideals -- the pair `right_ideal_system`, F(e2) when a3 = a4 = 0;
-  two-sided    -- all four polynomials at once, F(e2) when a2 = a3 = a4 = 0;
-  quasiunits   -- an 8x2 linear system in the coordinates of the candidate.
+  subalgebras  -- the cubic `subalgebra_poly`; F(e2) when a4 = 0;
+  left ideals  -- the gcd of `left_ideal_system`; F(e2) when a2 = a4 = 0;
+  right ideals -- the gcd of `right_ideal_system`; F(e2) when a3 = a4 = 0;
+  two-sided    -- the linear candidate where the two systems differ, or the
+                  left gcd where they coincide; F(e2) when a2 = a3 = a4 = 0.
 
-Callers search the cubic once and pass the search in as `found`.  A count
-over the root closure needs no extension field: `line_count_closed` counts
-the distinct roots of each ideal system's gcd, a polynomial over A's own
-field, and `is_simple` reads it.  Only callers that list the lines there
-lift A: to `ideal_closure(A)`, where all four quadratics split, and through
-`subalgebra_closure` to the cubic's splitting field, which reuses the ideal
-closure when the two fields agree.
+One root search (`poly.RootSearch`) of that polynomial serves both answers:
+`lines` lists the lines with slopes in A's own field, and
+`line_count_closed` counts them over the root closure with no extension
+field built.  The named solvers (`subalgebras`, `left_ideals`, ...,
+`subalgebra_count_closed`) delegate to these two.  Callers search the cubic
+once and pass the search in as `found`.  Idempotents scale the cubic's roots
+through `eigenvalue_poly`, and quasiunits solve an 8x2 linear system.  Only
+callers that list the lines over the closure lift A: to `ideal_closure(A)`,
+where all four ideal quadratics split, and through `subalgebra_closure` to
+the cubic's splitting field, which reuses the ideal closure when the two
+fields agree.
 
 The module also carries transcriptions of the published count predicates
 (`predict_left_line_count`, `predict_right_line_count`, `simple_by_cases`)
@@ -36,7 +39,6 @@ from .poly import (
     distinct_root_count,
     joint_quadratic_splitting,
     poly_gcd,
-    roots_in_field,
 )
 
 
@@ -84,15 +86,72 @@ def right_ideal_system(A: MSC) -> tuple[Poly, Poly]:
     )
 
 
-def _lines(F: Field, roots, e2_line: bool) -> LineSet:
-    """Every line when `roots` is None; otherwise the lines F(e1 + r*e2) for
-    each root r, and F(e2) when `e2_line` holds."""
-    if roots is None:
+# ---------------------------------------------------------------------------
+# The one rule for lines: slopes from a polynomial, F(e2) from a condition.
+
+def slope_poly(A: MSC, which: str) -> Poly:
+    """Polynomial over A's field whose roots are the slopes y of the lines
+    F(e1 + y*e2) of the kind `which`; zero when every slope is one.
+
+    Subalgebras: the cubic.  Left and right ideals: the gcd of the kind's
+    system.  Two-sided ideals: the leading quadratics of the two systems
+    differ by y*(a3-a2) - b3 + b2, so when a2 != a3 the one candidate is
+    y0 = (b3-b2)/(a3-a2), giving y - y0 when all four quadratics vanish
+    there and 1 otherwise; when a2 = a3 no slope qualifies if b2 != b3, and
+    if b2 = b3 the two systems coincide and the left gcd decides.
+    """
+    if which == "subalgebras":
+        return subalgebra_poly(A)
+    F = A.field
+    if which == "two_sided":
+        _, a2, a3, _ = A.alpha
+        _, b2, b3, _ = A.beta
+        if a2 != a3:
+            y0 = (b3 - b2) / (a3 - a2)
+            ideal = all(f(y0).is_zero for f in left_ideal_system(A) + right_ideal_system(A))
+            return Poly(F, [-y0, F.one] if ideal else [F.one])
+        if b2 != b3:
+            return Poly(F, [F.one])
+    system = right_ideal_system if which == "right" else left_ideal_system
+    return poly_gcd(*system(A))
+
+
+# alpha entries that all vanish exactly when F(e2) is a line of each kind
+_E2_LINE = {"subalgebras": (3,), "left": (1, 3), "right": (2, 3), "two_sided": (1, 2, 3)}
+
+
+def _e2_line(A: MSC, which: str) -> bool:
+    return all(A.alpha[i].is_zero for i in _E2_LINE[which])
+
+
+def lines(A: MSC, which: str, found: RootSearch | None = None) -> LineSet:
+    """The lines of the kind `which` with slopes in A's own field: every line
+    when the slope polynomial is zero, otherwise F(e1 + r*e2) for each of its
+    roots r, and F(e2) when that line qualifies.  `found` is a root search
+    of `slope_poly(A, which)` when the caller already has one."""
+    found = RootSearch(slope_poly(A, which)) if found is None else found
+    if found.f.is_zero:
         return LineSet.all_lines()
-    points = [ProjPoint.affine(r) for r in roots]
-    if e2_line:
+    points = [ProjPoint.affine(r) for r in found.roots]
+    if _e2_line(A, which):
         points.append(ProjPoint.e2())
-    return LineSet.in_plane(F, points)
+    return LineSet.in_plane(A.field, points)
+
+
+def line_count_closed(A: MSC, which: str, found: RootSearch | None = None) -> RootCount:
+    """Count of lines of the kind `which` over a root-closed extension of a
+    finite field, with no extension built: the slope polynomial's distinct
+    roots there are its in-field roots plus the degree of its rootless, hence
+    irreducible and separable, factor; then F(e2) when it qualifies."""
+    if not A.field.is_finite:
+        raise InfiniteField("closed line counts need a finite field")
+    found = RootSearch(slope_poly(A, which)) if found is None else found
+    if found.f.is_zero:
+        return RootCount.INFINITE
+    n = found.count + found.rest + _e2_line(A, which)
+    if n == 0 and which == "subalgebras":
+        raise InternalInconsistency("a two-dimensional algebra always has a subalgebra")
+    return RootCount.of(n)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +165,7 @@ def subalgebra_roots(A: MSC) -> RootSearch:
 
 
 def subalgebras(A: MSC, found: RootSearch | None = None) -> LineSet:
-    """Lines closed under the product, with roots taken in A's own field."""
-    found = subalgebra_roots(A) if found is None else found
-    return _lines(A.field, None if found.f.is_zero else found.roots, A.alpha[3].is_zero)
+    return lines(A, "subalgebras", found)
 
 
 def subalgebra_splitting(A: MSC, found: RootSearch | None = None) -> Field:
@@ -134,18 +191,7 @@ def subalgebra_closure(A: MSC, found: RootSearch, closure: MSC) -> tuple[MSC, Li
 
 
 def subalgebra_count_closed(A: MSC, found: RootSearch | None = None) -> RootCount:
-    """Number of subalgebras over a root-closed extension of a finite field:
-    the cubic's distinct roots there are its in-field roots plus the degree of
-    the rootless, hence irreducible and separable, factor."""
-    if not A.field.is_finite:
-        raise InfiniteField("closed subalgebra counts need a finite field")
-    found = subalgebra_roots(A) if found is None else found
-    if found.f.is_zero:
-        return RootCount.INFINITE
-    n = found.count + found.rest + (1 if A.alpha[3].is_zero else 0)
-    if n == 0:
-        raise InternalInconsistency("a two-dimensional algebra always has a subalgebra")
-    return RootCount.of(n)
+    return line_count_closed(A, "subalgebras", found)
 
 
 class IdempotentSet:
@@ -251,52 +297,16 @@ def idempotents(A: MSC, found: RootSearch | None = None) -> IdempotentSet:
 # ---------------------------------------------------------------------------
 # One-sided and two-sided ideals.
 
-def _common_roots(f: Poly, g: Poly) -> list | None:
-    """In-field common roots of f and g; None when both vanish and every
-    slope is one."""
-    if f.is_zero and g.is_zero:
-        return None
-    return roots_in_field(poly_gcd(f, g))
-
-
-# alpha entries that all vanish exactly when F(e2) is an ideal of each kind
-_E2_IDEAL = {"left": (1, 3), "right": (2, 3), "two_sided": (1, 2, 3)}
-
-
-def _e2_ideal(A: MSC, which: str) -> bool:
-    return all(A.alpha[i].is_zero for i in _E2_IDEAL[which])
-
-
 def left_ideals(A: MSC) -> LineSet:
-    return _lines(A.field, _common_roots(*left_ideal_system(A)), _e2_ideal(A, "left"))
+    return lines(A, "left")
 
 
 def right_ideals(A: MSC) -> LineSet:
-    return _lines(A.field, _common_roots(*right_ideal_system(A)), _e2_ideal(A, "right"))
-
-
-def _two_sided_slopes(A: MSC) -> list | None:
-    """The two-sided slopes, all in A's own field, when a2 != a3 or b2 != b3;
-    None when both one-sided systems coincide and the left one decides.
-
-    The difference of the two quadratic leads reduces to the linear equation
-    y*(a3-a2) - b3 + b2 = 0, so a single candidate slope exists when a2 != a3,
-    and none when a2 = a3 and b2 != b3.
-    """
-    a1, a2, a3, a4 = A.alpha
-    b1, b2, b3, b4 = A.beta
-    if a2 == a3:
-        return None if b2 == b3 else []
-    y0 = (b3 - b2) / (a3 - a2)
-    return [y0] if all(f(y0).is_zero for f in left_ideal_system(A) + right_ideal_system(A)) else []
+    return lines(A, "right")
 
 
 def two_sided_ideals(A: MSC) -> LineSet:
-    """Lines satisfying both one-sided systems, plus F(e2) when a2 = a3 = a4 = 0."""
-    roots = _two_sided_slopes(A)
-    if roots is None:
-        roots = _common_roots(*left_ideal_system(A))
-    return _lines(A.field, roots, _e2_ideal(A, "two_sided"))
+    return lines(A, "two_sided")
 
 
 def ideal_splitting(A: MSC) -> Field:
@@ -311,39 +321,6 @@ def ideal_closure(A: MSC) -> MSC:
     its ideal lines there are those of the root closure."""
     ext = ideal_splitting(A)
     return A.lift(ext) if ext != A.field else A
-
-
-def system_count_closed(f: Poly, g: Poly) -> RootCount:
-    """Common-root count of a pair of degree <= 2 polynomials over the closure."""
-    if f.is_zero and g.is_zero:
-        return RootCount.INFINITE
-    if f.is_zero:
-        f, g = g, f
-    if g.is_zero:
-        return distinct_root_count(f) if f.degree > 0 else RootCount.ZERO
-    h = poly_gcd(f, g)
-    if h.degree <= 0:
-        return RootCount.ZERO
-    return distinct_root_count(h)
-
-
-def line_count_closed(A: MSC, which: str) -> RootCount:
-    """Count of lines of the given kind over a root-closed extension, with no
-    extension built: the distinct roots of the gcd of the kind's system, a
-    polynomial over A's own field, plus F(e2) when that line qualifies."""
-    if not A.field.is_finite:
-        raise InfiniteField("closed line counts need a finite field")
-    if which == "subalgebras":
-        return subalgebra_count_closed(A)
-    slopes = _two_sided_slopes(A) if which == "two_sided" else None
-    if slopes is not None:
-        n = RootCount.of(len(slopes))
-    else:
-        system = right_ideal_system if which == "right" else left_ideal_system
-        n = system_count_closed(*system(A))
-    if n is RootCount.INFINITE:
-        return n
-    return RootCount.of(int(n.value) + _e2_ideal(A, which))
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +478,7 @@ def simple_by_cases_extended(A: MSC) -> bool:
         return False
     if a2.is_zero and a4.is_zero:
         return False
-    l1, l2 = left_ideal_system(A)
-    return system_count_closed(l1, l2) == RootCount.ZERO
+    return distinct_root_count(poly_gcd(*left_ideal_system(A))) is RootCount.ZERO
 
 
 def is_simple(A: MSC) -> bool:

@@ -17,6 +17,7 @@ from alg2d import (
     LineSet,
     RootCount,
     cubic_root_count,
+    distinct_root_count,
     idempotents,
     is_simple,
     left_ideal_system,
@@ -24,6 +25,7 @@ from alg2d import (
     left_quasiunits,
     oracle_enumerate,
     oracle_points,
+    poly_gcd,
     right_ideal_system,
     right_ideals,
     roots_in_field,
@@ -33,7 +35,6 @@ from alg2d import (
     splitting_field,
     subalgebra_count_closed,
     subalgebras,
-    system_count_closed,
     two_sided_ideals,
 )
 from alg2d.algebra import all_mscs, msc_from_index
@@ -246,8 +247,8 @@ def test_c5_proposition_predicates():
         l1, l2 = left_ideal_system(A)
         r1, r2 = right_ideal_system(A)
         if odd_char:
-            assert predict_left_line_count(A) is system_count_closed(l1, l2), A.text()
-        assert predict_right_line_count(A) is system_count_closed(r1, r2), A.text()
+            assert predict_left_line_count(A) is distinct_root_count(poly_gcd(l1, l2)), A.text()
+        assert predict_right_line_count(A) is distinct_root_count(poly_gcd(r1, r2)), A.text()
         ext = ideal_splitting(A)
         lifted = A.lift(ext) if ext != A.field else A
         lines = two_sided_ideals(lifted)

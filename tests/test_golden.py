@@ -108,8 +108,8 @@ def _cubic_splitting_fields(field):
         yield f"{f.text()}|{ext.text()}|{','.join(r.text() for r in roots)}"
 
 
-def _sweep_gf5():
-    F = GF(5)
+def _sweep(F):
+    """`sweep_all` and every flag adjudication of F's regime, budget 40, seed 3."""
     for rec in sweep_all(F, budget=40, seed=3):
         yield json.dumps(rec, sort_keys=True, separators=(",", ":"))
     regime = Regime.of_field(F)
@@ -132,7 +132,9 @@ SECTIONS = {
     "closed_cubic_gf17": lambda: _seeded_closed_cubic(GF(17), 8),
     "splitting_gf5": lambda: _cubic_splitting_fields(GF(5)),
     "splitting_gf4": lambda: _cubic_splitting_fields(GF(2, 2)),
-    "sweep_gf5": _sweep_gf5,
+    "sweep_gf4": lambda: _sweep(GF(2, 2)),
+    "sweep_gf5": lambda: _sweep(GF(5)),
+    "sweep_gf9": lambda: _sweep(GF(3, 2)),
     "text": _text_reports,
 }
 
@@ -150,7 +152,9 @@ DIGESTS = {
     "plain_q": "9d1f15d6d1f5a3053fa044d125a687009f3eaa609ac98dd1ff5d03d451a3fc04",
     "splitting_gf4": "444e9d1909ffcbc737e1193663d86062ffcc3cf4ad732149124d0c71a8a6e5de",
     "splitting_gf5": "ec3940377079b7a65f5ecf80cd1af4991cf3913b010af8abfa4ea8197281fef3",
+    "sweep_gf4": "46fafc4fec9225fc44ece5939b0d9df54f01c30b833a64c7519a0a15367b4f77",
     "sweep_gf5": "2ffa7d293d611ffe03c539a5efdc502caf43b54a6e126c4cf78757325a896659",
+    "sweep_gf9": "cf4f73e92bf0d839e1dae2e0fa1f9c4e47aa2eaebf0422ebd7f66d0fa054f4dd",
     "text": "4f35b35f0ece1c7a057c9730cb80282ce2c79245f5f3d6eedf3ddc1db07e5c96",
 }
 

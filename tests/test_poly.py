@@ -178,6 +178,21 @@ def test_classifier_matches_splitting_field_exhaustively(field):
         assert got is RootCount.of(len(roots)), (a.text(), b.text(), c.text(), d.text())
 
 
+@pytest.mark.parametrize("field", [(2, 2), (2, 3), (3, 2)])
+def test_classifier_quadratic_tail_matches_splitting_field(field):
+    """Every b*y^2 + c*y + d over GF(4), GF(8) and GF(9): the one discriminant
+    c^2 - 4bd covers characteristic 2 (4 = 0) and characteristic 3 (4 = 1)."""
+    F = GF(*field)
+    for b, c, d in itertools.product(F.elements(), repeat=3):
+        got = cubic_root_count(F.zero, b, c, d)
+        f = Poly(F, [d, c, b])
+        if f.is_zero:
+            assert got is RootCount.INFINITE
+            continue
+        _, roots = splitting_field(f)
+        assert got is RootCount.of(len(roots)), (b.text(), c.text(), d.text())
+
+
 def test_classifier_over_q_uses_symmetric_product():
     # y^3 - 3y + 2 = (y-1)^2 (y+2): two distinct roots
     assert cubic_root_count(QQ.el(1), QQ.el(0), QQ.el(-3), QQ.el(2)) is RootCount.TWO

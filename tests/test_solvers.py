@@ -15,6 +15,7 @@ from alg2d import (
     RootCount,
     WrongCharacteristic,
     basis,
+    distinct_root_count,
     eigenvalue_poly,
     idempotents,
     is_idempotent,
@@ -26,11 +27,13 @@ from alg2d import (
     line_count_closed,
     mul,
     oracle_points,
+    poly_gcd,
     predict_left_line_count,
     predict_right_line_count,
     quasiunit_system,
     right_ideal_system,
     right_ideals,
+    roots_in_field,
     simple_by_cases,
     simple_by_cases_extended,
     subalgebra_count_closed,
@@ -40,7 +43,13 @@ from alg2d import (
 )
 from alg2d.algebra import all_mscs
 from alg2d.families import FamilyId, Regime, instantiate
-from alg2d.solvers import ideal_closure, solve_plane_system
+from alg2d.solvers import (
+    ideal_closure,
+    slope_poly,
+    solve_plane_system,
+    subalgebra_closure,
+    subalgebra_roots,
+)
 
 F5 = GF(5)
 F7 = GF(7)
@@ -293,7 +302,13 @@ def test_simplicity_matches_two_sided_emptiness_exhaustively_gf2():
 
 def _line_count_over_closure(A, which):
     """The closed count by its definition: the lines of the kind, solved on A
-    lifted to the ideal closure, where every ideal system splits."""
+    lifted to the ideal closure, where every ideal system splits, or for
+    subalgebras to the splitting field of the cubic."""
+    if which == "subalgebras":
+        # over GF(2) three lines are every line, which a LineSet reads as 'inf'
+        B = A.lift(GF(2, 2)) if A.field.order == 2 else A
+        _, lines = subalgebra_closure(B, subalgebra_roots(B), ideal_closure(B))
+        return RootCount(lines.count_label())
     fn = {"left": left_ideals, "right": right_ideals, "two_sided": two_sided_ideals}[which]
     return RootCount(fn(ideal_closure(A)).count_label())
 
@@ -318,21 +333,51 @@ def _witness_mscs():
 
 
 def test_line_count_closed_equals_the_lines_of_the_ideal_closure():
-    """The gcd rule, which builds no extension field, counts the lines the
-    solvers list over the ideal closure, including F(e2) and 'inf'."""
+    """The one closed count, which builds no extension field, counts the
+    lines the solvers list over the closure, including F(e2) and 'inf'."""
+    kinds = ("subalgebras", "left", "right", "two_sided")
     seen = set()
     for A in _witness_mscs():
-        for which in ("left", "right", "two_sided"):
+        for which in kinds:
             got = line_count_closed(A, which)
             assert got is _line_count_over_closure(A, which), (which, A.text(), A.field.text())
             seen.add((which, got))
-    # every count occurs; none passes 2, as F(e2) is an ideal only where the
-    # system is linear
+    # every count occurs; no ideal count passes 2, as F(e2) is an ideal only
+    # where the system is linear, and there is always a subalgebra
     assert seen == {
         (which, n)
-        for which in ("left", "right", "two_sided")
+        for which in kinds
         for n in (RootCount.ZERO, RootCount.ONE, RootCount.TWO, RootCount.INFINITE)
+        if which != "subalgebras"
+    } | {
+        ("subalgebras", n)
+        for n in (RootCount.ONE, RootCount.TWO, RootCount.THREE, RootCount.INFINITE)
     }
+
+
+def test_two_sided_slope_poly_keeps_the_common_roots_of_all_four_quadratics():
+    """The linear candidate y0 = (b3-b2)/(a3-a2), the constant 1 when a2 = a3
+    and b2 != b3, and the left gcd when the two systems coincide have the
+    in-field roots and the closed root count of the gcd of all four ideal
+    quadratics."""
+    cases = set()
+    for A in _witness_mscs():
+        l1, l2 = left_ideal_system(A)
+        r1, r2 = right_ideal_system(A)
+        common = poly_gcd(poly_gcd(l1, l2), poly_gcd(r1, r2))
+        f = slope_poly(A, "two_sided")
+        where = (A.text(), A.field.text())
+        assert f.is_zero == common.is_zero, where
+        if not f.is_zero:
+            assert roots_in_field(f) == roots_in_field(common), where
+            assert distinct_root_count(f) is distinct_root_count(common), where
+        (_, a2, a3, _), (_, b2, b3, _) = A.alpha, A.beta
+        cases.add((a2 == a3, b2 == b3, f.degree))
+    # the candidate both holds and fails; a2 = a3 with b2 != b3 leaves no
+    # slope; the left gcd reaches every degree
+    assert {(False, b, d) for b in (False, True) for d in (0, 1)} <= cases
+    assert (True, False, 0) in cases
+    assert {(True, True, d) for d in (-1, 0, 1, 2)} <= cases
 
 
 def test_plain_analyze_builds_no_extension_field(monkeypatch):

@@ -187,43 +187,39 @@ def test_verify_point_splits_the_ideal_systems_once(monkeypatch):
 def test_verify_point_searches_the_subalgebra_cubic_once(monkeypatch):
     """One root search of the subalgebra cubic over F serves the solved count,
     the oracle recheck's splitting field and, when the cubic splits in F, the
-    solver's lines of that recheck.  The ideal counts' gcds are not searches
-    of the cubic, even where a gcd equals a cubic with a4 = 0."""
-    from alg2d import solvers, sweep
+    solver's lines of that recheck.  The searches of the ideal kinds' slope
+    polynomials are not searches of the cubic, even where a gcd equals a
+    cubic with a4 = 0."""
+    from alg2d import solvers
     from alg2d.families import instantiate
     from alg2d.solvers import subalgebra_poly
     from alg2d.sweep import _param_grid
 
-    searched = []  # the polynomial each root search or count ran on
-    in_gcd = []  # nonempty while the ideal counts' gcd rule runs
+    searched = []  # the polynomial each root search or count in solvers ran on
+    ideal = []  # the slope polynomials of the ideal kinds
 
-    def counted(fn, poly_of):
-        def search(x):
-            if not in_gcd:
-                searched.append(poly_of(x))
-            return fn(x)
+    def slopes(A, which):
+        f = slope_poly(A, which)
+        if which != "subalgebras":
+            ideal.append(f)
+        return f
+
+    def counted(fn):
+        def search(f):
+            if not any(f is g for g in ideal):
+                searched.append(f)
+            return fn(f)
 
         return search
 
-    def gcd_rule(f, g):
-        in_gcd.append(f)
-        try:
-            return system_count_closed(f, g)
-        finally:
-            in_gcd.pop()
-
-    system_count_closed = solvers.system_count_closed
-    roots = counted(solvers.subalgebra_roots, subalgebra_poly)
-    monkeypatch.setattr(solvers, "subalgebra_roots", roots)
-    monkeypatch.setattr(sweep, "subalgebra_roots", roots, raising=False)
-    monkeypatch.setattr(
-        solvers, "distinct_root_count", counted(solvers.distinct_root_count, lambda f: f)
-    )
-    monkeypatch.setattr(solvers, "system_count_closed", gcd_rule)
+    slope_poly = solvers.slope_poly
+    monkeypatch.setattr(solvers, "slope_poly", slopes)
+    monkeypatch.setattr(solvers, "RootSearch", counted(solvers.RootSearch))
+    monkeypatch.setattr(solvers, "distinct_root_count", counted(solvers.distinct_root_count))
     rechecked = 0
     for params in _param_grid(F7, 4, 300, 0):
         cubic = subalgebra_poly(instantiate(fid(1), params, F7))
-        searched.clear()
+        searched.clear(), ideal.clear()
         records = verify_point(fid(1), params, F7)
         assert searched.count(cubic) == 1, [c.text() for c in params]
         rechecked += any(
