@@ -6,20 +6,25 @@ smallest irreducible polynomial of the requested degree is chosen, so field
 construction is reproducible.  An element's raw value is its canonical form:
 over GF(p^k) its enumeration index, the int sum c_i * p^i of its residue
 coefficients c_i in [0, p) (for GF(p) the residue itself), and over Q one
-reduced Fraction.  Arithmetic over GF(p^k) decodes the base-p digits only
-where it needs them.  Modulus selection (Ben-Or's irreducibility test) and
-inversion in GF(p^k) run on `poly`'s raw polynomial helpers over GF(p).
+reduced Fraction.  Modulus selection (Ben-Or's irreducibility test) runs on
+`poly`'s raw polynomial helpers over GF(p).
+
+Arithmetic over GF(p^k), k > 1, has three regimes by the order q:
+
+- q <= `_TABLE_MAX_ORDER` = 16: a kernel, one interned element object per
+  field element and operation tables filled from the raw `_add`/`_sub`/
+  `_mul`/`_inv` on first use, so arithmetic there is one lookup.  `GF`
+  returns one object per field, so elements of fields built through it take
+  the kernel's fast path, which tests the field by identity.
+- q <= `_LOG_TABLE_MAX_ORDER` = 1024: the raw operations read Zech logarithm
+  tables of O(q) entries, built on the field's first operation.
+- above that, the raw operations decode the base-p digits, add them without
+  carries or convolve and reduce them by the modulus, and encode again;
+  inversion runs extended Euclid on `poly`'s raw helpers.
 
 Fields and elements are immutable; the only mutable state is a set of
-memoisation caches (construction, embeddings, products, inverses, element
-lists, small-field kernels), all of which are safe under CPython's locking or
-are append-only.
-
-A field of order at most `_TABLE_MAX_ORDER` has a kernel: one interned
-element object per field element, and operation tables filled from the raw
-`_add`/`_sub`/`_mul`/`_inv` on first use, so arithmetic there is one lookup.
-`GF` returns one object per field, so elements of fields built through it
-take the kernel's fast path, which tests the field by identity.
+caches (construction, embeddings, log tables, element lists, small-field
+kernels), all of which are safe under CPython's locking or are append-only.
 """
 
 from __future__ import annotations
@@ -94,9 +99,9 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Modulus selection.  It and `Field._inv` run on `poly`'s raw helpers over
-# GF(p), whose raw values are the residues, constant first; `poly` imports
-# this module, so both import the helpers at function level.
+# Modulus selection.  It and `Field._inv` past the log tables run on `poly`'s
+# raw helpers over GF(p), whose raw values are the residues, constant first;
+# `poly` imports this module, so both import the helpers at function level.
 
 def _is_irreducible(m: list[int], p: int) -> bool:
     """Ben-Or's test (1981) for a monic m of degree k over GF(p):
@@ -132,9 +137,9 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 
-# Raw products and inverses are memoised up to the first order (at most q^2
-# and q - 1 entries); fields up to the second also get a `_Kernel`.
-_MUL_CACHE_MAX_ORDER = 1024
+# Extensions up to the first order compute through log tables (O(q) entries
+# each); fields up to the second also get a `_Kernel`.
+_LOG_TABLE_MAX_ORDER = 1024
 _TABLE_MAX_ORDER = 16
 
 
@@ -147,11 +152,23 @@ class Field:
         "modulus",
         "order",
         "_red",
-        "_mul_cache",
-        "_inv_cache",
+        "_hash",
+        "_exp",
+        "_log",
+        "_zech",
+        "_half",
         "_elements",
         "_kernel",
     )
+
+    # `benchmarks/tracer.py` sums every field's memo entries through
+    # `_mul_cache`, `_inv_cache` and `_elements`.  No field memoises products;
+    # the log tables, once built, are what its inverses read.
+    _mul_cache = None
+
+    @property
+    def _inv_cache(self):
+        return self._log or ()
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         if p == 0:
@@ -191,8 +208,8 @@ class Field:
             self._red = rows
         else:
             self._red = None
-        self._mul_cache = {} if (p and 1 < k and p**k <= _MUL_CACHE_MAX_ORDER) else None
-        self._inv_cache = {}
+        self._hash = hash((p, k, modulus))
+        self._log = None  # the log tables are built by the first arithmetic
         self._elements = None
         self._kernel = _Kernel(self) if p and self.order <= _TABLE_MAX_ORDER else None
 
@@ -207,7 +224,7 @@ class Field:
         )
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"Field({self.text()})"
@@ -298,19 +315,104 @@ class Field:
 
     # -- raw arithmetic ------------------------------------------------------
     # For k = 1 a raw value is a residue mod p (a Fraction over Q), so each
-    # operation is one integer operation.  For k > 1 sums and differences
-    # combine base-p digits without carries, and products decode, convolve,
-    # reduce by the modulus and encode again.
+    # operation is one integer operation.  An extension of order at most
+    # `_LOG_TABLE_MAX_ORDER` reads its log tables, built by its first
+    # operation; a larger one combines base-p digits: sums and differences
+    # without carries, and products by convolving, reducing by the modulus and
+    # encoding again.
+
+    def _tables(self):
+        """The log table, after building the others on first use; None for
+        fields past `_LOG_TABLE_MAX_ORDER`.
+
+        With g the smallest-index primitive element and n = q - 1, `_exp[i]`
+        is the index of g^i for 0 <= i < 2n, `_log` inverts it (None at 0),
+        `_zech[i]` is log(1 + g^i) for -n <= i < n (None where 1 + g^i = 0)
+        and `_half` is log(-1), so no sum or difference of logs the
+        operations form needs a reduction mod n.  `_log` is set last: a
+        thread that still reads None builds the same tables again."""
+        q = self.order
+        if q > _LOG_TABLE_MAX_ORDER:
+            return None
+        p, n = self.p, q - 1
+        g = self._generator()
+        exp, x = [], self._digits(1)
+        for _ in range(n):  # step on digit lists: one encoding per entry
+            exp.append(self._index(x))
+            x = [c % p for c in self._dmul(g, x)]
+        log = [None] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        # adding 1 to an index changes only its constant digit; -1 has index
+        # p - 1, and 1 + (-1) = 0 has no log
+        zech = [log[a + 1 if a % p != p - 1 else a + 1 - p] for a in exp]
+        self._exp, self._zech, self._half = exp * 2, zech, log[p - 1]
+        self._log = log
+        return log
+
+    def _generator(self) -> list[int]:
+        """Digits of the smallest-index primitive element g: the first with
+        g^(n/r) != 1 for each prime r dividing n = q - 1, tried r = 2 first.
+        The search starts past the constants, whose orders divide p - 1 < n."""
+        n = self.order - 1
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        one = self._digits(1)
+        for idx in range(self.p, self.order):
+            g = self._digits(idx)
+            if all(self._dpow(g, n // r) != one for r in primes):
+                return g
+
+    def _dmul(self, x: list[int], y: list[int]) -> list[int]:
+        """The product of the elements with digits x and y, as coefficients
+        over Z that are its digits once each is reduced mod p (as `_index`
+        does): convolve, then fold x^d for d >= k back through the reduction
+        rows.  A sparse x costs least."""
+        p, k = self.p, self.k
+        conv = [0] * (2 * k - 1)
+        for i, c in enumerate(x):
+            if c:
+                for j, d in enumerate(y, i):
+                    conv[j] += c * d
+        out = conv[:k]
+        red = self._red
+        for d in range(k, 2 * k - 1):
+            c = conv[d] % p
+            if c:
+                row = red[d - k]
+                for i in range(k):
+                    out[i] += c * row[i]
+        return out
+
+    def _dpow(self, x: list[int], e: int) -> list[int]:
+        """The digits of x^e, for e >= 1, by left-to-right repeated squaring."""
+        p, r = self.p, x
+        for bit in bin(e)[3:]:
+            r = [c % p for c in self._dmul(r, r)]
+            if bit == "1":
+                r = [c % p for c in self._dmul(x, r)]
+        return r
 
     def _add(self, a, b):
-        if self.k > 1:
+        if self.k == 1:
+            return (a + b) % self.p if self.p else a + b
+        log = self._log or self._tables()
+        if log is None:
             return self._digitwise(a, b, 1)
-        return (a + b) % self.p if self.p else a + b
+        if not a or not b:
+            return a or b
+        # a + b = a * (1 + b/a)
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def _sub(self, a, b):
-        if self.k > 1:
+        if self.k == 1:
+            return (a - b) % self.p if self.p else a - b
+        log = self._log or self._tables()
+        if log is None:
             return self._digitwise(a, b, -1)
-        return (a - b) % self.p if self.p else a - b
+        # a - b = a + (-b), where -b = g^(log(b) + log(-1))
+        return self._add(a, self._exp[log[b] + self._half]) if b else a
 
     def _neg(self, a):
         return self._sub(0, a)
@@ -325,35 +427,12 @@ class Field:
         return out
 
     def _mul(self, a, b):
-        p = self.p
         if self.k == 1:
-            return a * b % p if p else a * b
-        cache = self._mul_cache
-        if cache is not None:
-            got = cache.get((a, b))
-            if got is not None:
-                return got
-        k = self.k
-        conv = [0] * (2 * k - 1)
-        db = self._digits(b)
-        for i, x in enumerate(self._digits(a)):
-            if x:
-                for j, y in enumerate(db, i):
-                    conv[j] += x * y
-        # fold x^d for d >= k back through the reduction rows over Z; the
-        # encoding reduces each coefficient once mod p
-        out = conv[:k]
-        red = self._red
-        for d in range(k, 2 * k - 1):
-            c = conv[d] % p
-            if c:
-                row = red[d - k]
-                for i in range(k):
-                    out[i] += c * row[i]
-        res = self._index(out)
-        if cache is not None:
-            cache[(a, b)] = res
-        return res
+            return a * b % self.p if self.p else a * b
+        log = self._log or self._tables()
+        if log is None:
+            return self._index(self._dmul(self._digits(a), self._digits(b)))
+        return self._exp[log[a] + log[b]] if a and b else 0
 
     def _inv(self, a):
         if not a:
@@ -361,11 +440,9 @@ class Field:
         p = self.p
         if self.k == 1:
             return pow(a, -1, p) if p else 1 / a
-        memo = self.order <= _MUL_CACHE_MAX_ORDER  # at most q - 1 entries
-        if memo:
-            got = self._inv_cache.get(a)
-            if got is not None:
-                return got
+        log = self._log or self._tables()
+        if log is not None:
+            return self._exp[self.order - 1 - log[a]]
         # extended Euclid over GF(p)[x] against the modulus, keeping
         # s_i * a = r_i mod the modulus with every divisor r_i made monic;
         # the last nonzero remainder is then 1 and its s_i the inverse
@@ -381,10 +458,7 @@ class Field:
             r1, s1 = _rmul(P, r1, lead_inv), _rmul(P, s1, lead_inv)
             q, r = _rdivmod(P, r0, r1)
             r0, r1, s0, s1 = r1, r, s1, _rsub(P, s0, _rmul(P, q, s1))
-        res = self._index(s0)
-        if memo:
-            self._inv_cache[a] = res
-        return res
+        return self._index(s0)
 
 
 class _Kernel:

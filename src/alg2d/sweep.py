@@ -31,6 +31,7 @@ from .solvers import (
     left_quasiunits,
     line_count_closed,
     right_ideals,
+    slope_poly,
     subalgebra_closure,
     subalgebra_count_closed,
     subalgebra_roots,
@@ -44,9 +45,14 @@ COUNT_QUANTITIES = ("subalgebras", "left", "right", "two_sided")
 
 def _oracle_check(lifted: MSC, quantity: str, solver_lines) -> str:
     """The oracle's count label for the lines of an algebra already lifted to
-    its splitting extension ('inf' when every line there qualifies), insisting
-    that they equal the solver's lines there."""
-    return oracle_check(lifted, quantity, solver_lines).count_label()
+    its splitting extension, insisting that they equal the solver's lines
+    there: 'inf' when the kind's slope polynomial is zero, so that every slope
+    qualifies over every extension, else the number of lines.  A finite set
+    can hold every line of a small plane: all three over GF(2)."""
+    lines = oracle_check(lifted, quantity, solver_lines)
+    if slope_poly(lifted, quantity).is_zero:
+        return "inf"
+    return str(lifted.field.order + 1 if lines.is_all else len(lines.points))
 
 
 # Largest scan one oracle recheck makes: the order of the field whose lines it

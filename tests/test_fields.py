@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 
 import pytest
@@ -156,6 +157,106 @@ def test_seeded_inverses_in_a_large_extension(p, k):
         a = rng.randrange(1, F.order)
         assert F._mul(a, F._inv(a)) == 1, a
     assert not F._inv_cache
+
+
+# Log-table arithmetic against the digit arithmetic that fields past
+# `_LOG_TABLE_MAX_ORDER` use: the convolution product and the carry-free sum
+# and difference.
+
+def _convolve(F, a, b):
+    return F._index(F._dmul(F._digits(a), F._digits(b)))
+
+
+def _check_tabled_pair(F, a, b):
+    assert F._mul(a, b) == _convolve(F, a, b), (a, b)
+    assert F._add(a, b) == F._digitwise(a, b, 1), (a, b)
+    assert F._sub(a, b) == F._digitwise(a, b, -1), (a, b)
+
+
+def _check_tabled_unary(F, a):
+    assert F._neg(a) == F._digitwise(0, a, -1), a
+    if a:
+        assert _convolve(F, a, F._inv(a)) == 1, a
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [(5, 2), (3, 3), (2, 5), (7, 2), (2, 6), (3, 4), (11, 2), (5, 3), (2, 7), (13, 2), (3, 5), (2, 8)],
+)
+def test_log_tables_match_the_digit_arithmetic_on_every_pair(p, k):
+    from alg2d.fields import Field
+
+    F = Field(p, k)  # a fresh object: its tables are built here
+    assert 16 < F.order <= 256
+    for a in range(F.order):
+        _check_tabled_unary(F, a)
+        for b in range(F.order):
+            _check_tabled_pair(F, a, b)
+
+
+@pytest.mark.parametrize("p, k", [(5, 4), (3, 6), (31, 2), (2, 10)])
+def test_log_tables_match_the_digit_arithmetic_on_seeded_pairs(p, k):
+    F = GF(p, k)
+    rng = random.Random(p**k)
+    for _ in range(20000):
+        _check_tabled_pair(F, rng.randrange(F.order), rng.randrange(F.order))
+    for a in range(F.order):
+        _check_tabled_unary(F, a)
+
+
+@pytest.mark.parametrize("p, k", [(2, 4), (2, 10), (3, 2), (5, 4), (31, 2)])
+def test_log_table_layout(p, k):
+    """g is the smallest-index primitive element; the one Zech entry without
+    a log is at log(-1), which is 0 in characteristic 2; and a sum whose
+    Zech index log(b) - log(a) is negative comes out right."""
+    from alg2d.fields import _LOG_TABLE_MAX_ORDER
+
+    F = GF(p, k)
+    n = F.order - 1
+    assert F.order <= _LOG_TABLE_MAX_ORDER and F._mul(1, 1) == 1
+    g = F._exp[1]
+    assert sorted(F._exp[:n]) == list(range(1, F.order)) and F._exp[n:] == F._exp[:n]
+    assert all(F._exp[F._log[a]] == a for a in range(1, F.order))
+    # every element of smaller index has a log sharing a factor with n
+    assert all(math.gcd(F._log[c], n) > 1 for c in range(1, g))
+    minus_one = p - 1
+    assert F._half == F._log[minus_one] == (0 if p == 2 else n // 2)
+    assert [i for i in range(n) if F._zech[i] is None] == [F._half]
+    a, b = F._exp[n - 1], F._exp[1]  # log(b) - log(a) = 2 - n < 0
+    assert F._add(a, b) == F._digitwise(a, b, 1)
+    assert F._add(a, F._neg(a)) == 0 and F._sub(a, a) == 0
+
+
+def test_log_tables_are_lazy_and_bounded():
+    """A fresh extension holds no tables until its first arithmetic; after
+    200 seeded analyses over it, its state is the O(q) tables it held after
+    the first, and no memo grows with the products."""
+    from alg2d import MSC
+    from alg2d.fields import Field
+    from alg2d.report import analyze
+
+    F = Field(5, 4)
+    assert F._log is None and len(F._inv_cache) == 0 and F._mul_cache is None
+
+    def state():
+        return {
+            name: len(value)
+            for name in Field.__slots__
+            if isinstance(value := getattr(F, name), (list, tuple, dict))
+        }
+
+    x = F.from_index(7)
+    assert x * x == F.from_index(_convolve(F, 7, 7))
+    tables = state()
+    assert tables["_exp"] == 2 * tables["_zech"] == 2 * (F.order - 1) and tables["_log"] == F.order
+    rng = random.Random(625)
+    for i in range(200):
+        els = [F.from_index(rng.randrange(F.order)) for _ in range(8)]
+        analyze(MSC(F, els[:4], els[4:]))
+        if i == 0:
+            first = state()
+    assert state() == first and F._mul_cache is None
+    assert sum(first.values()) <= 6 * F.order
 
 
 def test_embedding_fixes_prime_subfield():

@@ -8,7 +8,13 @@ from alg2d.fields import embed
 from alg2d.poly import sqrt_in_ext
 from alg2d.families import FamilyId, Regime, RegimeMismatch
 from alg2d.solvers import AffineSolutionSet
-from alg2d.sweep import adjudicate_flag, mismatch_records, sweep_family, verify_point
+from alg2d.sweep import (
+    adjudicate_flag,
+    mismatch_records,
+    sweep_all,
+    sweep_family,
+    verify_point,
+)
 from alg2d.tables import (
     DEFAULT_FLAGS,
     _pm_product_zero,
@@ -157,6 +163,22 @@ def test_every_mismatch_carries_oracle_confirmation():
     for rec in bad:
         assert rec["oracle"] is not None
         assert rec["citation"]
+
+
+@pytest.mark.parametrize("F", [F2, F3], ids=["gf2", "gf3"])
+def test_rechecked_line_counts_equal_the_solved_counts(F):
+    """The oracle labels a line set 'inf' only when the kind's slope
+    polynomial is zero: the three lines of A1,2(0,0,0,0)'s subalgebras over
+    GF(2) are every line of that plane, yet a count of 3."""
+    rechecked = [
+        r for r in sweep_all(F) if r["oracle"] is not None and r["quantity"] != "quasiunits"
+    ]
+    assert rechecked
+    for rec in rechecked:
+        assert rec["oracle"] == rec["solved"], rec
+    if F is F2:
+        assert {"family": "A1,2", "params": ["0", "0", "0", "0"], "quantity": "subalgebras",
+                "solved": "3", "oracle": "3"}.items() <= rechecked[0].items()
 
 
 def test_verify_point_splits_the_ideal_systems_once(monkeypatch):
