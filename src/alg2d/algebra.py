@@ -9,10 +9,14 @@ This module holds the bilinear product, definition checkers for every
 structure of interest (subalgebras, idempotents, one-sided and two-sided
 ideals, left quasiunits), and exhaustive enumeration oracles over finite
 fields, with `oracle_check`, the one comparison of a solver's answer with
-them.  Each checker is built once per algebra from the structure
-constants, so that testing one candidate costs only the arithmetic that
-depends on it; the oracles scan with the same checkers.  Everything operates
-on immutable values.
+them.  Each definition is one test on raw values (indices over GF(q),
+Fractions over Q), built once per algebra from the structure constants, so
+that testing one candidate costs only the arithmetic that depends on it.  It
+reads sums and products as `add[a][b]` and `mul[a][b]` from
+`Field.raw_ops`: int tables over a field with a kernel, row adaptors over
+the field's raw operations elsewhere.  The checkers and the oracles run the
+same tests, and the oracles create element objects only for hits.
+Everything operates on immutable values.
 """
 
 from __future__ import annotations
@@ -296,112 +300,142 @@ class LineSet:
         return "LineSet{" + ", ".join(p.text() for p in self.sorted_points()) + "}"
 
 
-def _comb(x: Fel, p: tuple, y: Fel, q: tuple) -> tuple:
-    """The coordinates of x*p + y*q, for p and q given by their coordinates."""
-    return x * p[0] + y * q[0], x * p[1] + y * q[1]
+# ---------------------------------------------------------------------------
+# Definition tests on raw values.  Each is built once per algebra and reads
+# `add[a][b]` and `mul[a][b]` from `Field.raw_ops`; the rows of the structure
+# constants are taken once, so a candidate costs only the lookups that depend
+# on it.  P_ij = e_i*e_j has the coordinates (alpha[k], beta[k]), k = 2i + j
+# for i, j in (0, 1).
+
+# (c, s) per product an ideal kind tests on u = e1 + y*e2: e_i*u = P_i0 +
+# y*P_i1 and u*e_j = P_0j + y*P_1j, a constant and a slope term.
+_SIDES = {
+    "left": ((0, 1), (2, 3)),
+    "right": ((0, 2), (1, 3)),
+    "two_sided": ((0, 1), (2, 3), (0, 2), (1, 3)),
+}
 
 
-def _square(A: MSC):
-    """(x, y) -> the coordinates of u*u for u = x*e1 + y*e2.  As xy = yx, the
-    e1-coordinate is a1*x^2 + (a2+a3)*xy + a4*y^2, the e2-coordinate likewise
-    with the b's, and a2+a3 and b2+b3 are summed once per algebra."""
-    a1, a2, a3, a4 = A.alpha
-    b1, b2, b3, b4 = A.beta
-    a23, b23 = a2 + a3, b2 + b3
-
-    def square(x: Fel, y: Fel) -> tuple:
-        xx, xy, yy = x * x, x * y, y * y
-        return a1 * xx + a23 * xy + a4 * yy, b1 * xx + b23 * xy + b4 * yy
-
-    return square
-
-
-def _on_line(wx: Fel, wy: Fel, P: ProjPoint) -> bool:
-    """Whether wx*e1 + wy*e2 lies on the line P."""
-    if P.y0 is None:
-        return wx.is_zero
-    return wy == wx * P.y0
+def _raw(A: MSC, c: Fel):
+    if c.field is not A.field and c.field != A.field:
+        raise FieldMismatch(f"{c.text()} is not in {A.field.text()}")
+    return c.raw
 
 
 def _line_test(A: MSC, kind: str):
-    """The definition of a line kind as a predicate on the line P, tested on
-    the normalised generator u of P: u*u in F*u for a subalgebra; e_i*u (or
-    u*e_i) in F*u for both basis vectors for an ideal, which suffices by
-    linearity.  The basis is built once per algebra, and a two-sided ideal
-    checks both sides on one generator."""
-    F = A.field
+    """(test, e2) for the lines of `kind`: test(y) is whether F(e1 + y*e2)
+    is one, for raw y, and e2 whether F(e2) is.
+
+    The generator u = e1 + y*e2 is tested by bilinearity.  A subalgebra
+    needs u*u = (a1 + y*(a23 + y*a4), b1 + y*(b23 + y*b4)) in F*u, with a23
+    = a2 + a3 and b23 = b2 + b3; an ideal needs both products of its kind
+    (e_i*u for left, u*e_i for right) in F*u, which suffices by linearity.
+    A vector (wx, wy) lies on F*u iff wy = y*wx.  At u = e2 each product is
+    its top coefficient in y, which lies on F(e2) iff its e1-coordinate is
+    zero."""
+    add, mul = A.field.raw_ops()
+    a = [c.raw for c in A.alpha]
+    b = [c.raw for c in A.beta]
     if kind == "subalgebras":
-        square = _square(A)
+        A1, A23, M4 = add[a[0]], add[add[a[1]][a[2]]], mul[a[3]]
+        B1, B23, N4 = add[b[0]], add[add[b[1]][b[2]]], mul[b[3]]
 
-        def closed(P):
-            u = P.generator(F)
-            return _on_line(*square(u.x, u.y), P)
+        def closed(y) -> bool:
+            my = mul[y]
+            return B1[my[B23[N4[y]]]] == my[A1[my[A23[M4[y]]]]]
 
-        return closed
-    sides = {"left": (False,), "right": (True,), "two_sided": (False, True)}[kind]
-    e1, e2 = basis(F)
+        return closed, not a[3]
+    if kind not in _SIDES:
+        raise ValueError(f"unknown line kind {kind!r}")
+    sides = _SIDES[kind]
+    products = [(add[a[c]], mul[a[s]], add[b[c]], mul[b[s]]) for c, s in sides]
 
-    def absorbs(P):
-        u = P.generator(F)
-        for right in sides:
-            for v in (e1, e2):
-                w = mul(A, u, v) if right else mul(A, v, u)
-                if not _on_line(w.x, w.y, P):
-                    return False
+    def absorbs(y) -> bool:
+        my = mul[y]
+        for Ac, Ms, Bc, Ns in products:
+            if Bc[Ns[y]] != my[Ac[Ms[y]]]:
+                return False
         return True
 
-    return absorbs
+    return absorbs, not any(a[s] for _, s in sides)
+
+
+def _line_holds(A: MSC, kind: str, P: ProjPoint) -> bool:
+    test, e2 = _line_test(A, kind)
+    return e2 if P.y0 is None else test(_raw(A, P.y0))
 
 
 def is_subalgebra(A: MSC, P: ProjPoint) -> bool:
-    """u^2 in F*u for the normalised generator u of P."""
-    return _line_test(A, "subalgebras")(P)
+    """u^2 in F*u for a generator u of P."""
+    return _line_holds(A, "subalgebras", P)
 
 
 def is_left_ideal(A: MSC, P: ProjPoint) -> bool:
     """v*u in F*u for the two basis vectors v, which suffices by linearity."""
-    return _line_test(A, "left")(P)
+    return _line_holds(A, "left", P)
 
 
 def is_right_ideal(A: MSC, P: ProjPoint) -> bool:
-    return _line_test(A, "right")(P)
+    return _line_holds(A, "right", P)
 
 
 def is_two_sided_ideal(A: MSC, P: ProjPoint) -> bool:
-    return _line_test(A, "two_sided")(P)
+    return _line_holds(A, "two_sided", P)
 
 
 def _idempotent_test(A: MSC):
-    """(x, y) -> whether u = x*e1 + y*e2 is nonzero with u*u = u."""
-    square = _square(A)
-    return lambda x, y: square(x, y) == (x, y) and not (x.is_zero and y.is_zero)
+    """(x, y) -> whether u = x*e1 + y*e2 is nonzero with u*u = u, for raw x
+    and y.  As xy = yx, u*u = (a1*x^2 + a23*xy + a4*y^2, likewise with the
+    b's)."""
+    add, mul = A.field.raw_ops()
+    a1, a2, a3, a4 = (c.raw for c in A.alpha)
+    b1, b2, b3, b4 = (c.raw for c in A.beta)
+    M1, M23, M4 = mul[a1], mul[add[a2][a3]], mul[a4]
+    N1, N23, N4 = mul[b1], mul[add[b2][b3]], mul[b4]
+
+    def test(x, y) -> bool:
+        mx = mul[x]
+        xx, xy, yy = mx[x], mx[y], mul[y][y]
+        return (
+            add[add[M1[xx]][M23[xy]]][M4[yy]] == x
+            and add[add[N1[xx]][N23[xy]]][N4[yy]] == y
+            and bool(x or y)
+        )
+
+    return test
 
 
 def _quasiunit_test(A: MSC):
-    """(x, y) -> whether e = x*e1 + y*e2 is a left quasiunit.
+    """(x, y) -> whether e = x*e1 + y*e2 is a left quasiunit, for raw x and y.
 
-    The identity e(uv) = (eu)v + u(ev) - uv is checked coordinate by
+    The identity e(uv) + uv = (eu)v + u(ev) is checked coordinate by
     coordinate on the four basis pairs u = e_i, v = e_j, which suffices by
-    bilinearity.  There uv = P_ij is a structure constant, and only
-    c_j = e*e_j = x*P_1j + y*P_2j depends on e: e(uv) combines c_1 and c_2
-    with the coordinates of P_ij, (eu)v = c_i*e_j combines column j of P,
-    and u(ev) = e_i*c_j combines row i of P.
+    bilinearity.  There uv = P_ij is a structure constant, and only c_j =
+    e*e_j = x*P_0j + y*P_1j depends on e: e(uv) combines c_0 and c_1 with
+    the coordinates of P_ij, (eu)v = c_i*e_j combines column j of P, and
+    u(ev) = e_i*c_j combines row i of P.
     """
-    a, b = A.alpha, A.beta
-    P = ((a[0], b[0]), (a[1], b[1])), ((a[2], b[2]), (a[3], b[3]))  # P[i][j] = e_(i+1)*e_(j+1)
-    eqs = [
-        (i, j, k, P[i][j], P[0][j][k], P[1][j][k], P[i][0][k], P[i][1][k])
-        for i in (0, 1)
-        for j in (0, 1)
-        for k in (0, 1)
-    ]
+    add, mul = A.field.raw_ops()
+    P = [(a.raw, b.raw) for a, b in zip(A.alpha, A.beta)]  # P[2i + j] = P_ij
+    M = [(mul[s], mul[t]) for s, t in P]  # the rows of P's coordinates
+    # c[2j + k] = coordinate k of c_j = x*P_0j[k] + y*P_1j[k]
+    rows_c = [(M[j][k], M[2 + j][k]) for j in (0, 1) for k in (0, 1)]
+    eqs = []
+    for i in (0, 1):
+        for j in (0, 1):
+            for k in (0, 1):
+                uv = 2 * i + j
+                eqs.append((
+                    k, add[P[uv][k]], *M[uv],  # e(uv) + uv
+                    2 * i, *rows_c[2 * j + k],  # (eu)v
+                    2 * j, M[2 * i][k], M[2 * i + 1][k],  # u(ev)
+                ))
 
-    def test(x: Fel, y: Fel) -> bool:
-        c = _comb(x, P[0][0], y, P[1][0]), _comb(x, P[0][1], y, P[1][1])
-        for i, j, k, uv, col1, col2, row1, row2 in eqs:
-            (s, t), (s2, t2) = c[i], c[j]
-            lhs = uv[0] * c[0][k] + uv[1] * c[1][k]
-            if lhs != s * col1 + t * col2 + s2 * row1 + t2 * row2 - uv[k]:
+    def test(x, y) -> bool:
+        c = [add[X[x]][Y[y]] for X, Y in rows_c]
+        for k, Uk, U0, U1, i, C0, C1, j, R0, R1 in eqs:
+            lhs = Uk[add[U0[c[k]]][U1[c[2 + k]]]]
+            if lhs != add[add[C0[c[i]]][C1[c[i + 1]]]][add[R0[c[j]]][R1[c[j + 1]]]]:
                 return False
         return True
 
@@ -410,12 +444,12 @@ def _quasiunit_test(A: MSC):
 
 def is_idempotent(A: MSC, u: Element) -> bool:
     """v^2 = v for a nonzero v; the zero element is rejected by convention."""
-    return _idempotent_test(A)(u.x, u.y)
+    return _idempotent_test(A)(_raw(A, u.x), _raw(A, u.y))
 
 
 def is_left_quasiunit(A: MSC, e: Element) -> bool:
     """e(uv) = (eu)v + u(ev) - uv for all u, v."""
-    return _quasiunit_test(A)(e.x, e.y)
+    return _quasiunit_test(A)(_raw(A, e.x), _raw(A, e.y))
 
 
 _POINT_TESTS = {"idempotents": _idempotent_test, "quasiunits": _quasiunit_test}
@@ -423,22 +457,27 @@ _POINT_TESTS = {"idempotents": _idempotent_test, "quasiunits": _quasiunit_test}
 
 def oracle_enumerate(A: MSC, kind: str) -> LineSet:
     """Test every line of the plane against the definition of `kind`."""
-    check = _line_test(A, kind)
-    hits = (P for P in projective_points(A.field) if check(P))
-    return LineSet.in_plane(A.field, hits)
+    test, e2 = _line_test(A, kind)
+    F = A.field
+    if not F.is_finite:
+        raise InfiniteField("cannot enumerate lines over Q")
+    hits = [ProjPoint.affine(F._fel(y)) for y in range(F.order) if test(y)]
+    if e2:
+        hits.append(ProjPoint.e2())
+    return LineSet.in_plane(F, hits)
 
 
 def oracle_points(A: MSC, kind: str) -> list[Element]:
     """Exhaustive element scan: idempotents skip zero, quasiunits include it.
     The scan runs over x, then y, in index order, so the hits come sorted."""
+    if kind not in _POINT_TESTS:
+        raise ValueError(f"unknown point kind {kind!r}")
     F = A.field
     if not F.is_finite:
         raise InfiniteField("cannot enumerate elements over Q")
-    if kind not in _POINT_TESTS:
-        raise ValueError(f"unknown point kind {kind!r}")
     test = _POINT_TESTS[kind](A)
-    els = F.elements()
-    return [Element(x, y) for x in els for y in els if test(x, y)]
+    q, fel = range(F.order), F._fel
+    return [Element(fel(x), fel(y)) for x in q for y in q if test(x, y)]
 
 
 class OracleMismatch(Exception):

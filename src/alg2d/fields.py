@@ -15,12 +15,19 @@ Arithmetic over GF(p^k), k > 1, has three regimes by the order q:
   field element and operation tables filled from the raw `_add`/`_sub`/
   `_mul`/`_inv` on first use, so arithmetic there is one lookup.  `GF`
   returns one object per field, so elements of fields built through it take
-  the kernel's fast path, which tests the field by identity.
+  the kernel's fast path, which tests the field by identity.  Its sums and
+  products are computed once, into q x q int tables of indices (`raw_add`,
+  `raw_mul`) that its element tables are read from.  GF(p) for p <= 13 has
+  a kernel too.
 - q <= `_LOG_TABLE_MAX_ORDER` = 1024: the raw operations read Zech logarithm
   tables of O(q) entries, built on the field's first operation.
 - above that, the raw operations decode the base-p digits, add them without
   carries or convolve and reduce them by the modulus, and encode again;
   inversion runs extended Euclid on `poly`'s raw helpers.
+
+`Field.raw_ops` gives sums and products on raw values, read as
+table[a][b]: the kernel's int tables, or else row adaptors over the raw
+operations, so no table of q^2 entries is built past the kernel bound.
 
 Fields and elements are immutable; the only mutable state is a set of
 caches (construction, embeddings, log tables, element lists, small-field
@@ -258,6 +265,16 @@ class Field:
             return self._fel(self._index([int(c) for c in value]))
         raise FieldError(f"cannot coerce {value!r} into {self.text()}")
 
+    def raw_ops(self) -> tuple:
+        """(add, mul) on raw values, each read as table[a][b]: the kernel's
+        int tables, or else row adaptors over `_add` and `_mul` that compute
+        each entry when it is read.  A row taken once can be read many
+        times."""
+        K = self._kernel
+        if K is not None:
+            return K.raw_add, K.raw_mul
+        return _Row(_Row, self._add), _Row(_Row, self._mul)
+
     def _fel(self, raw) -> "Fel":
         """The element with this raw value; interned when the field has a
         kernel."""
@@ -464,7 +481,9 @@ class Field:
 class _Kernel:
     """Interned elements and operation tables of a field of order at most
     `_TABLE_MAX_ORDER`.  Each part is built on first use; a binary table is
-    indexed [left index][right index], and the inverse of zero is None."""
+    indexed [left index][right index], and the inverse of zero is None.
+    `raw_add` and `raw_mul` hold indices, and the element tables are read
+    off them."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -474,21 +493,33 @@ class _Kernel:
         """One element object per field element, in index order."""
         return [_SmallFel(self.field, i) for i in range(self.field.order)]
 
-    def _table(self, op) -> list:
+    def _raw_table(self, op) -> list:
+        q = range(self.field.order)
+        return [[op(a, b) for b in q] for a in q]
+
+    def _el_table(self, raw: list) -> list:
         els = self.els
-        return [[els[op(a.raw, b.raw)] for b in els] for a in els]
+        return [[els[c] for c in row] for row in raw]
+
+    @cached_property
+    def raw_add(self) -> list:
+        return self._raw_table(self.field._add)
+
+    @cached_property
+    def raw_mul(self) -> list:
+        return self._raw_table(self.field._mul)
 
     @cached_property
     def add(self) -> list:
-        return self._table(self.field._add)
+        return self._el_table(self.raw_add)
 
     @cached_property
     def sub(self) -> list:
-        return self._table(self.field._sub)
+        return self._el_table(self._raw_table(self.field._sub))
 
     @cached_property
     def mul(self) -> list:
-        return self._table(self.field._mul)
+        return self._el_table(self.raw_mul)
 
     @cached_property
     def neg(self) -> list:
@@ -497,6 +528,20 @@ class _Kernel:
     @cached_property
     def inv(self) -> list:
         return [None] + [self.els[self.field._inv(a.raw)] for a in self.els[1:]]
+
+
+class _Row:
+    """`_Row(op, a)[b]` is op(a, b) for raw a and b, computed when it is read;
+    so `_Row(_Row, op)[a]` is the row of a, and a table of op."""
+
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a):
+        self.op = op
+        self.a = a
+
+    def __getitem__(self, b):
+        return self.op(self.a, b)
 
 
 _FIELDS: dict = {}

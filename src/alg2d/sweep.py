@@ -58,7 +58,8 @@ def _oracle_check(lifted: MSC, quantity: str, solver_lines) -> str:
 # Largest scan one oracle recheck makes: the order of the field whose lines it
 # tests (one line per element, plus F(e2)), or q^2 for the elements of F^2 a
 # quasiunit recheck tests.  A recheck over GF(101^2) tests 10202 lines in
-# about 0.6 s on a 2-core host, and the limit admits GF(139^2) and GF(27^3).
+# about 0.2-0.3 s on a 2-core host, and the limit admits GF(139^2) (about
+# 0.25-0.55 s) and GF(27^3).
 RECHECK_LIMIT = 2 * 10**4
 
 

@@ -213,24 +213,34 @@ def test_checkers_match_the_literal_definitions():
 
 
 def test_oracle_point_scans_multiply_nothing_per_candidate(monkeypatch):
-    """Each scan evaluates its definition from the structure constants: no
-    `mul` and no `basis()` per candidate.  The line scan still goes through
-    `mul`, which shows that the wrapper sees the module's own calls."""
+    """Every scan and checker evaluates its definition on raw values from the
+    structure constants: no `mul`, no `basis()` and no `Field.elements()`,
+    over a kernel field and over fields past the kernel bound."""
     from alg2d import algebra
+    from alg2d.fields import Field
 
     calls = []
     for name in ("mul", "basis"):
         fn = getattr(algebra, name)
         monkeypatch.setattr(algebra, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+    elements = Field.elements
+    monkeypatch.setattr(Field, "elements", lambda F: calls.append(F) or elements(F))
     rng = random.Random(13)
-    F9 = GF(3, 2)
-    for _ in range(10):
-        A = rand_msc(F9, rng)
-        oracle_points(A, "quasiunits")
-        oracle_points(A, "idempotents")
+    for field in (GF(3, 2), GF(17), GF(5, 2)):
+        for _ in range(4):
+            A = rand_msc(field, rng)
+            for kind in ("quasiunits", "idempotents"):
+                oracle_points(A, kind)
+            for kind in ("subalgebras", "left", "right", "two_sided"):
+                oracle_enumerate(A, kind)
+            u = rand_el(field, rng)
+            is_idempotent(A, u)
+            is_left_quasiunit(A, u)
+            is_subalgebra(A, ProjPoint.affine(u.y))
+            is_left_ideal(A, ProjPoint.e2())
     assert calls == []
-    oracle_enumerate(A, "left")
-    assert calls
+    algebra.mul(A, u, u)  # the wrappers do see a call through the module
+    assert len(calls) == 1
 
 
 def test_oracle_enumerate_examples():
@@ -283,6 +293,24 @@ def test_oracle_rejects_infinite_field():
         oracle_enumerate(AQ, "subalgebras")
     with pytest.raises(InfiniteField):
         oracle_points(AQ, "idempotents")
+
+
+@pytest.mark.parametrize(
+    "entry, kind",
+    [
+        ("oracle_enumerate", "ideals"),
+        ("oracle_enumerate", "quasiunits"),
+        ("oracle_points", "ideals"),
+        ("oracle_points", "left"),
+        ("oracle_check", "ideals"),
+    ],
+)
+def test_every_oracle_entry_point_names_an_unknown_kind(entry, kind):
+    from alg2d import algebra
+
+    extra = (LineSet.all_lines(),) if entry == "oracle_check" else ()
+    with pytest.raises(ValueError, match=repr(kind)):
+        getattr(algebra, entry)(A10, kind, *extra)
 
 
 def test_msc_text_and_json_round_trip():

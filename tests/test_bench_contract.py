@@ -52,7 +52,23 @@ def test_tracer_runs_on_an_oracle_analysis():
     )
     assert agg["caches"] > 0
     assert agg["calls"]["report.analyze.oracle"] == 1
-    assert agg["counts"]["algebra.mul.calls"] > 0
+    assert agg["calls"]["algebra.oracle_enumerate"] > 0
+    assert agg["calls"]["algebra.oracle_points"] == 2
+    # the oracle tests its definitions on raw values, never through `mul`
+    assert agg["counts"].get("algebra.mul.calls", 0) == 0
+
+
+def test_tracer_counts_direct_calls_of_mul():
+    agg = _traced(
+        "from alg2d import algebra\n"
+        "F = GF(3, 2)\n"
+        "A = MSC(F, [F.from_index(i) for i in (1, 4, 0, 7)],"
+        " [F.from_index(i) for i in (2, 0, 5, 8)])\n"
+        "e1, e2 = algebra.basis(F)\n"
+        "algebra.mul(A, e1, e2)\n"
+        "algebra.mul(A, e2, e2)"
+    )
+    assert agg["counts"]["algebra.mul.calls"] == 2
 
 
 def test_tracer_counts_the_solves_of_a_verify_point_recheck():
