@@ -59,7 +59,6 @@ from .algebra import (
 from .solvers import (
     AffineSolutionSet,
     IdempotentSet,
-    WrongCharacteristic,
     eigenvalue_poly,
     idempotents,
     is_simple,
@@ -67,8 +66,6 @@ from .solvers import (
     left_ideals,
     left_quasiunits,
     line_count_closed,
-    predict_left_line_count,
-    predict_right_line_count,
     quasiunit_system,
     right_ideal_system,
     right_ideals,
@@ -78,6 +75,11 @@ from .solvers import (
     subalgebra_poly,
     subalgebras,
     two_sided_ideals,
+)
+from .tables import (
+    WrongCharacteristic,
+    predict_left_line_count,
+    predict_right_line_count,
 )
 
 __version__ = "0.1.0"

@@ -112,18 +112,21 @@ def is_prime(n: int) -> bool:
 
 def _is_irreducible(m: list[int], p: int) -> bool:
     """Ben-Or's test (1981) for a monic m of degree k over GF(p):
-    gcd(m, x^(p^i) - x) = 1 for every i <= k/2."""
-    from .poly import _rgcd, _rpow_linear, _rsub
+    gcd(m, x^(p^i) - x) = 1 for every i <= k/2, with x^(p^i) mod m taken as
+    the p-th power of x^(p^(i-1)) mod m."""
+    from .poly import _rgcd, _rpow, _rsub
 
     k = len(m) - 1
     if k < 2:  # x itself is only reduced mod m from degree 2 on
         return k == 1
     P = GF(p)
+    x = t = [0, 1]
     # a reducible m has a factor of degree i <= k/2, which divides x^(p^i) - x
-    return all(
-        len(_rgcd(P, m, _rsub(P, _rpow_linear(P, 0, p**i, m), [0, 1]))) == 1
-        for i in range(1, k // 2 + 1)
-    )
+    for _ in range(k // 2):
+        t = _rpow(P, t, p, m)
+        if len(_rgcd(P, m, _rsub(P, t, x))) != 1:
+            return False
+    return True
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -385,11 +388,7 @@ class Field:
         does): convolve, then fold x^d for d >= k back through the reduction
         rows.  A sparse x costs least."""
         p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
-        for i, c in enumerate(x):
-            if c:
-                for j, d in enumerate(y, i):
-                    conv[j] += c * d
+        conv = _convolve(x, y)
         out = conv[:k]
         red = self._red
         for d in range(k, 2 * k - 1):
@@ -476,6 +475,18 @@ class Field:
             q, r = _rdivmod(P, r0, r1)
             r0, r1, s0, s1 = r1, r, s1, _rsub(P, s0, _rmul(P, q, s1))
         return self._index(s0)
+
+
+def _convolve(x: list, y: list, zero=0) -> list:
+    """The coefficients of the product of the nonempty x and y, constant
+    first, each summed with Python's operators and not reduced; every sum
+    starts at `zero`.  A sparse x costs least."""
+    out = [zero] * (len(x) + len(y) - 1)
+    for i, c in enumerate(x):
+        if c:
+            for j, d in enumerate(y, i):
+                out[j] += c * d
+    return out
 
 
 class _Kernel:

@@ -18,17 +18,24 @@ Over Q, `_rational_roots` runs `_roots` over a small GF(p) and Hensel-lifts
 each root past Cauchy's bound of a monic integer form, so no divisor of a
 coefficient is ever searched; rational roots are sorted by value.
 
-The raw helpers (`_rsub`, `_rmul`, `_rdivmod`, `_rmonic`, `_rgcd`,
-`_rpow_linear`) are the package's only polynomial arithmetic: `Poly`'s
-product, division and gcd convert to them and back, and `fields` runs
-modulus selection and inversion in GF(p^k) on them over GF(p).  They work
-on raw element values: over a finite field an element's raw value is its
-enumeration index, so sorting raw roots sorts them by index.
+The raw helpers (`_rsub`, `_rmul`, `_rdivmod`, `_rmonic`, `_rgcd`, `_rpow`)
+are the package's only polynomial arithmetic: `Poly`'s product, division and
+gcd convert to them and back, and `fields` runs modulus selection and
+inversion in GF(p^k) on them over GF(p).  They work on raw element values:
+over a finite field an element's raw value is its enumeration index, so
+sorting raw roots sorts them by index.  Over GF(p) and Q a raw value is a
+plain number, an int residue or a Fraction, and the helpers compute on it
+with Python's operators: products are convolved over Z (the loop of
+`fields._convolve`, which `Field._dmul` shares), folds by a monic divisor
+run on unreduced ints, and each output coefficient is reduced once, by one
+`% p`.  Over GF(p^k) every sum and product is one call of the field's `_add`,
+`_sub` or `_mul`, which read the log tables or convolve base-p digits.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import random
@@ -44,6 +51,7 @@ from .fields import (
     InfiniteField,
     ParseError,
     QQ,
+    _convolve,
     embed,
     is_prime,
     parse_el,
@@ -214,17 +222,15 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0."""
     if f.field != g.field:
         raise FieldMismatch("gcd of polynomials over different fields")
-    if f.is_zero:
-        return g.monic()
-    F = f.field
-    return Poly._of_raw(F, _rgcd(F, _rmonic(F, f._raw()), g._raw()))
+    return Poly._of_raw(f.field, _rgcd(f.field, f._raw(), g._raw()))
 
 
 # Raw polynomial arithmetic over a field F.  A polynomial is a list of raw
 # values (`Fel.raw`: the element's index over a finite field, a Fraction over
 # Q), constant first, without trailing zeros, so 0 is zero and 1 is one.
-# Only F's `_add`, `_sub`, `_mul` and `_inv` run here: root finding builds no
-# Fel or Poly until it hands the roots back.
+# F.k == 1 (GF(p) or Q) selects the path on plain numbers that the module
+# docstring describes.  Root finding builds no Fel or Poly until it hands
+# the roots back.
 
 def _zero(F: Field):
     return 0 if F.p else Fraction(0)  # Q's raw values stay Fractions
@@ -232,7 +238,12 @@ def _zero(F: Field):
 
 def _rsub(F: Field, a: list, b: list) -> list:
     zero = _zero(F)
-    out = [F._sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=zero)]
+    pairs = itertools.zip_longest(a, b, fillvalue=zero)
+    if F.k == 1:
+        p = F.p
+        out = [(x - y) % p for x, y in pairs] if p else [x - y for x, y in pairs]
+    else:
+        out = [F._sub(x, y) for x, y in pairs]
     while out and out[-1] == zero:
         out.pop()
     return out
@@ -242,28 +253,48 @@ def _rmul(F: Field, a: list, b: list) -> list:
     if not a or not b:
         return []
     zero = _zero(F)
+    if F.k == 1:
+        out = _convolve(a, b, zero)
+        p = F.p
+        return [c % p for c in out] if p else out
+    # products by one (raw value 1) and sums into zero make no call, so a
+    # product by x + c costs what a shift and one scaled add cost
     add, mul = F._add, F._mul
     out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x != zero:
-            for j, y in enumerate(b):
-                out[i + j] = add(out[i + j], mul(x, y))
+        if x:
+            for j, y in enumerate(b, i):
+                t = y if x == 1 else mul(x, y)
+                out[j] = add(out[j], t) if out[j] else t
     return out
 
 
 def _rdivmod(F: Field, a: list, m: list) -> tuple[list, list]:
-    """Quotient and remainder of a by the monic m."""
+    """Quotient and remainder of a by the monic m.  Where raw values are
+    plain numbers, a's coefficients may be any integers over GF(p): each is
+    reduced once, when it is read."""
     zero = _zero(F)
-    sub, mul = F._sub, F._mul
     r = list(a)
     d = len(m) - 1
     q = [zero] * max(len(r) - d, 0)
-    for s in range(len(r) - 1 - d, -1, -1):
-        c = r.pop()
-        q[s] = c
-        if c != zero:
-            for i in range(d):
-                r[s + i] = sub(r[s + i], mul(c, m[i]))
+    if F.k == 1:
+        p = F.p
+        for s in range(len(r) - 1 - d, -1, -1):
+            c = r.pop() % p if p else r.pop()
+            q[s] = c
+            if c:
+                for i in range(d):
+                    r[s + i] -= c * m[i]
+        if p:
+            r = [c % p for c in r]
+    else:
+        sub, mul = F._sub, F._mul
+        for s in range(len(r) - 1 - d, -1, -1):
+            c = r.pop()
+            q[s] = c
+            if c != zero:
+                for i in range(d):
+                    r[s + i] = sub(r[s + i], mul(c, m[i]))
     while r and r[-1] == zero:
         r.pop()
     return q, r
@@ -271,30 +302,33 @@ def _rdivmod(F: Field, a: list, m: list) -> tuple[list, list]:
 
 def _rmonic(F: Field, a: list) -> list:
     inv = F._inv(a[-1])
-    return [F._mul(c, inv) for c in a]
+    if F.k == 1:
+        p = F.p
+        return [c * inv % p for c in a] if p else [c * inv for c in a]
+    mul = F._mul
+    return [mul(c, inv) for c in a]
 
 
 def _rgcd(F: Field, a: list, b: list) -> list:
-    """Monic gcd of the monic a and any b."""
+    """Monic gcd of a and b; zero when both are."""
+    if not b:
+        return _rmonic(F, a) if a else a
     while b:
         b = _rmonic(F, b)
         a, b = b, _rdivmod(F, a, b)[1]
     return a
 
 
-def _rpow_linear(F: Field, a: int, e: int, m: list) -> list:
-    """(x + a)^e mod the monic m over a finite field, for e >= 1, by
-    left-to-right repeated squaring."""
-    add, mul = F._add, F._mul
-    r = _rdivmod(F, [a, 1], m)[1]
+def _rpow(F: Field, b: list, e: int, m: list) -> list:
+    """b^e mod the monic m over a finite field, for e >= 1, by left-to-right
+    repeated squaring.  Over GF(p) each product is left unreduced until its
+    fold by m."""
+    mul = _convolve if F.k == 1 else functools.partial(_rmul, F)
+    b = r = _rdivmod(F, b, m)[1]
     for bit in bin(e)[3:]:
-        r = _rdivmod(F, _rmul(F, r, r), m)[1]
+        r = _rdivmod(F, mul(r, r), m)[1]
         if bit == "1":
-            s = [0] + r
-            if a:
-                for i, c in enumerate(r):
-                    s[i] = add(s[i], mul(a, c))
-            r = _rdivmod(F, s, m)[1]
+            r = _rdivmod(F, mul(b, r), m)[1]
     return r
 
 
@@ -307,7 +341,7 @@ def _root_gcd(f: Poly) -> tuple[list, list]:
     h = _rmonic(F, f._raw())
     if len(h) <= 2:
         return h, h
-    return h, _rgcd(F, h, _rsub(F, _rpow_linear(F, 0, F.order, h), [0, 1]))
+    return h, _rgcd(F, h, _rsub(F, _rpow(F, [0, 1], F.order, h), [0, 1]))
 
 
 def _shifts(F: Field):
@@ -335,7 +369,7 @@ def _splitter(F: Field, c: int, g: list) -> list:
             t = _rdivmod(F, _rmul(F, t, t), g)[1]
             s = _rsub(F, s, t)  # minus is plus in characteristic 2
         return s
-    return _rsub(F, _rpow_linear(F, c, (F.order - 1) // 2, g), [1])
+    return _rsub(F, _rpow(F, [c, 1], (F.order - 1) // 2, g), [1])
 
 
 def _split(F: Field, g: list) -> list[Fel]:

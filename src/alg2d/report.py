@@ -17,6 +17,7 @@ import json
 
 from .algebra import MSC, LineSet, oracle_check
 from .fields import FieldError, InfiniteField, parse_field
+from .poly import RootSearch
 from .solvers import (
     AffineSolutionSet,
     IdempotentSet,
@@ -26,6 +27,7 @@ from .solvers import (
     left_ideals,
     left_quasiunits,
     right_ideals,
+    slope_poly,
     subalgebra_closure,
     subalgebra_count_closed,
     subalgebra_roots,
@@ -140,8 +142,11 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
             f"the brute-force oracle runs on fields of order at most {ORACLE_LIMIT}, "
             f"and {F.text()} has {F.order} elements"
         )
-    # one root search of the subalgebra cubic in F serves every solver below
+    # one root search of the subalgebra cubic in F serves every solver below,
+    # and one of the two-sided slope polynomial in F serves simplicity and,
+    # when they are solved over F, the two-sided ideals
     found = subalgebra_roots(A)
+    two_sided = RootSearch(slope_poly(A, "two_sided"))
     ideal_A = ideal_closure(A) if closed else A
     sub = subalgebra_closure(A, found, ideal_A) if closed else (A, subalgebras(A, found))
     # each line quantity with the algebra it was solved on
@@ -149,10 +154,10 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
         "subalgebras": sub,
         "left": (ideal_A, left_ideals(ideal_A)),
         "right": (ideal_A, right_ideals(ideal_A)),
-        "two_sided": (ideal_A, two_sided_ideals(ideal_A)),
+        "two_sided": (ideal_A, two_sided_ideals(ideal_A, two_sided if ideal_A is A else None)),
     }
     closed_cat = subalgebra_count_closed(A, found).label if F.is_finite else None
-    simple = is_simple(A)
+    simple = is_simple(A, two_sided)
     idem = idempotents(A, found)
     quasi = left_quasiunits(A)
 

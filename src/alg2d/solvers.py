@@ -22,28 +22,31 @@ where all four ideal quadratics split, and through `subalgebra_closure` to
 the cubic's splitting field, which reuses the ideal closure when the two
 fields agree.
 
-The module also carries transcriptions of the published count predicates
-(`predict_left_line_count`, `predict_right_line_count`, `simple_by_cases`)
-used as independent predictors; the generic solver is the ground truth they
-are compared against.
+Each formula in the structure constants (the cubic, the eigenvalue and ideal
+quadratics, the two-sided candidate, the quasiunit system and Cramer's rule
+on it, `simple_by_cases`) is written once and evaluated on the numbers of
+`_numbers(A.field)`: raw values with Python's operators over GF(p) and Q,
+elements over GF(p^k).  Elements, points and polynomials are built only for
+the answers.
+
+The module also carries `simple_by_cases`, the published simplicity test,
+as an independent predictor; the generic solver is the ground truth it is
+compared against.  The published ideal count predicates live in `tables`.
 """
 
 from __future__ import annotations
 
 from .algebra import Element, LineSet, MSC, ProjPoint
-from .fields import GF, Fel, Field, FieldError, InfiniteField
+from .fields import GF, Fel, Field, InfiniteField
 from .poly import (
     Poly,
     RootCount,
     RootSearch,
+    _rgcd,
+    _zero,
     distinct_root_count,
     joint_quadratic_splitting,
-    poly_gcd,
 )
-
-
-class WrongCharacteristic(FieldError):
-    pass
 
 
 class InternalInconsistency(Exception):
@@ -51,39 +54,131 @@ class InternalInconsistency(Exception):
 
 
 # ---------------------------------------------------------------------------
-# The defining polynomials.
+# The numbers the formulas run on.
+
+class _Elements:
+    """Field elements as the numbers of the solver formulas: every operator
+    dispatches to the field and every value is canonical.  GF(p^k) computes
+    on these."""
+
+    def __init__(self, F: Field):
+        self.field, self.zero = F, F.zero
+
+    def consts(self, A: MSC):
+        """a1, a2, a3, a4, b1, b2, b3, b4."""
+        return A.alpha + A.beta
+
+    def of(self, els) -> list:
+        return list(els)
+
+    def canon(self, x):
+        return x
+
+    def inv(self, x):
+        """The inverse of a canonical nonzero x."""
+        return x.inv()
+
+    def fel(self, x) -> Fel:
+        return x
+
+    def poly(self, xs) -> Poly:
+        """The polynomial with the coefficients xs, constant first."""
+        return Poly(self.field, xs)
+
+    def raw(self, xs) -> list:
+        """The raw polynomial with the coefficients xs, constant first."""
+        return _trimmed([x.raw for x in xs])
+
+
+class _Plain(_Elements):
+    """Raw values as the numbers of the solver formulas, where a raw value is
+    a plain number: an int residue over GF(p), which `canon` reduces by one
+    `% p`, or a Fraction over Q, which is always canonical.  Python's
+    operators combine them, so no formula calls the field per operation."""
+
+    def __init__(self, F: Field):
+        self.field, self.p, self.zero = F, F.p, _zero(F)
+
+    def consts(self, A: MSC) -> list:
+        return [c.raw for c in A.alpha + A.beta]
+
+    def of(self, els) -> list:
+        return [c.raw for c in els]
+
+    def canon(self, x):
+        return x % self.p if self.p else x
+
+    def inv(self, x):
+        return pow(x, -1, self.p) if self.p else 1 / x
+
+    def fel(self, x) -> Fel:
+        return self.field._fel(x % self.p if self.p else x)
+
+    def poly(self, xs) -> Poly:
+        return Poly._of_raw(self.field, self.raw(xs))
+
+    def raw(self, xs) -> list:
+        p = self.p
+        return _trimmed([x % p for x in xs] if p else list(xs))
+
+
+def _numbers(F: Field) -> _Elements:
+    return _Plain(F) if F.k == 1 else _Elements(F)
+
+
+def _trimmed(raw: list) -> list:
+    while raw and not raw[-1]:
+        raw.pop()
+    return raw
+
+
+# ---------------------------------------------------------------------------
+# The defining formulas, each written once on the eight structure constants
+# as numbers of `_numbers(A.field)`.  A polynomial is the list of its
+# coefficients, constant first, and no value is brought to canonical form.
+
+def _subalgebra_cubic(a1, a2, a3, a4, b1, b2, b3, b4) -> list:
+    return [-b1, a1 - b2 - b3, a2 + a3 - b4, a4]
+
+
+def _eigenvalue_quadratic(a1, a2, a3, a4, b1, b2, b3, b4) -> list:
+    return [a1, a2 + a3, a4]
+
+
+def _left_system(a1, a2, a3, a4, b1, b2, b3, b4) -> tuple[list, list]:
+    return [-b3, a3 - b4, a4], [-b1, a1 - b2, a2]
+
+
+def _right_system(a1, a2, a3, a4, b1, b2, b3, b4) -> tuple[list, list]:
+    return [-b2, a2 - b4, a4], [-b1, a1 - b3, a3]
+
+
+def _quadratic_at(f: list, y):
+    return (f[2] * y + f[1]) * y + f[0]
+
 
 def subalgebra_poly(A: MSC) -> Poly:
     """Cubic whose roots y give the subalgebra lines F(e1 + y*e2)."""
-    a1, a2, a3, a4 = A.alpha
-    b1, b2, b3, b4 = A.beta
-    return Poly(A.field, [-b1, a1 - b2 - b3, a2 + a3 - b4, a4])
+    N = _numbers(A.field)
+    return N.poly(_subalgebra_cubic(*N.consts(A)))
 
 
 def eigenvalue_poly(A: MSC) -> Poly:
     """Quadratic giving u^2 = c*u with c = a4*y^2 + (a2+a3)*y + a1 along u = e1+y*e2."""
-    a1, a2, a3, a4 = A.alpha
-    return Poly(A.field, [a1, a2 + a3, a4])
+    N = _numbers(A.field)
+    return N.poly(_eigenvalue_quadratic(*N.consts(A)))
 
 
 def left_ideal_system(A: MSC) -> tuple[Poly, Poly]:
     """(a4*y^2+(a3-b4)*y-b3, a2*y^2+(a1-b2)*y-b1); common roots are left-ideal slopes."""
-    a1, a2, a3, a4 = A.alpha
-    b1, b2, b3, b4 = A.beta
-    return (
-        Poly(A.field, [-b3, a3 - b4, a4]),
-        Poly(A.field, [-b1, a1 - b2, a2]),
-    )
+    N = _numbers(A.field)
+    return tuple(map(N.poly, _left_system(*N.consts(A))))
 
 
 def right_ideal_system(A: MSC) -> tuple[Poly, Poly]:
     """(a4*y^2+(a2-b4)*y-b2, a3*y^2+(a1-b3)*y-b1); common roots are right-ideal slopes."""
-    a1, a2, a3, a4 = A.alpha
-    b1, b2, b3, b4 = A.beta
-    return (
-        Poly(A.field, [-b2, a2 - b4, a4]),
-        Poly(A.field, [-b1, a1 - b3, a3]),
-    )
+    N = _numbers(A.field)
+    return tuple(map(N.poly, _right_system(*N.consts(A))))
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +198,21 @@ def slope_poly(A: MSC, which: str) -> Poly:
     if which == "subalgebras":
         return subalgebra_poly(A)
     F = A.field
+    N = _numbers(F)
+    c = N.consts(A)
     if which == "two_sided":
-        _, a2, a3, _ = A.alpha
-        _, b2, b3, _ = A.beta
+        _, a2, a3, _, _, b2, b3, _ = c
         if a2 != a3:
-            y0 = (b3 - b2) / (a3 - a2)
-            ideal = all(f(y0).is_zero for f in left_ideal_system(A) + right_ideal_system(A))
-            return Poly(F, [-y0, F.one] if ideal else [F.one])
+            y0 = N.canon((b3 - b2) * N.inv(N.canon(a3 - a2)))
+            ideal = all(
+                N.canon(_quadratic_at(f, y0)) == N.zero
+                for f in _left_system(*c) + _right_system(*c)
+            )
+            return Poly(F, [N.fel(-y0), F.one] if ideal else [F.one])
         if b2 != b3:
             return Poly(F, [F.one])
-    system = right_ideal_system if which == "right" else left_ideal_system
-    return poly_gcd(*system(A))
+    system = _right_system if which == "right" else _left_system
+    return Poly._of_raw(F, _rgcd(F, *map(N.raw, system(*c))))
 
 
 # alpha entries that all vanish exactly when F(e2) is a line of each kind
@@ -276,7 +375,6 @@ def idempotents(A: MSC, found: RootSearch | None = None) -> IdempotentSet:
     vanishes identically every slope qualifies and a family appears.
     """
     F = A.field
-    lam = eigenvalue_poly(A)
     found = subalgebra_roots(A) if found is None else found
     a4 = A.alpha[3]
     b4 = A.beta[3]
@@ -284,13 +382,15 @@ def idempotents(A: MSC, found: RootSearch | None = None) -> IdempotentSet:
     if a4.is_zero and not b4.is_zero:
         e2_point = Element(F.zero, b4.inv())
     if found.f.is_zero:
-        return IdempotentSet(F, [], lam, e2_point)
+        return IdempotentSet(F, [], eigenvalue_poly(A), e2_point)
+    N = _numbers(F)
+    lam = _eigenvalue_quadratic(*N.consts(A))
     isolated = []
-    for y in found.roots:
-        c = lam(y)
-        if not c.is_zero:
-            inv = c.inv()
-            isolated.append(Element(inv, inv * y))
+    for y in N.of(found.roots):
+        c = N.canon(_quadratic_at(lam, y))
+        if c != N.zero:
+            inv = N.inv(c)
+            isolated.append(Element(N.fel(inv), N.fel(inv * y)))
     return IdempotentSet(F, isolated, None, e2_point)
 
 
@@ -305,8 +405,8 @@ def right_ideals(A: MSC) -> LineSet:
     return lines(A, "right")
 
 
-def two_sided_ideals(A: MSC) -> LineSet:
-    return lines(A, "two_sided")
+def two_sided_ideals(A: MSC, found: RootSearch | None = None) -> LineSet:
+    return lines(A, "two_sided", found)
 
 
 def ideal_splitting(A: MSC) -> Field:
@@ -324,121 +424,6 @@ def ideal_closure(A: MSC) -> MSC:
 
 
 # ---------------------------------------------------------------------------
-# Transcribed count predicates for the ideal systems (independent predictors).
-# They count solutions of the line systems over a root-closed field; the
-# F(e2) contribution is *not* included.
-
-def _predict_system_count(
-    a4: Fel, lin1: Fel, con1: Fel, q2: Fel, lin2: Fel, con2: Fel, char2: bool
-) -> RootCount:
-    """Shared case analysis for a system {a4*y^2+lin1*y-con1, q2*y^2+lin2*y-con2}.
-
-    `char2` selects the characteristic-2 variant of the two discriminant
-    conditions; everything else is identical between the two published case
-    lists.
-    """
-    F = a4.field
-    four = F.el(4)
-    two = F.el(2)
-
-    def iszero(x):
-        return x.is_zero
-
-    if char2:
-        disc_nonzero = not lin1.is_zero
-        one_root_cond = lin1.is_zero
-        tangency = q2 * q2 * con1 * con1 + con1 * a4 * lin2 * lin2 - con2 * con2 * a4 * a4
-    else:
-        disc = lin1 * lin1 + four * a4 * con1
-        disc_nonzero = not disc.is_zero
-        one_root_cond = disc.is_zero
-        tangency = q2 * lin1 * lin1 - two * a4 * lin2 * lin1 - four * con2 * a4 * a4
-
-    resultant_like = q2 * con1 * con1 + con1 * lin2 * lin1 - con2 * lin1 * lin1
-    pivot = a4 * lin2 - q2 * lin1
-    pivot_con = a4 * con2 - q2 * con1
-
-    def first_eval(y):
-        return (a4 * y + lin1) * y - con1
-
-    # no solution
-    if iszero(a4) and iszero(lin1) and not iszero(con1):
-        return RootCount.ZERO
-    if iszero(a4) and not iszero(lin1) and not iszero(resultant_like):
-        return RootCount.ZERO
-    if not iszero(a4) and one_root_cond and not iszero(tangency):
-        return RootCount.ZERO
-    if not iszero(a4) and disc_nonzero and not iszero(pivot):
-        if not first_eval(pivot_con / pivot).is_zero:
-            return RootCount.ZERO
-    if not iszero(a4) and disc_nonzero and iszero(pivot) and not iszero(pivot_con):
-        return RootCount.ZERO
-    if (
-        iszero(a4)
-        and iszero(lin1)
-        and iszero(con1)
-        and iszero(q2)
-        and iszero(lin2)
-        and not iszero(con2)
-    ):
-        return RootCount.ZERO
-
-    # unique solution
-    if iszero(a4) and not iszero(lin1) and iszero(resultant_like):
-        return RootCount.ONE
-    if not iszero(a4) and one_root_cond and iszero(tangency):
-        return RootCount.ONE
-    if not iszero(a4) and disc_nonzero and not iszero(pivot):
-        if first_eval(pivot_con / pivot).is_zero:
-            return RootCount.ONE
-    if iszero(lin1) and iszero(a4) and iszero(con1):
-        if char2:
-            second_double = lin2.is_zero
-        else:
-            second_double = (lin2 * lin2 + four * q2 * con2).is_zero
-        if second_double and not iszero(q2):
-            return RootCount.ONE
-        if iszero(q2) and not iszero(lin2):
-            return RootCount.ONE
-
-    # two solutions
-    if not iszero(a4) and disc_nonzero and iszero(pivot) and iszero(pivot_con):
-        return RootCount.TWO
-    if iszero(lin1) and iszero(a4) and iszero(con1) and not iszero(q2):
-        if char2:
-            if not lin2.is_zero:
-                return RootCount.TWO
-        else:
-            if not (lin2 * lin2 + four * q2 * con2).is_zero:
-                return RootCount.TWO
-
-    # infinitely many
-    if all(
-        iszero(x) for x in (lin2, q2, con2, lin1, a4, con1)
-    ):
-        return RootCount.INFINITE
-    raise InternalInconsistency("count predicate case analysis missed a configuration")
-
-
-def predict_left_line_count(A: MSC) -> RootCount:
-    """Published count of solutions of the left-ideal system; odd characteristic only."""
-    if A.field.p == 2:
-        raise WrongCharacteristic("the left-ideal count predicate needs char != 2")
-    a1, a2, a3, a4 = A.alpha
-    b1, b2, b3, b4 = A.beta
-    return _predict_system_count(a4, a3 - b4, b3, a2, a1 - b2, b1, char2=False)
-
-
-def predict_right_line_count(A: MSC) -> RootCount:
-    """Published count of solutions of the right-ideal system (both char branches)."""
-    a1, a2, a3, a4 = A.alpha
-    b1, b2, b3, b4 = A.beta
-    return _predict_system_count(
-        a4, a2 - b4, b2, a3, a1 - b3, b1, char2=(A.field.p == 2)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Simplicity.
 
 def simple_by_cases(A: MSC) -> bool:
@@ -447,18 +432,19 @@ def simple_by_cases(A: MSC) -> bool:
     Known gap: it never fires when a2 = a3 and b2 = b3 even though such
     algebras can be simple; `simple_by_cases_extended` documents the repair.
     """
-    a1, a2, a3, a4 = A.alpha
-    b1, b2, b3, b4 = A.beta
-    if b2 != b3 and a2 == a3 and not a2.is_zero:
+    N = _numbers(A.field)
+    a1, a2, a3, a4, b1, b2, b3, b4 = N.consts(A)
+    zero = N.zero
+    if b2 != b3 and a2 == a3 and a2 != zero:
         return True
-    if b2 != b3 and a2 == a3 and a2.is_zero and not a4.is_zero:
+    if b2 != b3 and a2 == a3 and a2 == zero and a4 != zero:
         return True
     if a2 != a3:
         d = b3 - b2
         e = a3 - a2
         q1 = d * d * a2 + d * e * (a1 - b2) - e * e * b1
         q2 = d * d * a4 + d * e * (a3 - b4) - e * e * b3
-        if not q1.is_zero or not q2.is_zero:
+        if N.canon(q1) != zero or N.canon(q2) != zero:
             return True
     return False
 
@@ -478,22 +464,23 @@ def simple_by_cases_extended(A: MSC) -> bool:
         return False
     if a2.is_zero and a4.is_zero:
         return False
-    return distinct_root_count(poly_gcd(*left_ideal_system(A))) is RootCount.ZERO
+    return distinct_root_count(slope_poly(A, "left")) is RootCount.ZERO
 
 
-def is_simple(A: MSC) -> bool:
+def is_simple(A: MSC, found: RootSearch | None = None) -> bool:
     """No nontrivial two-sided ideal over the root-closed extension.
 
-    Ground truth is `line_count_closed(A, "two_sided")`, which builds no
-    extension.  The repaired case predicate is recomputed alongside and any
-    disagreement raises, since that would mean a transcription bug rather
-    than a published erratum.  Over Q the case analysis is the closure-exact
-    answer.
+    Ground truth is `line_count_closed(A, "two_sided", found)`, which builds
+    no extension; `found` is a root search of `slope_poly(A, "two_sided")`
+    when the caller already has one.  The repaired case predicate is
+    recomputed alongside and any disagreement raises, since that would mean
+    a transcription bug rather than a published erratum.  Over Q the case
+    analysis is the closure-exact answer.
     """
     by_cases = simple_by_cases_extended(A)
     if not A.field.is_finite:
         return by_cases
-    solved = line_count_closed(A, "two_sided") is RootCount.ZERO
+    solved = line_count_closed(A, "two_sided", found) is RootCount.ZERO
     if solved != by_cases:
         raise InternalInconsistency(
             f"simplicity transcription bug on {A.text()} over {A.field.text()}: "
@@ -505,13 +492,9 @@ def is_simple(A: MSC) -> bool:
 # ---------------------------------------------------------------------------
 # Left quasiunits.
 
-def quasiunit_system(A: MSC) -> tuple[list[tuple[Fel, Fel]], list[Fel]]:
-    """The published 8x2 linear system for a left quasiunit x0*e1 + y0*e2.
-
-    Returns (rows, rhs) with each row (cx, cy) meaning cx*x0 + cy*y0 = rhs.
-    """
-    a1, a2, a3, a4 = A.alpha
-    b1, b2, b3, b4 = A.beta
+def _quasiunit_rows(a1, a2, a3, a4, b1, b2, b3, b4) -> tuple[list, list]:
+    """The published 8x2 linear system for a left quasiunit x0*e1 + y0*e2:
+    (rows, rhs) with each row (cx, cy) meaning cx*x0 + cy*y0 = rhs."""
     rows = [
         (-(a1 * a1) - a3 * b1, -(a3 * a1) + a4 * b1 - a2 * b3 - a3 * b3),
         (-(a1 * a2) - a4 * b1, -(b4 * a2) - a1 * a4 + a4 * b2 - a4 * b3),
@@ -530,6 +513,17 @@ def quasiunit_system(A: MSC) -> tuple[list[tuple[Fel, Fel]], list[Fel]]:
     ]
     rhs = [-c for c in (a1, a2, a3, a4, b1, b2, b3, b4)]
     return rows, rhs
+
+
+def quasiunit_system(A: MSC) -> tuple[list[tuple[Fel, Fel]], list[Fel]]:
+    """The published 8x2 linear system for a left quasiunit x0*e1 + y0*e2,
+    as elements of A's field: (rows, rhs) with each row (cx, cy) meaning
+    cx*x0 + cy*y0 = rhs.  `left_quasiunits` solves the same formula,
+    `_quasiunit_rows`, on the numbers of `_numbers(A.field)` and builds
+    elements only for its answer."""
+    N = _numbers(A.field)
+    rows, rhs = _quasiunit_rows(*N.consts(A))
+    return [(N.fel(cx), N.fel(cy)) for cx, cy in rows], [N.fel(c) for c in rhs]
 
 
 class AffineSolutionSet:
@@ -625,31 +619,44 @@ class AffineSolutionSet:
 
 
 def solve_plane_system(rows, rhs, field: Field) -> AffineSolutionSet:
+    """The solution set of the system whose rows (cx, cy) and right-hand
+    sides are elements of `field`, by `_solve_plane`."""
+    N = _numbers(field)
+    return _solve_plane(N, [N.of(row) for row in rows], N.of(rhs))
+
+
+def _solve_plane(N: _Elements, rows, rhs) -> AffineSolutionSet:
     """Cramer's rule on the first nonzero row and the first row independent
-    of it.  The candidate, their one point or the first row's line, is the
-    answer exactly when every row holds at it (at the line's base, which
-    suffices when every row is a multiple of the first)."""
-    eqs = [(a, b, c) for (a, b), c in zip(rows, rhs)]
-    first = next(((a, b, c) for a, b, c in eqs if not (a.is_zero and b.is_zero)), None)
+    of it, on the numbers N.  The candidate, their one point or the first
+    row's line, is the answer exactly when every row holds at it (at the
+    line's base, which suffices when every row is a multiple of the
+    first)."""
+    canon, zero = N.canon, N.zero
+    eqs = [(canon(a), canon(b), canon(c)) for (a, b), c in zip(rows, rhs)]
+    first = next(((a, b, c) for a, b, c in eqs if a != zero or b != zero), None)
     if first is None:
-        plane = all(c.is_zero for _, _, c in eqs)
+        plane = all(c == zero for _, _, c in eqs)
         return AffineSolutionSet.plane() if plane else AffineSolutionSet.empty()
     a, b, c = first
     for a2, b2, c2 in eqs:
-        det = a * b2 - b * a2
-        if not det.is_zero:
-            at = Element((c * b2 - b * c2) / det, (a * c2 - c * a2) / det)
-            answer = AffineSolutionSet.single(at)
+        det = canon(a * b2 - b * a2)
+        if det != zero:
+            inv = N.inv(det)
+            x, y = canon((c * b2 - b * c2) * inv), canon((a * c2 - c * a2) * inv)
+            point = True
             break
     else:
-        at = Element(c / a, field.zero) if not a.is_zero else Element(field.zero, c / b)
-        answer = AffineSolutionSet.line(at, Element(-b, a))
-    if all(r0 * at.x + r1 * at.y == r for r0, r1, r in eqs):
-        return answer
-    return AffineSolutionSet.empty()
+        x, y = (canon(c * N.inv(a)), zero) if a != zero else (zero, canon(c * N.inv(b)))
+        point = False
+    if any(canon(r0 * x + r1 * y - r) != zero for r0, r1, r in eqs):
+        return AffineSolutionSet.empty()
+    at = Element(N.fel(x), N.fel(y))
+    if point:
+        return AffineSolutionSet.single(at)
+    return AffineSolutionSet.line(at, Element(N.fel(-b), N.fel(a)))
 
 
 def left_quasiunits(A: MSC) -> AffineSolutionSet:
     """Exact affine solution set of the quasiunit system."""
-    rows, rhs = quasiunit_system(A)
-    return solve_plane_system(rows, rhs, A.field)
+    N = _numbers(A.field)
+    return _solve_plane(N, *_quasiunit_rows(*N.consts(A)))

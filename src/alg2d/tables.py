@@ -11,11 +11,11 @@ ambiguous readings are selectable through the ``flags`` mapping.
 
 from __future__ import annotations
 
-from .algebra import Element
-from .fields import Fel, Field
+from .algebra import MSC, Element
+from .fields import Fel, Field, FieldError
 from .poly import Poly, RootCount, poly_gcd
 from .families import FamilyId, Regime, check_point
-from .solvers import AffineSolutionSet
+from .solvers import AffineSolutionSet, InternalInconsistency
 
 ZERO = RootCount.ZERO
 ONE = RootCount.ONE
@@ -1357,3 +1357,123 @@ def predict_quasiunits(
             "qu:char3/A10/row",
         )
     return AffineSolutionSet.empty(), None
+
+
+# ---------------------------------------------------------------------------
+# Transcribed count predicates for the ideal systems (independent predictors).
+# They count solutions of the line systems over a root-closed field; the
+# F(e2) contribution is *not* included.  Only the tests read them, against
+# the closed-form solver.
+
+class WrongCharacteristic(FieldError):
+    pass
+
+
+def _predict_system_count(
+    a4: Fel, lin1: Fel, con1: Fel, q2: Fel, lin2: Fel, con2: Fel, char2: bool
+) -> RootCount:
+    """Shared case analysis for a system {a4*y^2+lin1*y-con1, q2*y^2+lin2*y-con2}.
+
+    `char2` selects the characteristic-2 variant of the two discriminant
+    conditions; everything else is identical between the two published case
+    lists.
+    """
+    F = a4.field
+    four = F.el(4)
+    two = F.el(2)
+
+    def iszero(x):
+        return x.is_zero
+
+    if char2:
+        disc_nonzero = not lin1.is_zero
+        one_root_cond = lin1.is_zero
+        tangency = q2 * q2 * con1 * con1 + con1 * a4 * lin2 * lin2 - con2 * con2 * a4 * a4
+    else:
+        disc = lin1 * lin1 + four * a4 * con1
+        disc_nonzero = not disc.is_zero
+        one_root_cond = disc.is_zero
+        tangency = q2 * lin1 * lin1 - two * a4 * lin2 * lin1 - four * con2 * a4 * a4
+
+    resultant_like = q2 * con1 * con1 + con1 * lin2 * lin1 - con2 * lin1 * lin1
+    pivot = a4 * lin2 - q2 * lin1
+    pivot_con = a4 * con2 - q2 * con1
+
+    def first_eval(y):
+        return (a4 * y + lin1) * y - con1
+
+    # no solution
+    if iszero(a4) and iszero(lin1) and not iszero(con1):
+        return RootCount.ZERO
+    if iszero(a4) and not iszero(lin1) and not iszero(resultant_like):
+        return RootCount.ZERO
+    if not iszero(a4) and one_root_cond and not iszero(tangency):
+        return RootCount.ZERO
+    if not iszero(a4) and disc_nonzero and not iszero(pivot):
+        if not first_eval(pivot_con / pivot).is_zero:
+            return RootCount.ZERO
+    if not iszero(a4) and disc_nonzero and iszero(pivot) and not iszero(pivot_con):
+        return RootCount.ZERO
+    if (
+        iszero(a4)
+        and iszero(lin1)
+        and iszero(con1)
+        and iszero(q2)
+        and iszero(lin2)
+        and not iszero(con2)
+    ):
+        return RootCount.ZERO
+
+    # unique solution
+    if iszero(a4) and not iszero(lin1) and iszero(resultant_like):
+        return RootCount.ONE
+    if not iszero(a4) and one_root_cond and iszero(tangency):
+        return RootCount.ONE
+    if not iszero(a4) and disc_nonzero and not iszero(pivot):
+        if first_eval(pivot_con / pivot).is_zero:
+            return RootCount.ONE
+    if iszero(lin1) and iszero(a4) and iszero(con1):
+        if char2:
+            second_double = lin2.is_zero
+        else:
+            second_double = (lin2 * lin2 + four * q2 * con2).is_zero
+        if second_double and not iszero(q2):
+            return RootCount.ONE
+        if iszero(q2) and not iszero(lin2):
+            return RootCount.ONE
+
+    # two solutions
+    if not iszero(a4) and disc_nonzero and iszero(pivot) and iszero(pivot_con):
+        return RootCount.TWO
+    if iszero(lin1) and iszero(a4) and iszero(con1) and not iszero(q2):
+        if char2:
+            if not lin2.is_zero:
+                return RootCount.TWO
+        else:
+            if not (lin2 * lin2 + four * q2 * con2).is_zero:
+                return RootCount.TWO
+
+    # infinitely many
+    if all(
+        iszero(x) for x in (lin2, q2, con2, lin1, a4, con1)
+    ):
+        return RootCount.INFINITE
+    raise InternalInconsistency("count predicate case analysis missed a configuration")
+
+
+def predict_left_line_count(A: MSC) -> RootCount:
+    """Published count of solutions of the left-ideal system; odd characteristic only."""
+    if A.field.p == 2:
+        raise WrongCharacteristic("the left-ideal count predicate needs char != 2")
+    a1, a2, a3, a4 = A.alpha
+    b1, b2, b3, b4 = A.beta
+    return _predict_system_count(a4, a3 - b4, b3, a2, a1 - b2, b1, char2=False)
+
+
+def predict_right_line_count(A: MSC) -> RootCount:
+    """Published count of solutions of the right-ideal system (both char branches)."""
+    a1, a2, a3, a4 = A.alpha
+    b1, b2, b3, b4 = A.beta
+    return _predict_system_count(
+        a4, a2 - b4, b2, a3, a1 - b3, b1, char2=(A.field.p == 2)
+    )

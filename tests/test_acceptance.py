@@ -29,8 +29,6 @@ from alg2d import (
     right_ideal_system,
     right_ideals,
     roots_in_field,
-    predict_left_line_count,
-    predict_right_line_count,
     simple_by_cases_extended,
     splitting_field,
     subalgebra_count_closed,
@@ -48,6 +46,7 @@ from alg2d.sweep import (
     sweep_all,
     sweep_family,
 )
+from alg2d.tables import predict_left_line_count, predict_right_line_count
 
 
 def _passline(name, detail, t0):

@@ -99,6 +99,25 @@ def test_default_moduli_unchanged():
     assert {pk: GF(*pk).modulus for pk in MODULI} == MODULI
 
 
+# Default moduli of large degree, as {degree: coefficient} of their nonzero
+# terms.  Ben-Or's test builds x^(p^i) mod m from x^(p^(i-1)) mod m; these
+# pin the search to the moduli it chose when every x^(p^i) was raised from x.
+LARGE_MODULI = {
+    (3, 54): {0: 1, 49: 1, 51: 2, 52: 1, 53: 1, 54: 1},
+    (2, 80): {0: 1, 73: 1, 75: 1, 77: 1, 78: 1, 79: 1, 80: 1},
+    (5, 36): {0: 1, 32: 3, 33: 1, 34: 4, 35: 2, 36: 1},
+}
+
+
+@pytest.mark.parametrize("pk", LARGE_MODULI)
+def test_default_moduli_of_large_degree_unchanged(pk):
+    from alg2d.fields import Field
+
+    modulus = Field(*pk).modulus  # a fresh object, so the search runs here
+    assert {i: c for i, c in enumerate(modulus) if c} == LARGE_MODULI[pk]
+    assert len(modulus) == pk[1] + 1
+
+
 def test_default_modulus_over_a_huge_prime():
     assert GF(2**61 - 1, 2).modulus == (1, 0, 1)  # 2^61 - 1 = 3 mod 4
 

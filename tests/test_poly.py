@@ -335,3 +335,123 @@ def test_joint_quadratic_splitting_searches_no_roots(monkeypatch):
     assert poly.joint_quadratic_splitting(F7, [P(F7, -1, 0, 1), P(F7, 1, 0, 1)]) is GF(7, 2)
     assert poly.joint_quadratic_splitting(F4, [P(F4, 1, 1, 1), P(F4, 0, 0, 1)]) is F4
     assert poly.joint_quadratic_splitting(F4, [Poly(F4, [w, F4.one, F4.one])]) is GF(2, 4)
+
+
+# ---------------------------------------------------------------------------
+# The raw helpers against schoolbook arithmetic on Fel coefficients.  Over
+# GF(p) the helpers compute on int residues and over Q on Fractions, with
+# Python's operators; over GF(p^k) (a kernel field, log tables, base-p
+# digits) they call the field per operation.  The reference goes through the
+# elements' own operators.
+
+RAW_FIELDS = [
+    (2, 1), (3, 1), (7, 1), (10007, 1), (2**61 - 1, 1), (0, 1), (3, 2), (5, 4), (2, 11)
+]
+
+
+def _field_of(spec):
+    return QQ if spec[0] == 0 else GF(*spec)
+
+
+def _draw_raw(F, rng, degree):
+    """A raw polynomial of exactly this degree, zero-heavy in its lower terms."""
+    def draw():
+        if rng.random() < 0.3:
+            return F.zero.raw
+        if F.is_finite:
+            return rng.randrange(F.order)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    coeffs = [draw() for _ in range(degree)]
+    lead = draw()
+    while not lead:
+        lead = F.one.raw if rng.random() < 0.5 else draw()
+    return coeffs + [lead]
+
+
+def _fels(F, raw):
+    return [F._fel(c) for c in raw]
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return cs
+
+
+def _raws(cs):
+    return [c.raw for c in _trim(cs)]
+
+
+def _ref_mul(F, a, b):
+    if not a or not b:
+        return []
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _ref_divmod(F, a, m):
+    r, q = _trim(a), [F.zero] * max(len(a) - len(m) + 1, 0)
+    inv = m[-1].inv()
+    while len(r) >= len(m):
+        s = len(r) - len(m)
+        c = r[-1] * inv
+        q[s] = c
+        for i, y in enumerate(m):
+            r[s + i] = r[s + i] - c * y
+        r = _trim(r)
+    return q, r
+
+
+def _ref_gcd(F, a, b):
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _ref_divmod(F, a, b)[1]
+    return [c * a[-1].inv() for c in a] if a else a
+
+
+@pytest.mark.parametrize("spec", RAW_FIELDS)
+def test_raw_helpers_match_schoolbook_arithmetic_on_elements(spec):
+    F = _field_of(spec)
+    rng = random.Random(spec[0] % 1000 + 17)
+    for _ in range(60):
+        a, b, c = (_draw_raw(F, rng, rng.randint(0, d)) for d in (4, 3, 2))
+        m = poly._rmonic(F, _draw_raw(F, rng, rng.randint(1, 3)))
+        A, B, C, M = (_fels(F, v) for v in (a, b, c, m))
+        assert poly._rmul(F, a, b) == _raws(_ref_mul(F, A, B))
+        q, r = _ref_divmod(F, A, M)
+        assert poly._rdivmod(F, a, m) == (_raws(q), _raws(r))
+        # f = a*c and g = b*c share c, so gcds are often nontrivial
+        f, g = poly._rmul(F, a, c), poly._rmul(F, b, c)
+        assert poly._rgcd(F, f, g) == _raws(_ref_gcd(F, _ref_mul(F, A, C), _ref_mul(F, B, C)))
+        assert poly._rgcd(F, [], g) == _raws(_ref_gcd(F, [], _ref_mul(F, B, C)))
+        assert poly._rmonic(F, a) == _raws([x * A[-1].inv() for x in A])
+        assert poly._rsub(F, a, b) == _raws(
+            [x - y for x, y in itertools.zip_longest(A, B, fillvalue=F.zero)]
+        )
+        if F.is_finite:
+            # b^e mod m, from the base x + t and from a general base
+            e = rng.randint(1, 40)
+            for base in ([rng.randrange(F.order), 1], b):
+                want = [F.one]
+                for _ in range(e):
+                    want = _ref_divmod(F, _ref_mul(F, want, _fels(F, base)), M)[1]
+                assert poly._rpow(F, base, e, m) == _raws(want)
+        else:
+            outputs = [poly._rmul(F, a, b), *poly._rdivmod(F, a, m), poly._rgcd(F, f, g)]
+            outputs += [poly._rmonic(F, a), poly._rsub(F, a, b)]
+            assert all(type(x) is Fraction for out in outputs for x in out)
+
+
+@pytest.mark.parametrize("p, k", [(2, 5), (3, 4), (7, 3), (10007, 2), (2**61 - 1, 2)])
+def test_raw_power_by_the_extension_order_fixes_x(p, k):
+    """x^(p^k) = x modulo the modulus of GF(p^k), which is irreducible of
+    degree k, on the int path over GF(p): an exponent far past the
+    schoolbook range."""
+    m = list(GF(p, k).modulus)
+    assert poly._rpow(GF(p), [0, 1], p**k, m) == [0, 1]
+    assert poly._rpow(GF(p), [0, 1], p, m) != [0, 1]

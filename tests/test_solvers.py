@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,13 +8,13 @@ from alg2d import (
     GF,
     QQ,
     Element,
+    Fel,
     InfiniteField,
     LineSet,
     MSC,
     Poly,
     ProjPoint,
     RootCount,
-    WrongCharacteristic,
     basis,
     distinct_root_count,
     eigenvalue_poly,
@@ -28,8 +29,6 @@ from alg2d import (
     mul,
     oracle_points,
     poly_gcd,
-    predict_left_line_count,
-    predict_right_line_count,
     quasiunit_system,
     right_ideal_system,
     right_ideals,
@@ -44,11 +43,18 @@ from alg2d import (
 from alg2d.algebra import all_mscs
 from alg2d.families import FamilyId, Regime, instantiate
 from alg2d.solvers import (
+    AffineSolutionSet,
+    IdempotentSet,
     ideal_closure,
     slope_poly,
     solve_plane_system,
     subalgebra_closure,
     subalgebra_roots,
+)
+from alg2d.tables import (
+    WrongCharacteristic,
+    predict_left_line_count,
+    predict_right_line_count,
 )
 
 F5 = GF(5)
@@ -680,3 +686,151 @@ def test_inverse_cache_stays_empty_above_the_memo_limit():
         used += E in report.line_fields.values()
     assert used > 0  # the quadratic extension really did arithmetic
     assert len(E._inv_cache) == 0
+
+
+# ---------------------------------------------------------------------------
+# The formulas on raw values.  Over GF(p) and Q each formula runs on raw
+# values with Python's operators; `solvers._Elements` runs the same formula
+# on Fel elements, as GF(p^k) does, and must give the same answers.
+
+def _zero_heavy_mscs(F, n, seed):
+    """n seeded MSCs whose entries are 0 half the time, else 1, -1 or a
+    random element, and the zero MSC: the quasiunit system takes every
+    rank there."""
+    rng = random.Random(seed)
+
+    def draw():
+        roll = rng.random()
+        if roll < 0.5:
+            return F.zero
+        if roll < 0.7:
+            return F.one
+        if roll < 0.8:
+            return -F.one
+        if F.is_finite:
+            return F.from_index(rng.randrange(F.order))
+        return F.el(rng.randrange(-50, 50)) / F.el(rng.randrange(1, 9))
+
+    return [MSC(F, [F.zero] * 4, [F.zero] * 4)] + [
+        MSC(F, [draw() for _ in range(4)], [draw() for _ in range(4)]) for _ in range(n)
+    ]
+
+
+def _solver_answers(A):
+    return (
+        left_quasiunits(A),
+        quasiunit_system(A),
+        [slope_poly(A, which) for which in ("subalgebras", "left", "right", "two_sided")],
+        left_ideal_system(A),
+        right_ideal_system(A),
+        eigenvalue_poly(A),
+        simple_by_cases(A),
+        idempotents(A),
+    )
+
+
+def _fels_in(obj):
+    """Every field element an answer holds."""
+    if isinstance(obj, Fel):
+        yield obj
+    elif isinstance(obj, (list, tuple, frozenset)):
+        for x in obj:
+            yield from _fels_in(x)
+    elif isinstance(obj, Element):
+        yield from (obj.x, obj.y)
+    elif isinstance(obj, Poly):
+        yield from obj.coeffs
+    elif isinstance(obj, AffineSolutionSet):
+        yield from _fels_in([obj.point, obj.base, obj.direction])
+    elif isinstance(obj, IdempotentSet):
+        yield from _fels_in([obj.isolated, obj.family, obj.e2_point])
+
+
+@pytest.mark.parametrize("spec", [(7, 1), (10007, 1), (3, 2), (0, 1)])
+def test_formulas_on_raw_values_equal_the_formulas_on_elements(monkeypatch, spec):
+    from alg2d import solvers
+
+    F = QQ if spec[0] == 0 else GF(*spec)
+    mscs = _zero_heavy_mscs(F, 150, seed=spec[0] + spec[1])
+    on_numbers = [_solver_answers(A) for A in mscs]
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_numbers", solvers._Elements)
+        on_elements = [_solver_answers(A) for A in mscs]
+    assert on_numbers == on_elements
+    kinds = {answers[0].kind for answers in on_numbers}
+    assert kinds == {"empty", "point", "line", "plane"}
+    if not F.is_finite:
+        # raw values over Q stay Fractions, never ints
+        assert all(type(c.raw) is Fraction for a in on_numbers for c in _fels_in(a))
+    elif F.order <= 16:
+        for A, answers in zip(mscs, on_numbers):
+            assert answers[0].materialize(F) == oracle_points(A, "quasiunits"), A.text()
+    else:
+        # GF(10007) has 10^8 points, past any scan: check the answer instead
+        for A, answers in zip(mscs, on_numbers):
+            qs = answers[0]
+            if qs.kind == "point":
+                assert is_left_quasiunit(A, qs.point), A.text()
+            elif qs.kind == "line":
+                for t in (F.zero, F.one, F.el(5)):
+                    assert is_left_quasiunit(A, qs.base + qs.direction.scale(t)), A.text()
+
+
+def test_plain_analysis_over_a_prime_field_calls_no_field_product(monkeypatch):
+    """Every formula and root search of a plain analysis over GF(10007) runs
+    on int residues: no `Field._mul` or `Field._add` call.  The one
+    exception is a line of quasiunits, which `AffineSolutionSet.line` puts
+    in canonical form on elements."""
+    from alg2d import fields
+    from alg2d.report import analyze
+
+    calls = []
+    for name in ("_mul", "_add"):
+        op = getattr(fields.Field, name)
+        counted = lambda F, a, b, _op=op, _name=name: calls.append(_name) or _op(F, a, b)
+        monkeypatch.setattr(fields.Field, name, counted)
+    F = GF(10007)
+    kinds = []
+    isolated = 0
+    for A in _seeded_mscs(F, 40, seed=8) + _zero_heavy_mscs(F, 40, seed=8):
+        calls.clear()
+        report = analyze(A)
+        kinds.append(report.quasiunits.kind)
+        isolated += len(report.idempotent_set.isolated)
+        if report.quasiunits.kind != "line":
+            assert calls == [], A.text()
+    # the paths that multiplied elements ran: roots were split, idempotents
+    # scaled and quasiunits solved
+    assert isolated > 10
+    assert {"empty", "point", "plane"} <= set(kinds)
+    # the counter sees the field's own product
+    calls.clear()
+    assert F.el(3) * F.el(5) == F.el(15) and calls == ["_mul"]
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_analyze_searches_the_two_sided_slope_polynomial_once_per_field(monkeypatch, closed):
+    """Simplicity reads the two-sided search over A's own field that also
+    gives the two-sided ideals there; closed mode searches once more, over
+    the ideal closure, only when that is another field."""
+    from alg2d import report as report_mod, solvers
+    from alg2d.report import analyze
+
+    seen = []
+    slope = solvers.slope_poly
+
+    def counted(A, which):
+        if which == "two_sided":
+            seen.append(A.field)
+        return slope(A, which)
+
+    for mod in (solvers, report_mod):
+        monkeypatch.setattr(mod, "slope_poly", counted)
+    lifted = 0
+    for A in _seeded_mscs(GF(1009), 30, seed=5):
+        seen.clear()
+        report = analyze(A, closed=closed)
+        E = report.line_fields["two_sided"]
+        assert sorted(seen, key=lambda F: F.k) == sorted({A.field, E}, key=lambda F: F.k)
+        lifted += E != A.field
+    assert (lifted > 0) == closed

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from alg2d import GF, QQ, Poly, poly_gcd, roots_in_field, splitting_field
+from alg2d import GF, QQ, Poly, poly, poly_gcd, roots_in_field, splitting_field
 from alg2d.fields import PRIME_LIMIT, _is_irreducible, is_prime
 
 sympy = pytest.importorskip("sympy")
@@ -234,4 +234,23 @@ def test_rational_roots_match_sympy_ground_roots():
         expect = sorted(
             Fraction(int(r.p), int(r.q)) for r in set(_sympy_of(coeffs, 0).ground_roots())
         )
+        assert got == expect, coeffs
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 10007, 2**61 - 1])
+def test_roots_on_the_int_path_match_sympy_ground_roots(p):
+    """Seeded polynomials of degree <= 6, half of them products of linear
+    factors, so that most have roots; root search over GF(p) runs on int
+    residues."""
+    F = GF(p)
+    rng = random.Random(p % 997)
+    for i in range(20):
+        if i % 2:
+            coeffs = [1]
+            for _ in range(rng.randint(1, 6)):
+                coeffs = poly._rmul(F, coeffs, [rng.randrange(p), 1])
+        else:
+            coeffs = _random_coeffs(rng, p, rng.randint(1, 6))
+        got = [r.index() for r in roots_in_field(Poly.from_ints(F, coeffs))]
+        expect = sorted(int(r) % p for r in _sympy_poly(coeffs, p).ground_roots())
         assert got == expect, coeffs
