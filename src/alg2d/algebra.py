@@ -25,9 +25,13 @@ from .fields import Fel, Field, FieldMismatch, InfiniteField, ParseError, embed,
 
 
 class MSC:
-    """Matrix of structure constants (a1..a4; b1..b4) over one field."""
+    """Matrix of structure constants (a1..a4; b1..b4) over one field.
 
-    __slots__ = ("field", "alpha", "beta")
+    `memo` holds what `solvers` works out once per algebra (its root searches
+    and its ideal closure).  It is filled append-only and never holds the
+    algebra itself, and equality and hashing ignore it."""
+
+    __slots__ = ("field", "alpha", "beta", "memo")
 
     def __init__(self, field: Field, alpha, beta):
         alpha = tuple(alpha)
@@ -40,6 +44,7 @@ class MSC:
         self.field = field
         self.alpha = alpha
         self.beta = beta
+        self.memo = {}
 
     @classmethod
     def from_ints(cls, field: Field, alpha, beta) -> "MSC":
@@ -183,18 +188,6 @@ class ProjPoint:
     @classmethod
     def affine(cls, y0: Fel) -> "ProjPoint":
         return cls(y0)
-
-    @classmethod
-    def from_vector(cls, x: Fel, y: Fel) -> "ProjPoint":
-        if x.is_zero:
-            if y.is_zero:
-                raise ValueError("the zero vector spans no line")
-            return cls(None)
-        return cls(y / x)
-
-    @property
-    def is_e2(self) -> bool:
-        return self.y0 is None
 
     def generator(self, field: Field) -> Element:
         if self.y0 is None:

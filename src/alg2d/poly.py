@@ -126,11 +126,6 @@ class Poly:
     def coeff(self, i: int) -> Fel:
         return self.coeffs[i] if i <= self.degree else self.field.zero
 
-    def lead(self) -> Fel:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def _check(self, other: "Poly"):
         if self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
@@ -191,11 +186,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(self.lead().inv())
 
     def lift(self, dst: Field) -> "Poly":
         """Map coefficients through the fixed embedding into dst."""

@@ -8,7 +8,10 @@ closed subalgebra count are read from polynomials over that field.  With
 `solvers.ideal_closure`, where its ideal systems split, and to the splitting
 field of its subalgebra cubic.  Each line quantity is solved once on the
 algebra it is reported over, and the oracle reuses that answer; idempotents
-and quasiunits live in the algebra's own field.
+and quasiunits live in the algebra's own field.  The solvers keep each root
+search on the algebra it ran on, so the subalgebra cubic is searched once
+per field, and simplicity reads the two-sided search over the algebra's own
+field.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import json
 
 from .algebra import MSC, LineSet, oracle_check
 from .fields import FieldError, InfiniteField, parse_field
-from .poly import RootSearch
 from .solvers import (
     AffineSolutionSet,
     IdempotentSet,
@@ -27,10 +29,8 @@ from .solvers import (
     left_ideals,
     left_quasiunits,
     right_ideals,
-    slope_poly,
     subalgebra_closure,
     subalgebra_count_closed,
-    subalgebra_roots,
     subalgebras,
     two_sided_ideals,
 )
@@ -142,23 +142,17 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
             f"the brute-force oracle runs on fields of order at most {ORACLE_LIMIT}, "
             f"and {F.text()} has {F.order} elements"
         )
-    # one root search of the subalgebra cubic in F serves every solver below,
-    # and one of the two-sided slope polynomial in F serves simplicity and,
-    # when they are solved over F, the two-sided ideals
-    found = subalgebra_roots(A)
-    two_sided = RootSearch(slope_poly(A, "two_sided"))
     ideal_A = ideal_closure(A) if closed else A
-    sub = subalgebra_closure(A, found, ideal_A) if closed else (A, subalgebras(A, found))
     # each line quantity with the algebra it was solved on
     parts = {
-        "subalgebras": sub,
+        "subalgebras": subalgebra_closure(A) if closed else (A, subalgebras(A)),
         "left": (ideal_A, left_ideals(ideal_A)),
         "right": (ideal_A, right_ideals(ideal_A)),
-        "two_sided": (ideal_A, two_sided_ideals(ideal_A, two_sided if ideal_A is A else None)),
+        "two_sided": (ideal_A, two_sided_ideals(ideal_A)),
     }
-    closed_cat = subalgebra_count_closed(A, found).label if F.is_finite else None
-    simple = is_simple(A, two_sided)
-    idem = idempotents(A, found)
+    closed_cat = subalgebra_count_closed(A).label if F.is_finite else None
+    simple = is_simple(A)
+    idem = idempotents(A)
     quasi = left_quasiunits(A)
 
     if oracle:

@@ -14,13 +14,14 @@ One root search (`poly.RootSearch`) of that polynomial serves both answers:
 `lines` lists the lines with slopes in A's own field, and
 `line_count_closed` counts them over the root closure with no extension
 field built.  The named solvers (`subalgebras`, `left_ideals`, ...,
-`subalgebra_count_closed`) delegate to these two.  Callers search the cubic
-once and pass the search in as `found`.  Idempotents scale the cubic's roots
-through `eigenvalue_poly`, and quasiunits solve an 8x2 linear system.  Only
-callers that list the lines over the closure lift A: to `ideal_closure(A)`,
-where all four ideal quadratics split, and through `subalgebra_closure` to
-the cubic's splitting field, which reuses the ideal closure when the two
-fields agree.
+`subalgebra_count_closed`) delegate to these two.  Each search is made once
+per algebra and kept on it (`root_search`), so the cubic's one search also
+serves the idempotents, which scale its roots through `eigenvalue_poly`, and
+the subalgebra splitting field.  Quasiunits solve an 8x2 linear system.
+Only callers that list the lines over the closure lift A: to
+`ideal_closure(A)`, where all four ideal quadratics split, which is also
+kept on A, and through `subalgebra_closure` to the cubic's splitting field,
+which reuses the ideal closure when the two fields agree.
 
 Each formula in the structure constants (the cubic, the eigenvalue and ideal
 quadratics, the two-sided candidate, the quasiunit system and Cramer's rule
@@ -62,7 +63,7 @@ class _Elements:
     on these."""
 
     def __init__(self, F: Field):
-        self.field, self.zero = F, F.zero
+        self.field, self.zero, self.one = F, F.zero, F.one
 
     def consts(self, A: MSC):
         """a1, a2, a3, a4, b1, b2, b3, b4."""
@@ -97,7 +98,7 @@ class _Plain(_Elements):
     operators combine them, so no formula calls the field per operation."""
 
     def __init__(self, F: Field):
-        self.field, self.p, self.zero = F, F.p, _zero(F)
+        self.field, self.p, self.zero, self.one = F, F.p, _zero(F), F.one.raw
 
     def consts(self, A: MSC) -> list:
         return [c.raw for c in A.alpha + A.beta]
@@ -223,12 +224,25 @@ def _e2_line(A: MSC, which: str) -> bool:
     return all(A.alpha[i].is_zero for i in _E2_LINE[which])
 
 
-def lines(A: MSC, which: str, found: RootSearch | None = None) -> LineSet:
+def _kept(A: MSC, key: str, make):
+    """`make()`, made once per algebra and kept in `A.memo`."""
+    try:
+        return A.memo[key]
+    except KeyError:
+        return A.memo.setdefault(key, make())
+
+
+def root_search(A: MSC, which: str) -> RootSearch:
+    """The one root search of `slope_poly(A, which)` in A's own field, kept
+    on A; it splits out the roots only for a solver that reads them."""
+    return _kept(A, which, lambda: RootSearch(slope_poly(A, which)))
+
+
+def lines(A: MSC, which: str) -> LineSet:
     """The lines of the kind `which` with slopes in A's own field: every line
     when the slope polynomial is zero, otherwise F(e1 + r*e2) for each of its
-    roots r, and F(e2) when that line qualifies.  `found` is a root search
-    of `slope_poly(A, which)` when the caller already has one."""
-    found = RootSearch(slope_poly(A, which)) if found is None else found
+    roots r, and F(e2) when that line qualifies."""
+    found = root_search(A, which)
     if found.f.is_zero:
         return LineSet.all_lines()
     points = [ProjPoint.affine(r) for r in found.roots]
@@ -237,14 +251,14 @@ def lines(A: MSC, which: str, found: RootSearch | None = None) -> LineSet:
     return LineSet.in_plane(A.field, points)
 
 
-def line_count_closed(A: MSC, which: str, found: RootSearch | None = None) -> RootCount:
+def line_count_closed(A: MSC, which: str) -> RootCount:
     """Count of lines of the kind `which` over a root-closed extension of a
     finite field, with no extension built: the slope polynomial's distinct
     roots there are its in-field roots plus the degree of its rootless, hence
     irreducible and separable, factor; then F(e2) when it qualifies."""
     if not A.field.is_finite:
         raise InfiniteField("closed line counts need a finite field")
-    found = RootSearch(slope_poly(A, which)) if found is None else found
+    found = root_search(A, which)
     if found.f.is_zero:
         return RootCount.INFINITE
     n = found.count + found.rest + _e2_line(A, which)
@@ -256,41 +270,33 @@ def line_count_closed(A: MSC, which: str, found: RootSearch | None = None) -> Ro
 # ---------------------------------------------------------------------------
 # Subalgebras and idempotents.
 
-def subalgebra_roots(A: MSC) -> RootSearch:
-    """One root search of the subalgebra cubic in A's own field, which splits
-    out the roots only for a solver that reads them.  The solvers that take
-    it as `found` search on their own without it."""
-    return RootSearch(subalgebra_poly(A))
+def subalgebras(A: MSC) -> LineSet:
+    return lines(A, "subalgebras")
 
 
-def subalgebras(A: MSC, found: RootSearch | None = None) -> LineSet:
-    return lines(A, "subalgebras", found)
-
-
-def subalgebra_splitting(A: MSC, found: RootSearch | None = None) -> Field:
+def subalgebra_splitting(A: MSC) -> Field:
     """Smallest extension where the subalgebra cubic splits: GF(q^n) for the
     degree n of its factor without roots in GF(q), which is irreducible."""
     F = A.field
     if not F.is_finite:
         raise InfiniteField("splitting fields need a finite field")
-    rest = (subalgebra_roots(A) if found is None else found).rest
+    rest = root_search(A, "subalgebras").rest
     return GF(F.p, F.k * rest) if rest else F
 
 
-def subalgebra_closure(A: MSC, found: RootSearch, closure: MSC) -> tuple[MSC, LineSet]:
+def subalgebra_closure(A: MSC) -> tuple[MSC, LineSet]:
     """A lifted to `subalgebra_splitting(A)`, or A itself when the cubic splits
-    in A's field, with its subalgebra lines there.  `found` is
-    `subalgebra_roots(A)`, and `closure` is `ideal_closure(A)`, which serves
+    in A's field, with its subalgebra lines there.  `ideal_closure(A)` serves
     as the lift when the two splitting fields are the same."""
-    if not found.rest:
-        return A, subalgebras(A, found)
-    ext = subalgebra_splitting(A, found)
-    lifted = closure if closure.field == ext else A.lift(ext)
+    if not root_search(A, "subalgebras").rest:
+        return A, subalgebras(A)
+    ext = subalgebra_splitting(A)
+    lifted = ideal_closure(A) if _ideal_field(A) == ext else A.lift(ext)
     return lifted, subalgebras(lifted)
 
 
-def subalgebra_count_closed(A: MSC, found: RootSearch | None = None) -> RootCount:
-    return line_count_closed(A, "subalgebras", found)
+def subalgebra_count_closed(A: MSC) -> RootCount:
+    return line_count_closed(A, "subalgebras")
 
 
 class IdempotentSet:
@@ -322,13 +328,6 @@ class IdempotentSet:
         if self.e2_point is not None:
             out.add(self.e2_point)
         return sorted(out, key=lambda u: u.sort_key())
-
-    def is_empty(self) -> bool:
-        if self.isolated or self.e2_point is not None:
-            return False
-        if self.family is None:
-            return True
-        return self.family.is_zero
 
     def __eq__(self, other):
         return (
@@ -367,7 +366,7 @@ class IdempotentSet:
         return "IdempotentSet{" + ", ".join(parts) + "}"
 
 
-def idempotents(A: MSC, found: RootSearch | None = None) -> IdempotentSet:
+def idempotents(A: MSC) -> IdempotentSet:
     """All v with v^2 = v, from the roots of the subalgebra cubic.
 
     A root y with nonzero eigenvalue c rescales to the idempotent (1/c)(e1+y*e2);
@@ -375,7 +374,7 @@ def idempotents(A: MSC, found: RootSearch | None = None) -> IdempotentSet:
     vanishes identically every slope qualifies and a family appears.
     """
     F = A.field
-    found = subalgebra_roots(A) if found is None else found
+    found = root_search(A, "subalgebras")
     a4 = A.alpha[3]
     b4 = A.beta[3]
     e2_point = None
@@ -405,8 +404,8 @@ def right_ideals(A: MSC) -> LineSet:
     return lines(A, "right")
 
 
-def two_sided_ideals(A: MSC, found: RootSearch | None = None) -> LineSet:
-    return lines(A, "two_sided", found)
+def two_sided_ideals(A: MSC) -> LineSet:
+    return lines(A, "two_sided")
 
 
 def ideal_splitting(A: MSC) -> Field:
@@ -416,11 +415,16 @@ def ideal_splitting(A: MSC) -> Field:
     return joint_quadratic_splitting(A.field, [l1, l2, r1, r2])
 
 
+def _ideal_field(A: MSC) -> Field:
+    return _kept(A, "ideal_splitting", lambda: ideal_splitting(A))
+
+
 def ideal_closure(A: MSC) -> MSC:
     """A lifted to `ideal_splitting(A)`, or A itself when that field is A's own;
-    its ideal lines there are those of the root closure."""
-    ext = ideal_splitting(A)
-    return A.lift(ext) if ext != A.field else A
+    its ideal lines there are those of the root closure.  The field and the
+    lift are kept on A, and A itself is not, so no algebra refers to itself."""
+    ext = _ideal_field(A)
+    return A if ext == A.field else _kept(A, "ideal_closure", lambda: A.lift(ext))
 
 
 # ---------------------------------------------------------------------------
@@ -467,20 +471,20 @@ def simple_by_cases_extended(A: MSC) -> bool:
     return distinct_root_count(slope_poly(A, "left")) is RootCount.ZERO
 
 
-def is_simple(A: MSC, found: RootSearch | None = None) -> bool:
+def is_simple(A: MSC) -> bool:
     """No nontrivial two-sided ideal over the root-closed extension.
 
-    Ground truth is `line_count_closed(A, "two_sided", found)`, which builds
-    no extension; `found` is a root search of `slope_poly(A, "two_sided")`
-    when the caller already has one.  The repaired case predicate is
-    recomputed alongside and any disagreement raises, since that would mean
-    a transcription bug rather than a published erratum.  Over Q the case
-    analysis is the closure-exact answer.
+    Ground truth is `line_count_closed(A, "two_sided")`, which builds no
+    extension and shares A's one two-sided search with `two_sided_ideals`.
+    The repaired case predicate is recomputed alongside and any disagreement
+    raises, since that would mean a transcription bug rather than a
+    published erratum.  Over Q the case analysis is the closure-exact
+    answer.
     """
     by_cases = simple_by_cases_extended(A)
     if not A.field.is_finite:
         return by_cases
-    solved = line_count_closed(A, "two_sided", found) is RootCount.ZERO
+    solved = line_count_closed(A, "two_sided") is RootCount.ZERO
     if solved != by_cases:
         raise InternalInconsistency(
             f"simplicity transcription bug on {A.text()} over {A.field.text()}: "
@@ -547,14 +551,19 @@ class AffineSolutionSet:
 
     @classmethod
     def line(cls, base: Element, direction: Element):
-        """The line base + t*direction, stored in its canonical form: monic
-        direction, and a base that is zero in the direction's pivot coordinate."""
+        """The line base + t*direction, stored in the canonical form of
+        `_line`: it is dy*x - dx*y = dy*bx - dx*by."""
         if direction.is_zero:
             raise ValueError("a line needs a nonzero direction")
-        pivot = direction.x if not direction.x.is_zero else direction.y
-        d = direction.scale(pivot.inv())
-        t = base.x if not direction.x.is_zero else base.y
-        return cls("line", base=base - d.scale(t), direction=d)
+        N = _numbers(base.x.field)
+        bx, by, dx, dy = N.of((base.x, base.y, direction.x, direction.y))
+        return cls._of_numbers(N, *_line(N, dy, N.canon(-dx), dy * bx - dx * by))
+
+    @classmethod
+    def _of_numbers(cls, N: _Elements, x, y, dx, dy):
+        """The line (x, y) + t*(dx, dy), given on the numbers N."""
+        fel = N.fel
+        return cls("line", base=Element(fel(x), fel(y)), direction=Element(fel(dx), fel(dy)))
 
     @classmethod
     def plane(cls):
@@ -625,6 +634,17 @@ def solve_plane_system(rows, rhs, field: Field) -> AffineSolutionSet:
     return _solve_plane(N, [N.of(row) for row in rows], N.of(rhs))
 
 
+def _line(N: _Elements, a, b, c) -> tuple:
+    """(x, y, dx, dy): the canonical form (x, y) + t*(dx, dy) of the line
+    a*x + b*y = c on the numbers N, for (a, b) nonzero and b canonical: base
+    (0, c/b) and direction (1, -a/b) when b != 0, else base (c/a, 0) and
+    direction (0, 1).  The values are not brought to canonical form."""
+    if b != N.zero:
+        inv = N.inv(b)
+        return N.zero, c * inv, N.one, -a * inv
+    return c * N.inv(a), N.zero, N.zero, N.one
+
+
 def _solve_plane(N: _Elements, rows, rhs) -> AffineSolutionSet:
     """Cramer's rule on the first nonzero row and the first row independent
     of it, on the numbers N.  The candidate, their one point or the first
@@ -646,14 +666,13 @@ def _solve_plane(N: _Elements, rows, rhs) -> AffineSolutionSet:
             point = True
             break
     else:
-        x, y = (canon(c * N.inv(a)), zero) if a != zero else (zero, canon(c * N.inv(b)))
+        x, y, dx, dy = _line(N, a, b, c)
         point = False
     if any(canon(r0 * x + r1 * y - r) != zero for r0, r1, r in eqs):
         return AffineSolutionSet.empty()
-    at = Element(N.fel(x), N.fel(y))
     if point:
-        return AffineSolutionSet.single(at)
-    return AffineSolutionSet.line(at, Element(N.fel(-b), N.fel(a)))
+        return AffineSolutionSet.single(Element(N.fel(x), N.fel(y)))
+    return AffineSolutionSet._of_numbers(N, x, y, dx, dy)
 
 
 def left_quasiunits(A: MSC) -> AffineSolutionSet:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 import sys
-from functools import cache
 
 from .algebra import MSC, oracle_check
 from .fields import Field, FieldError
@@ -31,10 +30,9 @@ from .solvers import (
     left_quasiunits,
     line_count_closed,
     right_ideals,
-    slope_poly,
+    root_search,
     subalgebra_closure,
     subalgebra_count_closed,
-    subalgebra_roots,
     subalgebra_splitting,
     two_sided_ideals,
 )
@@ -50,7 +48,7 @@ def _oracle_check(lifted: MSC, quantity: str, solver_lines) -> str:
     qualifies over every extension, else the number of lines.  A finite set
     can hold every line of a small plane: all three over GF(2)."""
     lines = oracle_check(lifted, quantity, solver_lines)
-    if slope_poly(lifted, quantity).is_zero:
+    if root_search(lifted, quantity).f.is_zero:
         return "inf"
     return str(lifted.field.order + 1 if lines.is_all else len(lines.points))
 
@@ -94,8 +92,7 @@ def _param_grid(field: Field, n: int, budget, seed: int):
 def verify_point(family: FamilyId, params, field: Field) -> list[dict]:
     """All five quantity records for one (family, parameter) point."""
     A = instantiate(family, params, field)
-    found = subalgebra_roots(A)  # the one search of the subalgebra cubic over F
-    solved_counts = {"subalgebras": subalgebra_count_closed(A, found)}
+    solved_counts = {"subalgebras": subalgebra_count_closed(A)}
     solved_counts.update((q, line_count_closed(A, q)) for q in COUNT_QUANTITIES[1:])
     # (quantity, predicted, solved, agree, citation) per quantity
     rows = []
@@ -117,8 +114,6 @@ def verify_point(family: FamilyId, params, field: Field) -> list[dict]:
         predicted_set == solved_set,
         cell or "none",
     ))
-    closure = cache(lambda: ideal_closure(A))  # built by the first recheck that needs it
-
     def recheck(quantity: str) -> str:
         """The oracle's verdict on a point where the table and the solver part,
         or "skipped" when its scan would pass `RECHECK_LIMIT`."""
@@ -127,11 +122,11 @@ def verify_point(family: FamilyId, params, field: Field) -> list[dict]:
                 return "skipped"
             return f"{len(oracle_check(A, quantity, solved_set.materialize(field)))} points"
         if quantity == "subalgebras":
-            if subalgebra_splitting(A, found).order > RECHECK_LIMIT:
+            if subalgebra_splitting(A).order > RECHECK_LIMIT:
                 return "skipped"
-            lifted, lines = subalgebra_closure(A, found, closure())
+            lifted, lines = subalgebra_closure(A)
             return _oracle_check(lifted, quantity, lines)
-        lifted = closure()
+        lifted = ideal_closure(A)
         if lifted.field.order > RECHECK_LIMIT:
             return "skipped"
         solve = {"left": left_ideals, "right": right_ideals}.get(quantity, two_sided_ideals)

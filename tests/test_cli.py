@@ -294,9 +294,9 @@ def _wrong_idempotents(solve):
     """An idempotent solver that always answers wrong: e2 where it finds
     none, and none otherwise."""
 
-    def wrong(A, found=None):
+    def wrong(A):
         F = A.field
-        e2 = None if solve(A, found).materialize() else Element(F.zero, F.one)
+        e2 = None if solve(A).materialize() else Element(F.zero, F.one)
         return IdempotentSet(F, [], None, e2)
 
     return wrong

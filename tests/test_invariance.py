@@ -57,7 +57,9 @@ def _map_lines(ginv, lines: LineSet, F) -> LineSet:
     if lines.is_all:
         return lines
     moved = (_coords(ginv, p.generator(F)) for p in lines.points)
-    return LineSet.of(ProjPoint.from_vector(v.x, v.y) for v in moved)
+    return LineSet.of(
+        ProjPoint.e2() if v.x.is_zero else ProjPoint.affine(v.y / v.x) for v in moved
+    )
 
 
 def _generator_of_units(F):

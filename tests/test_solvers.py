@@ -46,10 +46,11 @@ from alg2d.solvers import (
     AffineSolutionSet,
     IdempotentSet,
     ideal_closure,
+    root_search,
     slope_poly,
     solve_plane_system,
     subalgebra_closure,
-    subalgebra_roots,
+    subalgebra_splitting,
 )
 from alg2d.tables import (
     WrongCharacteristic,
@@ -120,11 +121,11 @@ def test_subalgebra_count_never_zero_over_small_fields():
 def test_idempotents_examples_char_ne23():
     # one-point and empty sets
     assert idempotents(A10).materialize() == [Element(F5.zero, F5.el(-1))]
-    assert idempotents(A12).is_empty()
+    assert idempotents(A12).materialize() == []
     for args in ((5, F7, 3), (9, F7), (12, F7)):
-        assert idempotents(fam(*args)).is_empty()
-    assert idempotents(fam(4, F7, 0, 3)).is_empty()
-    assert idempotents(fam(8, F7, 0)).is_empty()
+        assert idempotents(fam(*args)).materialize() == []
+    assert idempotents(fam(4, F7, 0, 3)).materialize() == []
+    assert idempotents(fam(8, F7, 0)).materialize() == []
     # A3(0, b2) with b2 != -1 gains the point 3/(2(b2+1)) e1 + (1/2) e2
     b2 = F7.el(2)
     got = idempotents(fam(3, F7, 0, 2)).materialize()
@@ -313,7 +314,7 @@ def _line_count_over_closure(A, which):
     if which == "subalgebras":
         # over GF(2) three lines are every line, which a LineSet reads as 'inf'
         B = A.lift(GF(2, 2)) if A.field.order == 2 else A
-        _, lines = subalgebra_closure(B, subalgebra_roots(B), ideal_closure(B))
+        _, lines = subalgebra_closure(B)
         return RootCount(lines.count_label())
     fn = {"left": left_ideals, "right": right_ideals, "two_sided": two_sided_ideals}[which]
     return RootCount(fn(ideal_closure(A)).count_label())
@@ -540,6 +541,12 @@ def test_solve_plane_system_matches_a_scan(spec):
             want = sorted((e for e in plane if _holds(rows, rhs, e)), key=lambda u: u.sort_key())
             assert got.materialize(F) == want, (rows, rhs)
             kinds.add(got.kind)
+            if got.kind == "line":
+                # any point and direction of the line give its one canonical form
+                k = F.elements()[-1]
+                for t in F.elements()[:3]:
+                    at = got.base + got.direction.scale(t)
+                    assert AffineSolutionSet.line(at, got.direction.scale(k)) == got
     assert kinds == {"empty", "point", "line", "plane"}
 
 
@@ -556,6 +563,7 @@ def test_solve_plane_system_over_q_satisfies_every_row():
                 base, d = got.base, got.direction
                 for e in (base, base + d, base + d.scale(QQ.el(2))):
                     assert _holds(rows, rhs, e)
+                    assert AffineSolutionSet.line(e, d.scale(QQ.el(-3) / QQ.el(7))) == got
             elif got.kind == "plane":
                 assert all(r == (QQ.zero, QQ.zero) for r in rows)
                 assert all(c.is_zero for c in rhs)
@@ -590,19 +598,106 @@ def _seeded_mscs(F, n, seed):
     return out
 
 
+_KINDS = ("subalgebras", "left", "right", "two_sided")
+
+
+def _kept_answers(A):
+    """Every answer the solvers read from the searches and the ideal closure
+    they keep on A."""
+    answers = [
+        subalgebras(A),
+        left_ideals(A),
+        right_ideals(A),
+        two_sided_ideals(A),
+        idempotents(A),
+        is_simple(A),
+    ]
+    if A.field.is_finite:
+        answers += [line_count_closed(A, which) for which in _KINDS]
+        answers += [subalgebra_splitting(A), ideal_closure(A), subalgebra_closure(A)]
+    return answers
+
+
+def _answers_in_turn(A):
+    """The answers on A, on A again, on a fresh equal algebra, and on A
+    lifted to the quadratic extension of its field after A's own are kept."""
+    F = A.field
+    out = [_kept_answers(A), _kept_answers(A), _kept_answers(MSC(F, A.alpha, A.beta))]
+    if F.is_finite:
+        out.append(_kept_answers(A.lift(GF(F.p, 2 * F.k))))
+    return out
+
+
 @pytest.mark.parametrize("spec", [(2, 1), (5, 1), (3, 2), (1009, 1), (0, 1)])
-def test_shared_subalgebra_roots_give_the_same_answers(spec):
-    from alg2d.solvers import subalgebra_roots
+def test_shared_subalgebra_roots_give_the_same_answers(monkeypatch, spec):
+    """What an algebra keeps gives the answers of searches made afresh for
+    every call, and nothing kept on one algebra reaches an equal one or a
+    lift of it."""
+    from alg2d import solvers
 
     F = QQ if spec[0] == 0 else GF(*spec)
     zero_cubic = MSC.from_ints(F, [1, 0, 0, 0], [0, 1, 0, 0])  # cubic vanishes
-    for A in [zero_cubic] + _seeded_mscs(F, 40, seed=spec[0]):
-        found = subalgebra_roots(A)
-        assert subalgebras(A, found) == subalgebras(A)
-        assert idempotents(A, found) == idempotents(A)
+    mscs = [zero_cubic] + _seeded_mscs(F, 12, seed=spec[0])
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_kept", lambda A, key, make: make())
+        afresh = [_answers_in_turn(A) for A in mscs]
+        assert all(not A.memo for A in mscs)
+    assert [_answers_in_turn(A) for A in mscs] == afresh
+    for A in mscs:
+        for which in _KINDS:
+            assert root_search(A, which) is root_search(A, which)
+            assert root_search(A, which).f == slope_poly(A, which)
         if F.is_finite:
-            assert subalgebra_count_closed(A, found) == subalgebra_count_closed(A)
-    assert subalgebra_roots(zero_cubic).rest == 0
+            assert ideal_closure(A) is ideal_closure(A)
+    assert root_search(zero_cubic, "subalgebras").rest == 0
+
+
+def _reaches(start, target) -> bool:
+    """Whether target is reachable from start through object references,
+    not counting those through classes, modules and functions."""
+    import gc
+    import types
+
+    seen, todo = set(), [start]
+    while todo:
+        obj = todo.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        todo.extend(gc.get_referents(obj))
+    return False
+
+
+def test_an_algebra_keeps_no_reference_to_itself(monkeypatch):
+    """After closed oracle analyses, and after the oracle rechecks of family
+    points, what an algebra keeps (its searches, its ideal closure and the
+    fields) never leads back to it, so no algebra is part of a reference
+    cycle."""
+    from alg2d import sweep
+    from alg2d.families import ARITY, all_family_ids
+    from alg2d.report import analyze
+
+    lifted = 0
+    for F in (GF(2), GF(3), GF(5)):
+        for A in _seeded_mscs(F, 10, seed=F.order):
+            analyze(A, closed=True, oracle=True)
+            assert A.memo and not _reaches(A.memo, A), A.text()
+            lifted += ideal_closure(A) is not A
+    assert lifted
+    points = []
+    make = sweep.instantiate
+    monkeypatch.setattr(sweep, "instantiate", lambda *a: points.append(make(*a)) or points[-1])
+    F7 = GF(7)
+    rechecked = 0
+    for family in all_family_ids(Regime.NE23):
+        for params in sweep._param_grid(F7, ARITY[family.index], 20, 0):
+            records = sweep.verify_point(family, params, F7)
+            rechecked += any(r["oracle"] not in (None, "skipped") for r in records)
+            A = points[-1]
+            assert A.memo and not _reaches(A.memo, A), (family.name(), A.text())
+    assert rechecked
 
 
 @pytest.mark.parametrize("closed", [False, True])
@@ -643,6 +738,39 @@ def test_analyze_searches_the_subalgebra_cubic_once(monkeypatch, closed):
         assert calls.count("two_sided_ideals") == 1
     assert searched >= 3
     assert (lifted > 0) == closed
+
+
+def test_analyze_and_verify_point_make_one_root_search_per_kind(monkeypatch):
+    """A plain analysis over GF(1009), and the verification of family points
+    with their oracle rechecks, make exactly one `RootSearch` per algebra and
+    kind: every solver reads the search the algebra keeps."""
+    from alg2d import solvers, sweep
+    from alg2d.families import ARITY, all_family_ids
+    from alg2d.report import analyze
+
+    asked, searched = [], []  # (algebra, kind) of each slope polynomial and search
+    slope, search = solvers.slope_poly, solvers.RootSearch
+    monkeypatch.setattr(
+        solvers, "slope_poly", lambda A, which: asked.append((A, which)) or slope(A, which)
+    )
+    monkeypatch.setattr(solvers, "RootSearch", lambda f: searched.append(asked[-1]) or search(f))
+    for A in _seeded_mscs(GF(1009), 20, seed=6):
+        searched.clear()
+        analyze(A)
+        assert sorted(which for _, which in searched) == sorted(_KINDS)
+        assert all(B is A for B, _ in searched)
+    F7 = GF(7)
+    lifted = 0
+    for family in all_family_ids(Regime.NE23):
+        for params in sweep._param_grid(F7, ARITY[family.index], 20, 1):
+            searched.clear()
+            sweep.verify_point(family, params, F7)
+            A = searched[0][0]
+            assert sorted(which for B, which in searched if B is A) == sorted(_KINDS)
+            assert len({(id(B), which) for B, which in searched}) == len(searched)
+            assert all(B.field != F7 for B, _ in searched if B is not A)
+            lifted += len(searched) > len(_KINDS)
+    assert lifted
 
 
 def test_verify_point_lifts_at_most_once_per_field(monkeypatch):
@@ -778,9 +906,8 @@ def test_formulas_on_raw_values_equal_the_formulas_on_elements(monkeypatch, spec
 
 def test_plain_analysis_over_a_prime_field_calls_no_field_product(monkeypatch):
     """Every formula and root search of a plain analysis over GF(10007) runs
-    on int residues: no `Field._mul` or `Field._add` call.  The one
-    exception is a line of quasiunits, which `AffineSolutionSet.line` puts
-    in canonical form on elements."""
+    on int residues, a line of quasiunits in canonical form included: no
+    `Field._mul` or `Field._add` call."""
     from alg2d import fields
     from alg2d.report import analyze
 
@@ -792,17 +919,18 @@ def test_plain_analysis_over_a_prime_field_calls_no_field_product(monkeypatch):
     F = GF(10007)
     kinds = []
     isolated = 0
-    for A in _seeded_mscs(F, 40, seed=8) + _zero_heavy_mscs(F, 40, seed=8):
+    # the quasiunits of the last algebra are the line e2 + t*e1
+    line = MSC.parse(F, "0,0,0,0;0,0,0,1")
+    for A in _seeded_mscs(F, 40, seed=8) + _zero_heavy_mscs(F, 40, seed=8) + [line]:
         calls.clear()
         report = analyze(A)
         kinds.append(report.quasiunits.kind)
         isolated += len(report.idempotent_set.isolated)
-        if report.quasiunits.kind != "line":
-            assert calls == [], A.text()
+        assert calls == [], A.text()
     # the paths that multiplied elements ran: roots were split, idempotents
     # scaled and quasiunits solved
     assert isolated > 10
-    assert {"empty", "point", "plane"} <= set(kinds)
+    assert set(kinds) == {"empty", "point", "line", "plane"}
     # the counter sees the field's own product
     calls.clear()
     assert F.el(3) * F.el(5) == F.el(15) and calls == ["_mul"]
@@ -813,7 +941,7 @@ def test_analyze_searches_the_two_sided_slope_polynomial_once_per_field(monkeypa
     """Simplicity reads the two-sided search over A's own field that also
     gives the two-sided ideals there; closed mode searches once more, over
     the ideal closure, only when that is another field."""
-    from alg2d import report as report_mod, solvers
+    from alg2d import solvers
     from alg2d.report import analyze
 
     seen = []
@@ -824,8 +952,7 @@ def test_analyze_searches_the_two_sided_slope_polynomial_once_per_field(monkeypa
             seen.append(A.field)
         return slope(A, which)
 
-    for mod in (solvers, report_mod):
-        monkeypatch.setattr(mod, "slope_poly", counted)
+    monkeypatch.setattr(solvers, "slope_poly", counted)
     lifted = 0
     for A in _seeded_mscs(GF(1009), 30, seed=5):
         seen.clear()

@@ -266,11 +266,11 @@ def test_verify_point_splits_no_cubic_it_only_counts(monkeypatch, field, family,
     these points make no Cantor-Zassenhaus split at all."""
     from alg2d import poly
     from alg2d.families import instantiate
-    from alg2d.solvers import subalgebra_roots
+    from alg2d.solvers import root_search
 
     F = GF(*field)
     params = tuple(F.el(c) for c in params)
-    assert subalgebra_roots(instantiate(family, params, F)).count >= 2
+    assert root_search(instantiate(family, params, F), "subalgebras").count >= 2
     verify_point(family, params, F)  # fills the square-root and embedding caches
     calls = []
     split = poly._split
