@@ -22,8 +22,10 @@ Arithmetic over GF(p^k), k > 1, has three regimes by the order q:
 - q <= `_LOG_TABLE_MAX_ORDER` = 1024: the raw operations read Zech logarithm
   tables of O(q) entries, built on the field's first operation.
 - above that, the raw operations decode the base-p digits, add them without
-  carries or convolve and reduce them by the modulus, and encode again;
-  inversion runs extended Euclid on `poly`'s raw helpers.
+  carries or multiply them as `poly`'s raw helpers over GF(p) do (the
+  convolution `_convolve` and the fold `_fold` by the modulus, which Ben-Or's
+  test also runs on), and encode again; inversion runs extended Euclid on
+  those helpers.
 
 `Field.raw_ops` gives sums and products on raw values, read as
 table[a][b]: the kernel's int tables, or else row adaptors over the raw
@@ -106,16 +108,14 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Modulus selection.  It and `Field._inv` past the log tables run on `poly`'s
-# raw helpers over GF(p), whose raw values are the residues, constant first;
-# `poly` imports this module, so both import the helpers at function level.
+# Modulus selection.  It and the arithmetic of GF(p^k) outside the log tables
+# run on `poly`'s raw helpers over GF(p), whose raw values are the residues,
+# constant first; `poly` imports this module, which binds the helpers last.
 
 def _is_irreducible(m: list[int], p: int) -> bool:
     """Ben-Or's test (1981) for a monic m of degree k over GF(p):
     gcd(m, x^(p^i) - x) = 1 for every i <= k/2, with x^(p^i) mod m taken as
     the p-th power of x^(p^(i-1)) mod m."""
-    from .poly import _rgcd, _rpow, _rsub
-
     k = len(m) - 1
     if k < 2:  # x itself is only reduced mod m from degree 2 on
         return k == 1
@@ -161,7 +161,6 @@ class Field:
         "k",
         "modulus",
         "order",
-        "_red",
         "_hash",
         "_exp",
         "_log",
@@ -205,19 +204,6 @@ class Field:
         self.k = k
         self.modulus = modulus
         self.order = p**k if p else None
-        # reduction rows: coefficients of x^d mod modulus for d = k .. 2k-2
-        if p and k > 1:
-            rows = [tuple((-c) % p for c in modulus[:-1])]  # x^k
-            for _ in range(k - 2):
-                shifted = [0] + list(rows[-1])
-                top = shifted[k]
-                shifted = shifted[:k]
-                if top:
-                    shifted = [(shifted[i] + top * rows[0][i]) % p for i in range(k)]
-                rows.append(tuple(shifted))
-            self._red = rows
-        else:
-            self._red = None
         self._hash = hash((p, k, modulus))
         self._log = None  # the log tables are built by the first arithmetic
         self._elements = None
@@ -338,7 +324,7 @@ class Field:
     # operation is one integer operation.  An extension of order at most
     # `_LOG_TABLE_MAX_ORDER` reads its log tables, built by its first
     # operation; a larger one combines base-p digits: sums and differences
-    # without carries, and products by convolving, reducing by the modulus and
+    # without carries, and products by convolving, folding by the modulus and
     # encoding again.
 
     def _tables(self):
@@ -356,10 +342,12 @@ class Field:
             return None
         p, n = self.p, q - 1
         g = self._generator()
-        exp, x = [], self._digits(1)
+        exp, x = [], [1]
         for _ in range(n):  # step on digit lists: one encoding per entry
             exp.append(self._index(x))
-            x = [c % p for c in self._dmul(g, x)]
+            x = _convolve(g, x)
+            _fold(x, self.modulus, p)
+            x = [c % p for c in x]
         log = [None] * q
         for i, a in enumerate(exp):
             log[a] = i
@@ -376,37 +364,11 @@ class Field:
         The search starts past the constants, whose orders divide p - 1 < n."""
         n = self.order - 1
         primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
-        one = self._digits(1)
+        P = GF(self.p)
         for idx in range(self.p, self.order):
             g = self._digits(idx)
-            if all(self._dpow(g, n // r) != one for r in primes):
+            if all(_rpow(P, g, n // r, self.modulus) != [1] for r in primes):
                 return g
-
-    def _dmul(self, x: list[int], y: list[int]) -> list[int]:
-        """The product of the elements with digits x and y, as coefficients
-        over Z that are its digits once each is reduced mod p (as `_index`
-        does): convolve, then fold x^d for d >= k back through the reduction
-        rows.  A sparse x costs least."""
-        p, k = self.p, self.k
-        conv = _convolve(x, y)
-        out = conv[:k]
-        red = self._red
-        for d in range(k, 2 * k - 1):
-            c = conv[d] % p
-            if c:
-                row = red[d - k]
-                for i in range(k):
-                    out[i] += c * row[i]
-        return out
-
-    def _dpow(self, x: list[int], e: int) -> list[int]:
-        """The digits of x^e, for e >= 1, by left-to-right repeated squaring."""
-        p, r = self.p, x
-        for bit in bin(e)[3:]:
-            r = [c % p for c in self._dmul(r, r)]
-            if bit == "1":
-                r = [c % p for c in self._dmul(x, r)]
-        return r
 
     def _add(self, a, b):
         if self.k == 1:
@@ -447,7 +409,9 @@ class Field:
             return a * b % self.p if self.p else a * b
         log = self._log or self._tables()
         if log is None:
-            return self._index(self._dmul(self._digits(a), self._digits(b)))
+            r = _convolve(self._digits(a), self._digits(b))
+            _fold(r, self.modulus, self.p)
+            return self._index(r)
         return self._exp[log[a] + log[b]] if a and b else 0
 
     def _inv(self, a):
@@ -462,8 +426,6 @@ class Field:
         # extended Euclid over GF(p)[x] against the modulus, keeping
         # s_i * a = r_i mod the modulus with every divisor r_i made monic;
         # the last nonzero remainder is then 1 and its s_i the inverse
-        from .poly import _rdivmod, _rmul, _rsub
-
         P = GF(p)
         r0, r1 = list(self.modulus), self._digits(a)
         while not r1[-1]:
@@ -487,6 +449,25 @@ def _convolve(x: list, y: list, zero=0) -> list:
             for j, d in enumerate(y, i):
                 out[j] += c * d
     return out
+
+
+def _fold(r: list, m, p: int) -> list:
+    """Divide r, constant first, by the monic m in place, and return the
+    quotient.  r keeps the remainder's len(m) - 1 low coefficients, not
+    reduced; each quotient coefficient is reduced once mod p, or not at all
+    over Q (p = 0).  Zero terms of m cost a test each, so a sparse modulus
+    folds fast."""
+    d = len(m) - 1
+    low = m[:d]
+    q = [0] * (len(r) - d)  # empty when r is shorter than m
+    for s in range(len(q) - 1, -1, -1):
+        c = r.pop() % p if p else r.pop()
+        q[s] = c
+        if c:
+            for j, x in enumerate(low, s):
+                if x:
+                    r[j] -= c * x
+    return q
 
 
 class _Kernel:
@@ -729,8 +710,6 @@ def _embedding_images(src: Field, dst: Field) -> tuple[list[int], ...]:
     if src.k == 1:
         return (dst._digits(1),)
     # the image of the generator is the lex-smallest root of src's modulus in dst
-    from .poly import Poly, _first_root  # poly imports this module
-
     root = _first_root(Poly.from_ints(dst, src.modulus))
     if root is None:
         raise IncompatibleFields("modulus has no root in the target field")
@@ -844,3 +823,7 @@ def parse_el(field: Field, text: str) -> Fel:
             c = -c
         coeffs[i] = (coeffs[i] + c) % field.p
     return field.el(coeffs)
+
+
+# `poly` imports the names above from this module, which `alg2d` imports first
+from .poly import Poly, _first_root, _rdivmod, _rgcd, _rmul, _rpow, _rsub  # noqa: E402

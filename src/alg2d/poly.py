@@ -20,16 +20,17 @@ coefficient is ever searched; rational roots are sorted by value.
 
 The raw helpers (`_rsub`, `_rmul`, `_rdivmod`, `_rmonic`, `_rgcd`, `_rpow`)
 are the package's only polynomial arithmetic: `Poly`'s product, division and
-gcd convert to them and back, and `fields` runs modulus selection and
-inversion in GF(p^k) on them over GF(p).  They work on raw element values:
-over a finite field an element's raw value is its enumeration index, so
-sorting raw roots sorts them by index.  Over GF(p) and Q a raw value is a
-plain number, an int residue or a Fraction, and the helpers compute on it
-with Python's operators: products are convolved over Z (the loop of
-`fields._convolve`, which `Field._dmul` shares), folds by a monic divisor
-run on unreduced ints, and each output coefficient is reduced once, by one
-`% p`.  Over GF(p^k) every sum and product is one call of the field's `_add`,
-`_sub` or `_mul`, which read the log tables or convolve base-p digits.
+gcd convert to them and back, and `fields` runs modulus selection, the
+primitive-element search and inversion in GF(p^k) on them over GF(p).  They
+work on raw element values: over a finite field an element's raw value is
+its enumeration index, so sorting raw roots sorts them by index.  Over GF(p)
+and Q a raw value is a plain number, an int residue or a Fraction, and the
+helpers compute on it with Python's operators: products are convolved over
+Z (`fields._convolve`), folds by a monic divisor run on unreduced ints
+(`fields._fold`), and each output coefficient is reduced once, by one `% p`.
+A product in GF(p^k) past the log tables is these two loops on base-p
+digits.  Over GF(p^k) every sum and product is one call of the field's
+`_add`, `_sub` or `_mul`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .fields import (
     ParseError,
     QQ,
     _convolve,
+    _fold,
     embed,
     is_prime,
     parse_el,
@@ -262,30 +264,24 @@ def _rmul(F: Field, a: list, b: list) -> list:
 def _rdivmod(F: Field, a: list, m: list) -> tuple[list, list]:
     """Quotient and remainder of a by the monic m.  Where raw values are
     plain numbers, a's coefficients may be any integers over GF(p): each is
-    reduced once, when it is read."""
-    zero = _zero(F)
+    reduced once, when it is read, by `fields._fold`."""
     r = list(a)
-    d = len(m) - 1
-    q = [zero] * max(len(r) - d, 0)
     if F.k == 1:
         p = F.p
-        for s in range(len(r) - 1 - d, -1, -1):
-            c = r.pop() % p if p else r.pop()
-            q[s] = c
-            if c:
-                for i in range(d):
-                    r[s + i] -= c * m[i]
+        q = _fold(r, m, p)
         if p:
             r = [c % p for c in r]
-    else:
+    else:  # GF(p^k), whose zero is the index 0
+        d = len(m) - 1
+        q = [0] * max(len(r) - d, 0)
         sub, mul = F._sub, F._mul
         for s in range(len(r) - 1 - d, -1, -1):
             c = r.pop()
             q[s] = c
-            if c != zero:
+            if c:
                 for i in range(d):
                     r[s + i] = sub(r[s + i], mul(c, m[i]))
-    while r and r[-1] == zero:
+    while r and not r[-1]:
         r.pop()
     return q, r
 

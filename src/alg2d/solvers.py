@@ -468,6 +468,8 @@ def simple_by_cases_extended(A: MSC) -> bool:
         return False
     if a2.is_zero and a4.is_zero:
         return False
+    if A.field.is_finite:  # A's kept left search; F(e2) is no left ideal here
+        return line_count_closed(A, "left") is RootCount.ZERO
     return distinct_root_count(slope_poly(A, "left")) is RootCount.ZERO
 
 

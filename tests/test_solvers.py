@@ -742,22 +742,39 @@ def test_analyze_searches_the_subalgebra_cubic_once(monkeypatch, closed):
 
 def test_analyze_and_verify_point_make_one_root_search_per_kind(monkeypatch):
     """A plain analysis over GF(1009), and the verification of family points
-    with their oracle rechecks, make exactly one `RootSearch` per algebra and
-    kind: every solver reads the search the algebra keeps."""
-    from alg2d import solvers, sweep
+    with their oracle rechecks, make exactly one root search per algebra and
+    kind, counted in `poly.RootSearch` wherever one is made: every solver
+    reads the search the algebra keeps.  Half the analysed algebras have
+    a2 = a3 and b2 = b3, where the two-sided search is the left one and the
+    repaired simplicity predicate reads the left search too."""
+    from alg2d import poly, solvers, sweep
     from alg2d.families import ARITY, all_family_ids
     from alg2d.report import analyze
 
     asked, searched = [], []  # (algebra, kind) of each slope polynomial and search
-    slope, search = solvers.slope_poly, solvers.RootSearch
+    slope, init = solvers.slope_poly, poly.RootSearch.__init__
     monkeypatch.setattr(
         solvers, "slope_poly", lambda A, which: asked.append((A, which)) or slope(A, which)
     )
-    monkeypatch.setattr(solvers, "RootSearch", lambda f: searched.append(asked[-1]) or search(f))
-    for A in _seeded_mscs(GF(1009), 20, seed=6):
+
+    def counted(self, f):
+        searched.append(asked[-1])
+        init(self, f)
+
+    monkeypatch.setattr(poly.RootSearch, "__init__", counted)
+    F = GF(1009)
+    seeded = _seeded_mscs(F, 20, seed=6)
+    symmetric = [
+        MSC.from_ints(F, [1, 2, 2, 4], [5, 6, 6, 8]),
+        MSC.from_ints(F, [0, 1, 1, 0], [1, 0, 0, -1]),
+    ] + [
+        MSC(F, [a1, a2, a2, a4], [b1, b2, b2, b4])
+        for (a1, a2, _, a4), (b1, b2, _, b4) in ((A.alpha, A.beta) for A in seeded[:18])
+    ]
+    for A in seeded + symmetric:
         searched.clear()
         analyze(A)
-        assert sorted(which for _, which in searched) == sorted(_KINDS)
+        assert sorted(which for _, which in searched) == sorted(_KINDS), A.text()
         assert all(B is A for B, _ in searched)
     F7 = GF(7)
     lifted = 0

@@ -148,11 +148,14 @@ def test_product_division_and_gcd_match_sympy(p):
             assert _leading_first(got) == _sympy_leading_first(expect, p), (a, b, c)
 
 
-@pytest.mark.parametrize("p, k", [(5, 4), (2, 10), (3, 7), (10007, 2), (2**61 - 1, 2)])
+@pytest.mark.parametrize(
+    "p, k", [(5, 4), (2, 10), (3, 7), (17, 3), (2, 80), (10007, 2), (2**61 - 1, 2)]
+)
 def test_extension_arithmetic_matches_sympy_modulo_the_modulus(p, k):
     """Sums, differences, negatives and products in fields above the kernel's
-    table limit, with memoised products (GF(5^4), GF(2^10)) or without,
-    against sympy's arithmetic over GF(p) reduced by the field's modulus."""
+    table limit, read from log tables (GF(5^4), GF(2^10)) or computed on
+    base-p digits, against sympy's arithmetic over GF(p) reduced by the
+    field's modulus.  GF(2^80) folds 79 powers of x per product."""
     from alg2d.fields import _TABLE_MAX_ORDER
 
     F = GF(p, k)
