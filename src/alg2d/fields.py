@@ -32,8 +32,8 @@ table[a][b]: the kernel's int tables, or else row adaptors over the raw
 operations, so no table of q^2 entries is built past the kernel bound.
 
 Fields and elements are immutable; the only mutable state is a set of
-caches (construction, embeddings, log tables, element lists, small-field
-kernels), all of which are safe under CPython's locking or are append-only.
+caches (construction, embeddings, log tables, small-field kernels), all of
+which are safe under CPython's locking or are append-only.
 """
 
 from __future__ import annotations
@@ -166,18 +166,17 @@ class Field:
         "_log",
         "_zech",
         "_half",
-        "_elements",
         "_kernel",
     )
 
     # `benchmarks/tracer.py` sums every field's memo entries through
-    # `_mul_cache`, `_inv_cache` and `_elements`.  No field memoises products;
-    # the log tables, once built, are what its inverses read.
-    _mul_cache = None
+    # `_mul_cache`, `_inv_cache` and `_elements`.  No field memoises products
+    # or element lists; the log tables, once built, are what its inverses read.
+    _mul_cache = _elements = None
 
     @property
     def _inv_cache(self):
-        return self._log or ()
+        return self._log if isinstance(self._log, list) else ()
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         if p == 0:
@@ -205,8 +204,9 @@ class Field:
         self.modulus = modulus
         self.order = p**k if p else None
         self._hash = hash((p, k, modulus))
-        self._log = None  # the log tables are built by the first arithmetic
-        self._elements = None
+        # the log tables are built by the first arithmetic; True marks an
+        # extension past `_LOG_TABLE_MAX_ORDER`, which has none
+        self._log = True if k > 1 and self.order > _LOG_TABLE_MAX_ORDER else None
         self._kernel = _Kernel(self) if p and self.order <= _TABLE_MAX_ORDER else None
 
     # -- identity ----------------------------------------------------------
@@ -315,21 +315,19 @@ class Field:
         """All field elements in canonical order (finite fields only)."""
         if self.p == 0:
             raise InfiniteField("Q is not enumerable")
-        if self._elements is None:
-            self._elements = [self.from_index(i) for i in range(self.order)]
-        return self._elements
+        return [self.from_index(i) for i in range(self.order)]
 
     # -- raw arithmetic ------------------------------------------------------
     # For k = 1 a raw value is a residue mod p (a Fraction over Q), so each
     # operation is one integer operation.  An extension of order at most
     # `_LOG_TABLE_MAX_ORDER` reads its log tables, built by its first
-    # operation; a larger one combines base-p digits: sums and differences
-    # without carries, and products by convolving, folding by the modulus and
-    # encoding again.
+    # operation; a larger one, whose `_log` is True, combines base-p digits:
+    # sums and differences without carries, and products by convolving,
+    # folding by the modulus and encoding again.
 
     def _tables(self):
-        """The log table, after building the others on first use; None for
-        fields past `_LOG_TABLE_MAX_ORDER`.
+        """The log table, after building the others on first use, for an
+        extension of order at most `_LOG_TABLE_MAX_ORDER`.
 
         With g the smallest-index primitive element and n = q - 1, `_exp[i]`
         is the index of g^i for 0 <= i < 2n, `_log` inverts it (None at 0),
@@ -338,8 +336,6 @@ class Field:
         operations form needs a reduction mod n.  `_log` is set last: a
         thread that still reads None builds the same tables again."""
         q = self.order
-        if q > _LOG_TABLE_MAX_ORDER:
-            return None
         p, n = self.p, q - 1
         g = self._generator()
         exp, x = [], [1]
@@ -374,7 +370,7 @@ class Field:
         if self.k == 1:
             return (a + b) % self.p if self.p else a + b
         log = self._log or self._tables()
-        if log is None:
+        if log is True:
             return self._digitwise(a, b, 1)
         if not a or not b:
             return a or b
@@ -387,7 +383,7 @@ class Field:
         if self.k == 1:
             return (a - b) % self.p if self.p else a - b
         log = self._log or self._tables()
-        if log is None:
+        if log is True:
             return self._digitwise(a, b, -1)
         # a - b = a + (-b), where -b = g^(log(b) + log(-1))
         return self._add(a, self._exp[log[b] + self._half]) if b else a
@@ -408,7 +404,7 @@ class Field:
         if self.k == 1:
             return a * b % self.p if self.p else a * b
         log = self._log or self._tables()
-        if log is None:
+        if log is True:
             r = _convolve(self._digits(a), self._digits(b))
             _fold(r, self.modulus, self.p)
             return self._index(r)
@@ -421,7 +417,7 @@ class Field:
         if self.k == 1:
             return pow(a, -1, p) if p else 1 / a
         log = self._log or self._tables()
-        if log is not None:
+        if log is not True:
             return self._exp[self.order - 1 - log[a]]
         # extended Euclid over GF(p)[x] against the modulus, keeping
         # s_i * a = r_i mod the modulus with every divisor r_i made monic;
@@ -710,12 +706,12 @@ def _embedding_images(src: Field, dst: Field) -> tuple[list[int], ...]:
     if src.k == 1:
         return (dst._digits(1),)
     # the image of the generator is the lex-smallest root of src's modulus in dst
-    root = _first_root(Poly.from_ints(dst, src.modulus))
-    if root is None:
+    roots = _roots(Poly.from_ints(dst, src.modulus))
+    if not roots:
         raise IncompatibleFields("modulus has no root in the target field")
     images = [dst.one]
     for _ in range(src.k - 1):
-        images.append(images[-1] * root)
+        images.append(images[-1] * roots[0])
     return tuple(dst._digits(x.raw) for x in images)
 
 
@@ -809,7 +805,7 @@ def parse_el(field: Field, text: str) -> Fel:
         else:
             cpart, wpart = term, ""
         c = _numeral(cpart, f"bad coefficient in {text!r}")
-        if wpart == "":
+        if wpart == "" and "*" not in term:  # `c*` names no power
             i = 0
         elif wpart == "w":
             i = 1
@@ -826,4 +822,4 @@ def parse_el(field: Field, text: str) -> Fel:
 
 
 # `poly` imports the names above from this module, which `alg2d` imports first
-from .poly import Poly, _first_root, _rdivmod, _rgcd, _rmul, _rpow, _rsub  # noqa: E402
+from .poly import Poly, _rdivmod, _rgcd, _rmul, _roots, _rpow, _rsub  # noqa: E402

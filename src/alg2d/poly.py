@@ -113,10 +113,6 @@ class Poly:
     def _raw(self) -> list:
         return [c.raw for c in self.coeffs]
 
-    @classmethod
-    def zero(cls, field: Field) -> "Poly":
-        return cls(field, [])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -163,9 +159,6 @@ class Poly:
         self._check(other)
         F = self.field
         return Poly._of_raw(F, _rmul(F, self._raw(), other._raw()))
-
-    def scale(self, c: Fel) -> "Poly":
-        return Poly(self.field, [a * c for a in self.coeffs])
 
     def __divmod__(self, other: "Poly"):
         self._check(other)
@@ -379,12 +372,6 @@ def _split(F: Field, g: list) -> list[Fel]:
 def _roots(f: Poly) -> list[Fel]:
     """Roots of a nonzero, non-constant f over a finite field, in index order."""
     return _split(f.field, _root_gcd(f)[1])
-
-
-def _first_root(f: Poly) -> Fel | None:
-    """The root of least index of f, or None when there is none."""
-    roots = _roots(f)
-    return roots[0] if roots else None
 
 
 def roots_in_field(f: Poly):

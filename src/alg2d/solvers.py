@@ -595,7 +595,8 @@ class AffineSolutionSet:
         if self.kind == "line":
             out = [self.base + self.direction.scale(t) for t in field.elements()]
         else:
-            out = [Element(x, y) for x in field.elements() for y in field.elements()]
+            els = field.elements()
+            out = [Element(x, y) for x in els for y in els]
         return sorted(set(out), key=lambda u: u.sort_key())
 
     def to_json(self):

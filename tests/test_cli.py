@@ -250,6 +250,9 @@ def test_canonical_skips_a_recheck_past_the_limit(capsys):
         # a prime field takes no modulus but a monic linear one, after its degree
         ("analyze", "gf(5,1;3,3)", "1,0,0,0;0,0,0,0"),
         ("analyze", "gf(5;1,1)", "1,0,0,0;0,0,0,0"),
+        # a `*` is followed by a power of w: `c*` is no constant
+        ("analyze", "gf(5)", "3*,0,0,0;0,0,0,0"),
+        ("analyze", "gf(3,2)", "1*,0,0,0;0,0,0,0"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

@@ -179,6 +179,22 @@ def test_seeded_inverses_in_a_large_extension(p, k):
     assert not F._inv_cache
 
 
+def test_extensions_past_the_log_tables_never_ask_for_them(monkeypatch):
+    from alg2d.fields import _LOG_TABLE_MAX_ORDER, Field
+
+    calls = []
+    tables = Field._tables
+    monkeypatch.setattr(Field, "_tables", lambda F: calls.append(F) or tables(F))
+    for F in (Field(17, 3), Field(2, 11)):  # fresh objects, nothing built yet
+        assert F.order > _LOG_TABLE_MAX_ORDER
+        rng = random.Random(F.order)
+        for _ in range(200):
+            a, b = rng.randrange(F.order), rng.randrange(1, F.order)
+            F._add(a, b), F._sub(a, b), F._mul(a, b), F._inv(b)
+        assert not F._inv_cache
+    assert calls == []
+
+
 # Log-table arithmetic against the digit arithmetic that fields past
 # `_LOG_TABLE_MAX_ORDER` use: the product of `poly`'s raw helpers over GF(p)
 # reduced by the modulus, and the carry-free sum and difference.

@@ -40,7 +40,7 @@ def test_gcd_cubic_cyclotomic():
 
 def test_gcd_of_zeros_is_zero():
     F = GF(3)
-    assert poly_gcd(Poly.zero(F), Poly.zero(F)).is_zero
+    assert poly_gcd(Poly(F, []), Poly(F, [])).is_zero
 
 
 def test_gcd_is_monic_and_divides():
@@ -56,7 +56,7 @@ def test_arithmetic_over_q_keeps_fraction_coefficients():
     y, y1 = P(QQ, 0, 1), P(QQ, 1, 1)
     f = y * y1 * P(QQ, 0, 0, 3)  # zero low coefficients
     q, r = divmod(f + P(QQ, 5), P(QQ, 1, 2))
-    results = [y * y1, f, q, r, poly_gcd(f, y1 * y1), poly_gcd(Poly.zero(QQ), y1)]
+    results = [y * y1, f, q, r, poly_gcd(f, y1 * y1), poly_gcd(Poly(QQ, []), y1)]
     for g in results:
         assert g.coeffs, g
         assert all(type(c.raw) is Fraction for c in g.coeffs), g
@@ -80,9 +80,9 @@ def test_roots_irreducible_quadratic_gf2():
 def test_roots_zero_polynomial_marker():
     # every element is a root: callers decide that case from `f.is_zero`
     with pytest.raises(ZeroPolynomial):
-        roots_in_field(Poly.zero(GF(3)))
+        roots_in_field(Poly(GF(3), []))
     with pytest.raises(ZeroPolynomial):
-        roots_in_field(Poly.zero(QQ))
+        roots_in_field(Poly(QQ, []))
 
 
 def test_roots_over_q_rational_root_search():
@@ -153,7 +153,7 @@ def test_splitting_field_rejects_q_and_zero():
     with pytest.raises(RationalSplittingUnsupported):
         splitting_field(P(QQ, 1, 1, 1))
     with pytest.raises(ZeroPolynomial):
-        splitting_field(Poly.zero(GF(3)))
+        splitting_field(Poly(GF(3), []))
 
 
 def test_classifier_examples():
@@ -242,6 +242,8 @@ def test_root_finding_leaves_element_cache_empty(monkeypatch):
     # empty the memo caches so every call below really scans
     monkeypatch.setattr(poly, "_SQRT_CACHE", {})
     fields._embedding_images.cache_clear()
+    listed, elements = [], fields.Field.elements
+    monkeypatch.setattr(fields.Field, "elements", lambda F: listed.append(F) or elements(F))
     F = fields.Field(7)
     assert roots_in_field(P(F, -2, 0, 1)) == [F.el(3), F.el(4)]
     ext, roots = splitting_field(P(F, -2, 0, 0, 1))  # 2 is not a cube mod 7
@@ -250,13 +252,12 @@ def test_root_finding_leaves_element_cache_empty(monkeypatch):
     src, dst = fields.Field(3, 2), fields.Field(3, 4)
     w = fields.embed(src.el([0, 1]), dst)
     assert P(dst, *src.modulus)(w).is_zero
-    for field in (F, src, dst):
-        assert field._elements is None
+    assert listed == []
 
 
 @pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
 def test_roots_match_a_full_field_scan(spec):
-    from alg2d.poly import _first_root
+    from alg2d.poly import _roots
 
     F = GF(*spec)
     els = F.elements()
@@ -267,7 +268,7 @@ def test_roots_match_a_full_field_scan(spec):
         scan = [x for x in els if f(x).is_zero]
         assert roots_in_field(f) == scan, f.text()
         if f.degree > 0:
-            assert _first_root(f) == (scan[0] if scan else None), f.text()
+            assert _roots(f)[:1] == scan[:1], f.text()
 
 
 def test_roots_over_a_huge_prime_field_come_back_in_index_order():
@@ -275,7 +276,7 @@ def test_roots_over_a_huge_prime_field_come_back_in_index_order():
     a, b, c = (F.el(v) for v in (2**60 + 12345, 7, 2**40 + 3))
     f = Poly(F, [-a, F.one]) * Poly(F, [-b, F.one]) * Poly(F, [-c, F.one])
     assert roots_in_field(f) == [b, c, a]
-    assert roots_in_field(f * f.scale(F.el(5))) == [b, c, a]
+    assert roots_in_field(f * f * Poly(F, [F.el(5)])) == [b, c, a]
 
 
 def test_splitting_field_of_an_irreducible_cubic_over_gf1009():

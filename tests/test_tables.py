@@ -334,7 +334,7 @@ def _pm_cubics(F, g, rng):
     """The zero cubic, a multiple of g (zero at both points), and random ones."""
     draw = lambda: F.from_index(rng.randrange(F.order))
     linear = Poly(F, [draw(), F.one])
-    return [Poly.zero(F), g * linear] + [Poly(F, [draw() for _ in range(4)]) for _ in range(6)]
+    return [Poly(F, []), g * linear] + [Poly(F, [draw() for _ in range(4)]) for _ in range(6)]
 
 
 def _pm_check(F, neg_b, disc, denom, rng):
