@@ -706,7 +706,7 @@ def _embedding_images(src: Field, dst: Field) -> tuple[list[int], ...]:
     if src.k == 1:
         return (dst._digits(1),)
     # the image of the generator is the lex-smallest root of src's modulus in dst
-    roots = _roots(Poly.from_ints(dst, src.modulus))
+    roots = RootSearch(Poly.from_ints(dst, src.modulus)).roots
     if not roots:
         raise IncompatibleFields("modulus has no root in the target field")
     images = [dst.one]
@@ -822,4 +822,4 @@ def parse_el(field: Field, text: str) -> Fel:
 
 
 # `poly` imports the names above from this module, which `alg2d` imports first
-from .poly import Poly, _rdivmod, _rgcd, _rmul, _roots, _rpow, _rsub  # noqa: E402
+from .poly import Poly, RootSearch, _rdivmod, _rgcd, _rmul, _rpow, _rsub  # noqa: E402

@@ -5,18 +5,22 @@ root adjunction, deterministic square roots in a quadratic extension, and
 the characteristic-dependent classifier for the number of distinct roots of
 a cubic in a root-closed extension.
 
-Every root search over a finite field GF(q), `fields.embed` included, goes
-through `_roots`: g = gcd(f, x^q - x) by repeated squaring, then
-Cantor-Zassenhaus splitting of g into linear factors, O(d^2 log q) field
-operations for degree d and no scan of the field.  Callers that only count
-in-field roots stop at g, and `RootSearch` splits it only when its roots are
-read.  Root lists are sorted by index, so they and the chosen least-index
-roots are canonical.  `joint_quadratic_splitting` searches no roots: the
-quadratic character of each ideal quadratic decides whether it splits.
+Every root search, over GF(q) and over Q, `fields.embed` included, is one
+`RootSearch`.  It finds g, the product of x - r over the distinct in-field
+roots r, and divides every in-field linear factor out of f, so that a count
+of distinct roots over the root closure reads the degree of the rootless
+cofactor and builds no extension.  Over GF(q), g = gcd(f, x^q - x) by
+repeated squaring, and Cantor-Zassenhaus splits it into linear factors only
+when its roots are read: O(d^2 log q) field operations for degree d and no
+scan of the field.  Root lists are sorted by index, so they and the chosen
+least-index roots are canonical.  `joint_quadratic_splitting` searches no
+roots: the quadratic character of each ideal quadratic decides whether it
+splits.
 
-Over Q, `_rational_roots` runs `_roots` over a small GF(p) and Hensel-lifts
-each root past Cauchy's bound of a monic integer form, so no divisor of a
-coefficient is ever searched; rational roots are sorted by value.
+Over Q, `_rational_roots` runs a `RootSearch` over a small GF(p) and
+Hensel-lifts each root past Cauchy's bound of a monic integer form, so no
+divisor of a coefficient is ever searched; rational roots are sorted by
+value.
 
 The raw helpers (`_rsub`, `_rmul`, `_rdivmod`, `_rmonic`, `_rgcd`, `_rpow`)
 are the package's only polynomial arithmetic: `Poly`'s product, division and
@@ -311,18 +315,6 @@ def _rpow(F: Field, b: list, e: int, m: list) -> list:
     return r
 
 
-def _root_gcd(f: Poly) -> tuple[list, list]:
-    """(h, g) for a nonzero f over a finite field GF(q): h is f made monic and
-    g = gcd(h, x^q - x), the product of x - r over the distinct in-field roots
-    r, both raw.  A constant has no root and a linear h is its own g, so
-    neither raises x to the q-th power."""
-    F = f.field
-    h = _rmonic(F, f._raw())
-    if len(h) <= 2:
-        return h, h
-    return h, _rgcd(F, h, _rsub(F, _rpow(F, [0, 1], F.order, h), [0, 1]))
-
-
 def _shifts(F: Field):
     """Split parameters c for `_splitter`, as raw values.  In characteristic 2
     they are the basis w^j (j < k), of index 2^j: the traces Tr(w^j * r)
@@ -352,8 +344,8 @@ def _splitter(F: Field, c: int, g: list) -> list:
 
 
 def _split(F: Field, g: list) -> list[Fel]:
-    """Roots of g = gcd(f, x^q - x), split by Cantor-Zassenhaus, in index order."""
-    factors = [g] if len(g) > 1 else []
+    """Roots of g = gcd(f, x^q - x), deg g >= 1, by Cantor-Zassenhaus, in index order."""
+    factors = [g]
     shifts = _shifts(F)
     while any(len(h) > 2 for h in factors):
         c = next(shifts)
@@ -369,28 +361,15 @@ def _split(F: Field, g: list) -> list[Fel]:
     return [F._fel(r) for r in sorted(F._neg(h[0]) for h in factors)]
 
 
-def _roots(f: Poly) -> list[Fel]:
-    """Roots of a nonzero, non-constant f over a finite field, in index order."""
-    return _split(f.field, _root_gcd(f)[1])
-
-
 def roots_in_field(f: Poly):
-    """All distinct roots in the coefficient field of a nonzero polynomial.
-
-    Finite fields go through `_roots`.  Over Q, `_rational_roots` finds them
-    through `_roots` over a small GF(p) and Hensel lifting.  Roots come back
-    sorted by `Fel.sort_key`.  Every element is a root of the zero
-    polynomial, so it raises `ZeroPolynomial`, as `splitting_field` does;
-    callers decide that case from `f.is_zero`.
+    """All distinct roots in the coefficient field of a nonzero polynomial,
+    from its `RootSearch`, sorted by `Fel.sort_key`.  Every element is a root
+    of the zero polynomial, so it raises `ZeroPolynomial`, as
+    `splitting_field` does; callers decide that case from `f.is_zero`.
     """
     if f.is_zero:
         raise ZeroPolynomial("every element is a root of the zero polynomial")
-    if f.degree == 0:
-        return []
-    F = f.field
-    if F.is_finite:
-        return _roots(f)
-    return [F.el(r) for r in sorted(_rational_roots(f._raw()))]
+    return RootSearch(f).roots
 
 
 def _rational_roots(h: list) -> list[Fraction]:
@@ -428,7 +407,7 @@ def _rational_roots(h: list) -> list[Fraction]:
         if len(_rgcd(P, gp, dgp)) == 1:
             break
     roots = []
-    for r in _roots(Poly._of_raw(P, gp)):
+    for r in RootSearch(Poly._of_raw(P, gp)).roots:
         y = _lift_root(g, dg, r.raw, p, bound)
         if _ieval(g, y) == 0:
             roots.append(Fraction(y, a))
@@ -453,13 +432,14 @@ def _ieval(c: list[int], y: int) -> int:
 
 
 class RootSearch:
-    """One root search of f in its own field.  Over GF(q) it keeps g =
-    gcd(f, x^q - x), whose degree `count` is the number of distinct in-field
-    roots, and the degree `rest` of the cofactor left once every in-field
-    linear factor, multiplicities included, is divided out; `roots` splits g,
-    in index order, when first read, and never when g has no root.  Over Q
-    the roots come at once and `rest` is None.  A zero f lists no roots and
-    has rest 0: every element is a root."""
+    """One root search of f in its own field.  It keeps g, the product of
+    x - r over the distinct in-field roots r, whose degree `count` is their
+    number, and the degree `rest` of the cofactor left once every in-field
+    linear factor, multiplicities included, is divided out.  Over GF(q), g =
+    gcd(f, x^q - x), and `roots` splits g, in index order, when first read,
+    and never when g has no root.  Over Q the roots come at once from
+    `_rational_roots`, sorted by value.  A zero f lists no roots and has rest
+    0: every element is a root."""
 
     __slots__ = ("f", "count", "rest", "_g", "_roots")
 
@@ -468,17 +448,26 @@ class RootSearch:
         if f.is_zero:
             return
         F = f.field
+        h = f._raw()
         if F.is_finite:
-            h, g = _root_gcd(f)
-            d = g
-            while len(d) > 1:
-                h = _rdivmod(F, h, d)[0]
-                d = _rgcd(F, h, d)
-            self._g, self.count, self.rest = g, len(g) - 1, len(h) - 1
-            self._roots = None if self.count else []
+            # a constant has no root and a linear h is its own g, so neither
+            # raises x to the q-th power
+            h = _rmonic(F, h)
+            g = h if len(h) <= 2 else _rgcd(F, h, _rsub(F, _rpow(F, [0, 1], F.order, h), [0, 1]))
+            if len(g) > 1:
+                self._roots = None  # split when first read
         else:
-            self._roots = roots_in_field(f)
-            self.count, self.rest = len(self._roots), None
+            roots = sorted(_rational_roots(h)) if len(h) > 1 else []
+            self._roots = [F.el(r) for r in roots]
+            g = [Fraction(1)]
+            for r in roots:
+                g = _rmul(F, g, [-r, Fraction(1)])
+        # h need not be monic: every divisor d is
+        d = g
+        while len(d) > 1:
+            h = _rdivmod(F, h, d)[0]
+            d = _rgcd(F, h, d)
+        self._g, self.count, self.rest = g, len(g) - 1, len(h) - 1
 
     @property
     def roots(self) -> list[Fel]:
@@ -506,7 +495,7 @@ def splitting_field(f: Poly) -> tuple[Field, list[Fel]]:
         return F, found.roots
     # the cofactor has no in-field roots, so for degree <= 3 it is irreducible
     ext = GF(F.p, F.k * found.rest)
-    return ext, _roots(f.lift(ext))
+    return ext, RootSearch(f.lift(ext)).roots
 
 
 def joint_quadratic_splitting(field: Field, polys) -> Field:
@@ -559,21 +548,18 @@ def sqrt_in_ext(x: Fel) -> tuple[Fel, Field]:
 def distinct_root_count(f: Poly) -> RootCount:
     """Distinct roots of f (deg <= 3) counted in a root-closed extension.
 
-    Over a finite field the count is the number of in-field roots plus the
-    degree of the rootless cofactor: that cofactor is irreducible (degree <= 3
-    with no roots), hence separable, and contributes exactly its degree.  The
-    equality with a literal splitting-field scan is asserted in the tests.
-    Over Q the characteristic-zero classifier supplies the count.
+    The count is the number of in-field roots plus the degree of the
+    rootless cofactor of f's `RootSearch`: that cofactor is irreducible
+    (degree <= 3 with no roots), hence separable, and contributes exactly its
+    degree.  The equality with a literal splitting-field scan, and over Q
+    with `cubic_root_count`, is asserted in the tests.
     """
     if f.is_zero:
         return RootCount.INFINITE
     if f.degree > 3:
         raise PolyError("closed root counts stop at degree 3")
-    F = f.field
-    if F.is_finite:
-        found = RootSearch(f)
-        return RootCount.of(found.count + found.rest)
-    return cubic_root_count(f.coeff(3), f.coeff(2), f.coeff(1), f.coeff(0))
+    found = RootSearch(f)
+    return RootCount.of(found.count + found.rest)
 
 
 def cubic_root_count(a: Fel, b: Fel, c: Fel, d: Fel) -> RootCount:

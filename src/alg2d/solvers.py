@@ -12,8 +12,8 @@ which qualifies when the alpha entries named in `_E2_LINE` vanish:
 
 One root search (`poly.RootSearch`) of that polynomial serves both answers:
 `lines` lists the lines with slopes in A's own field, and
-`line_count_closed` counts them over the root closure with no extension
-field built.  The named solvers (`subalgebras`, `left_ideals`, ...,
+`line_count_closed` counts them over the root closure, of GF(q) or Q, with
+no extension field built.  The named solvers (`subalgebras`, `left_ideals`, ...,
 `subalgebra_count_closed`) delegate to these two.  Each search is made once
 per algebra and kept on it (`root_search`), so the cubic's one search also
 serves the idempotents, which scale its roots through `eigenvalue_poly`, and
@@ -45,7 +45,6 @@ from .poly import (
     RootSearch,
     _rgcd,
     _zero,
-    distinct_root_count,
     joint_quadratic_splitting,
 )
 
@@ -64,10 +63,6 @@ class _Elements:
 
     def __init__(self, F: Field):
         self.field, self.zero, self.one = F, F.zero, F.one
-
-    def consts(self, A: MSC):
-        """a1, a2, a3, a4, b1, b2, b3, b4."""
-        return A.alpha + A.beta
 
     def of(self, els) -> list:
         return list(els)
@@ -95,22 +90,18 @@ class _Plain(_Elements):
     """Raw values as the numbers of the solver formulas, where a raw value is
     a plain number: an int residue over GF(p), which `canon` reduces by one
     `% p`, or a Fraction over Q, which is always canonical.  Python's
-    operators combine them, so no formula calls the field per operation."""
+    operators combine them, so no formula calls the field per operation;
+    `inv` is the field's own `_inv`."""
 
     def __init__(self, F: Field):
         self.field, self.p, self.zero, self.one = F, F.p, _zero(F), F.one.raw
-
-    def consts(self, A: MSC) -> list:
-        return [c.raw for c in A.alpha + A.beta]
+        self.inv = F._inv
 
     def of(self, els) -> list:
         return [c.raw for c in els]
 
     def canon(self, x):
         return x % self.p if self.p else x
-
-    def inv(self, x):
-        return pow(x, -1, self.p) if self.p else 1 / x
 
     def fel(self, x) -> Fel:
         return self.field._fel(x % self.p if self.p else x)
@@ -161,25 +152,25 @@ def _quadratic_at(f: list, y):
 def subalgebra_poly(A: MSC) -> Poly:
     """Cubic whose roots y give the subalgebra lines F(e1 + y*e2)."""
     N = _numbers(A.field)
-    return N.poly(_subalgebra_cubic(*N.consts(A)))
+    return N.poly(_subalgebra_cubic(*N.of(A.alpha + A.beta)))
 
 
 def eigenvalue_poly(A: MSC) -> Poly:
     """Quadratic giving u^2 = c*u with c = a4*y^2 + (a2+a3)*y + a1 along u = e1+y*e2."""
     N = _numbers(A.field)
-    return N.poly(_eigenvalue_quadratic(*N.consts(A)))
+    return N.poly(_eigenvalue_quadratic(*N.of(A.alpha + A.beta)))
 
 
 def left_ideal_system(A: MSC) -> tuple[Poly, Poly]:
     """(a4*y^2+(a3-b4)*y-b3, a2*y^2+(a1-b2)*y-b1); common roots are left-ideal slopes."""
     N = _numbers(A.field)
-    return tuple(map(N.poly, _left_system(*N.consts(A))))
+    return tuple(map(N.poly, _left_system(*N.of(A.alpha + A.beta))))
 
 
 def right_ideal_system(A: MSC) -> tuple[Poly, Poly]:
     """(a4*y^2+(a2-b4)*y-b2, a3*y^2+(a1-b3)*y-b1); common roots are right-ideal slopes."""
     N = _numbers(A.field)
-    return tuple(map(N.poly, _right_system(*N.consts(A))))
+    return tuple(map(N.poly, _right_system(*N.of(A.alpha + A.beta))))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +191,7 @@ def slope_poly(A: MSC, which: str) -> Poly:
         return subalgebra_poly(A)
     F = A.field
     N = _numbers(F)
-    c = N.consts(A)
+    c = N.of(A.alpha + A.beta)
     if which == "two_sided":
         _, a2, a3, _, _, b2, b3, _ = c
         if a2 != a3:
@@ -252,12 +243,11 @@ def lines(A: MSC, which: str) -> LineSet:
 
 
 def line_count_closed(A: MSC, which: str) -> RootCount:
-    """Count of lines of the kind `which` over a root-closed extension of a
-    finite field, with no extension built: the slope polynomial's distinct
-    roots there are its in-field roots plus the degree of its rootless, hence
-    irreducible and separable, factor; then F(e2) when it qualifies."""
-    if not A.field.is_finite:
-        raise InfiniteField("closed line counts need a finite field")
+    """Count of lines of the kind `which` over a root-closed extension of A's
+    field, GF(q) or Q, with no extension built: the slope polynomial's
+    distinct roots there are its in-field roots plus the degree of its
+    rootless, hence irreducible and separable, factor; then F(e2) when it
+    qualifies."""
     found = root_search(A, which)
     if found.f.is_zero:
         return RootCount.INFINITE
@@ -383,7 +373,7 @@ def idempotents(A: MSC) -> IdempotentSet:
     if found.f.is_zero:
         return IdempotentSet(F, [], eigenvalue_poly(A), e2_point)
     N = _numbers(F)
-    lam = _eigenvalue_quadratic(*N.consts(A))
+    lam = _eigenvalue_quadratic(*N.of(A.alpha + A.beta))
     isolated = []
     for y in N.of(found.roots):
         c = N.canon(_quadratic_at(lam, y))
@@ -437,7 +427,7 @@ def simple_by_cases(A: MSC) -> bool:
     algebras can be simple; `simple_by_cases_extended` documents the repair.
     """
     N = _numbers(A.field)
-    a1, a2, a3, a4, b1, b2, b3, b4 = N.consts(A)
+    a1, a2, a3, a4, b1, b2, b3, b4 = N.of(A.alpha + A.beta)
     zero = N.zero
     if b2 != b3 and a2 == a3 and a2 != zero:
         return True
@@ -457,8 +447,9 @@ def simple_by_cases_extended(A: MSC) -> bool:
     """Three published cases plus the missing commutative one.
 
     When a2 = a3 and b2 = b3 the two one-sided systems coincide, so the
-    algebra is simple exactly when that system has no root in the closure and
-    F(e2) is not an ideal (a2 and a4 not both zero).
+    algebra is simple exactly when that system has no root in the closure
+    (`line_count_closed(A, "left")`, over GF(q) and Q alike) and F(e2) is not
+    an ideal (a2 and a4 not both zero).
     """
     if simple_by_cases(A):
         return True
@@ -468,9 +459,8 @@ def simple_by_cases_extended(A: MSC) -> bool:
         return False
     if a2.is_zero and a4.is_zero:
         return False
-    if A.field.is_finite:  # A's kept left search; F(e2) is no left ideal here
-        return line_count_closed(A, "left") is RootCount.ZERO
-    return distinct_root_count(slope_poly(A, "left")) is RootCount.ZERO
+    # A's kept left search; F(e2) is no left ideal here
+    return line_count_closed(A, "left") is RootCount.ZERO
 
 
 def is_simple(A: MSC) -> bool:
@@ -478,14 +468,11 @@ def is_simple(A: MSC) -> bool:
 
     Ground truth is `line_count_closed(A, "two_sided")`, which builds no
     extension and shares A's one two-sided search with `two_sided_ideals`.
-    The repaired case predicate is recomputed alongside and any disagreement
-    raises, since that would mean a transcription bug rather than a
-    published erratum.  Over Q the case analysis is the closure-exact
-    answer.
+    The repaired case predicate is recomputed alongside, over GF(q) and Q
+    alike, and any disagreement raises, since that would mean a
+    transcription bug rather than a published erratum.
     """
     by_cases = simple_by_cases_extended(A)
-    if not A.field.is_finite:
-        return by_cases
     solved = line_count_closed(A, "two_sided") is RootCount.ZERO
     if solved != by_cases:
         raise InternalInconsistency(
@@ -528,7 +515,7 @@ def quasiunit_system(A: MSC) -> tuple[list[tuple[Fel, Fel]], list[Fel]]:
     `_quasiunit_rows`, on the numbers of `_numbers(A.field)` and builds
     elements only for its answer."""
     N = _numbers(A.field)
-    rows, rhs = _quasiunit_rows(*N.consts(A))
+    rows, rhs = _quasiunit_rows(*N.of(A.alpha + A.beta))
     return [(N.fel(cx), N.fel(cy)) for cx, cy in rows], [N.fel(c) for c in rhs]
 
 
@@ -681,4 +668,4 @@ def _solve_plane(N: _Elements, rows, rhs) -> AffineSolutionSet:
 def left_quasiunits(A: MSC) -> AffineSolutionSet:
     """Exact affine solution set of the quasiunit system."""
     N = _numbers(A.field)
-    return _solve_plane(N, *_quasiunit_rows(*N.consts(A)))
+    return _solve_plane(N, *_quasiunit_rows(*N.of(A.alpha + A.beta)))

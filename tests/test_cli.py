@@ -19,7 +19,7 @@ from alg2d.solvers import AffineSolutionSet, IdempotentSet
 from alg2d.cli import main
 from alg2d.families import ARITY
 from alg2d.report import LISTING_LIMIT, ORACLE_LIMIT, AnalysisReport, analyze
-from alg2d import GF, MSC, Element
+from alg2d import GF, MSC, Element, parse_field
 from alg2d.sweep import GRID_LIMIT
 
 
@@ -100,15 +100,26 @@ def test_analyze_zero_algebra_over_q(capsys):
     assert "every element" in out
 
 
-def test_analyze_json_round_trips(capsys):
-    code, out, _ = run(
-        capsys, "analyze", "gf(5)", "0,1,1,0;1,0,0,4", "--closed", "--json"
-    )
+@pytest.mark.parametrize(
+    "argv, quasiunits",
+    [
+        (("gf(5)", "0,1,1,0;1,0,0,4", "--closed"), "empty"),
+        (("gf(7)", "1,0,0,0;0,0,0,1"), "point"),
+        (("gf(10007)", "0,0,0,0;0,0,0,1"), "line"),
+        (("gf(5)", "0,0,0,0;0,0,0,0"), "plane"),  # and an idempotent family
+        (("gf(3,2)", "w,0,0,0;0,0,0,1"), "point"),
+        (("q", "1,0,0,0;0,1,0,0"), "line"),  # and an idempotent family
+    ],
+)
+def test_analyze_json_round_trips(capsys, argv, quasiunits):
+    code, out, _ = run(capsys, "analyze", *argv, "--json")
     assert code == 0
     data = json.loads(out)
+    assert data["quasiunits"]["kind"] == quasiunits
     report = AnalysisReport.from_json(data)
     assert report.dumps() == out.strip()
-    direct = analyze(MSC.parse(GF(5), "0,1,1,0;1,0,0,4"), closed=True)
+    field, msc, *flags = argv
+    direct = analyze(MSC.parse(parse_field(field), msc), closed=bool(flags))
     assert report == direct
 
 

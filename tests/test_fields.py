@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -348,6 +349,33 @@ def test_incompatible_embeddings_rejected():
         embed(GF(2).one, GF(3, 2))
     with pytest.raises(IncompatibleFields):
         embed(GF(2, 2).one, GF(2, 3))
+
+
+@pytest.mark.parametrize("spec", [(7, 1), (3, 2), (2, 5)])
+def test_embedding_into_an_equal_field_built_apart_keeps_the_raw_value(spec):
+    from alg2d.fields import Field
+
+    F, G = GF(*spec), Field(*spec)
+    assert G is not F and G == F
+    for a in F.elements():
+        b = embed(a, G)
+        assert b.field is G and b.raw == a.raw and b == a
+        assert embed(a * a + F.one, G) == b * b + G.one
+
+
+@pytest.mark.parametrize("spec", ["gf(7)", "gf(3,2)", "q"])
+def test_negative_powers_are_powers_of_the_inverse(spec):
+    F = parse_field(spec)
+    if F.is_finite:
+        xs = [x for x in F.elements() if not x.is_zero]
+    else:
+        xs = [F.el(c) for c in (1, -1, 2, Fraction(-3, 4), Fraction(10**20, 7))]
+    for x in xs:
+        for e in (1, 2, 3, 10):
+            assert x**-e == x.inv() ** e
+            assert x**-e * x**e == F.one
+    with pytest.raises(DivisionByZero):
+        F.zero**-1
 
 
 def test_enumeration_order_and_count():

@@ -1,9 +1,12 @@
 """Random-census equivalence of the closed-form solvers and the brute oracle."""
 
 import random
+from fractions import Fraction
 
 from alg2d import (
     GF,
+    MSC,
+    QQ,
     cubic_root_count,
     distinct_root_count,
     idempotents,
@@ -37,11 +40,33 @@ def test_random_census_over_four_fields():
             _check(A, field)
 
 
+def _seeded_q_algebras(n, seed):
+    """Seeded algebras over Q with entries u/v, |u| <= 9 and 1 <= v <= 4;
+    every third has the subalgebra cubic t*(y - r)^2*(y - s), with a double
+    root unless t = 0 or r = s."""
+    rng = random.Random(seed)
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    out = []
+    for i in range(n):
+        a1, a2, a3, a4, b1, b2, b3, b4 = (draw() for _ in range(8))
+        if i % 3 == 0:
+            r, s, t = draw(), draw(), draw()
+            # the cubic is -b1 + (a1 - b2 - b3)*y + (a2 + a3 - b4)*y^2 + a4*y^3
+            b1, a1 = t * r * r * s, t * (r * r + 2 * r * s) + b2 + b3
+            a2, a4 = -t * (2 * r + s) + b4 - a3, t
+        out.append(MSC(QQ, [QQ.el(c) for c in (a1, a2, a3, a4)], [QQ.el(c) for c in (b1, b2, b3, b4)]))
+    return out
+
+
 def test_classifier_equals_subalgebra_root_component():
-    # the root-count classifier and the splitting-field count agree on the
-    # slope cubic of every algebra over GF(2) and GF(3)
-    for field in (GF(2), GF(3)):
-        for A in all_mscs(field):
-            p = subalgebra_poly(A)
-            got = cubic_root_count(p.coeff(3), p.coeff(2), p.coeff(1), p.coeff(0))
-            assert got is distinct_root_count(p), A.text()
+    # the root-count classifier and the root search's closed count agree on
+    # the slope cubic of every algebra over GF(2) and GF(3), and of seeded
+    # algebras over Q, where the two counts share no code
+    algebras = [A for field in (GF(2), GF(3)) for A in all_mscs(field)]
+    for A in algebras + _seeded_q_algebras(600, seed=24):
+        p = subalgebra_poly(A)
+        got = cubic_root_count(p.coeff(3), p.coeff(2), p.coeff(1), p.coeff(0))
+        assert got is distinct_root_count(p), A.text()

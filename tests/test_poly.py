@@ -93,9 +93,15 @@ def test_roots_over_q_rational_root_search():
 
 
 def test_rational_roots_come_from_a_small_prime_field(monkeypatch):
-    seen = []
-    search = poly._roots
-    monkeypatch.setattr(poly, "_roots", lambda f: seen.append(f.field) or search(f))
+    seen = []  # the finite field of each root search
+    init = poly.RootSearch.__init__
+
+    def counted(self, f):
+        if f.field.is_finite:
+            seen.append(f.field)
+        init(self, f)
+
+    monkeypatch.setattr(poly.RootSearch, "__init__", counted)
     big = 10**40 + 1
     f = P(QQ, -2, 1) * P(QQ, 3, 2) * P(QQ, -big, 7) * P(QQ, -big, 7)  # 7y - big twice
     assert [r.text() for r in roots_in_field(f)] == ["-3/2", "2", f"{big}/7"]
@@ -257,7 +263,7 @@ def test_root_finding_leaves_element_cache_empty(monkeypatch):
 
 @pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
 def test_roots_match_a_full_field_scan(spec):
-    from alg2d.poly import _roots
+    from alg2d.poly import RootSearch
 
     F = GF(*spec)
     els = F.elements()
@@ -268,7 +274,7 @@ def test_roots_match_a_full_field_scan(spec):
         scan = [x for x in els if f(x).is_zero]
         assert roots_in_field(f) == scan, f.text()
         if f.degree > 0:
-            assert _roots(f)[:1] == scan[:1], f.text()
+            assert RootSearch(f).roots[:1] == scan[:1], f.text()
 
 
 def test_roots_over_a_huge_prime_field_come_back_in_index_order():
@@ -291,7 +297,7 @@ def test_splitting_field_of_an_irreducible_cubic_over_gf1009():
 
 
 def _is_rootless_by_root_gcd(f):
-    return len(poly._root_gcd(f)[1]) == 1
+    return poly.RootSearch(f).count == 0  # gcd(f, x^q - x) is constant
 
 
 @pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
@@ -326,10 +332,10 @@ def test_rootless_quadratic_matches_the_root_gcd_sampled(spec):
 
 
 def test_joint_quadratic_splitting_searches_no_roots(monkeypatch):
-    def search(f):
+    def search(self, f):
         raise AssertionError("root search")
 
-    monkeypatch.setattr(poly, "_root_gcd", search)
+    monkeypatch.setattr(poly.RootSearch, "__init__", search)
     F7, F4 = GF(7), GF(2, 2)
     w = F4.el([0, 1])
     assert poly.joint_quadratic_splitting(F7, [P(F7, -1, 0, 1), P(F7, 3, 2)]) is F7

@@ -570,10 +570,9 @@ def test_solve_plane_system_over_q_satisfies_every_row():
     assert kinds == {"empty", "point", "line", "plane"}
 
 
-def test_closed_counts_reject_q():
+def test_closed_count_over_q():
     AQ = MSC.from_ints(QQ, [0, 0, 0, 0], [1, 0, 0, 0])
-    with pytest.raises(InfiniteField):
-        subalgebra_count_closed(AQ)
+    assert subalgebra_count_closed(AQ) is RootCount.ONE  # the cubic is -1; F(e2)
 
 
 def test_q_structure_analysis():
@@ -582,6 +581,33 @@ def test_q_structure_analysis():
     assert left_ideals(AQ) == LineSet.of([])
     assert simple_by_cases_extended(AQ)
     assert left_quasiunits(AQ).kind == "empty"
+
+
+def test_subalgebra_closure_over_q_keeps_only_a_split_cubic():
+    split = MSC.from_ints(QQ, [-1, 0, 0, 1], [0, 0, 0, 0])  # y^3 - y
+    assert subalgebra_closure(split) == (split, subalgebras(split))
+    AQ = MSC.from_ints(QQ, [0, 1, 1, 0], [1, 0, 0, -1])  # 3y^2 - 1
+    with pytest.raises(InfiniteField):
+        subalgebra_closure(AQ)
+
+
+def test_is_simple_checks_the_case_analysis_over_q(monkeypatch):
+    """Over Q, as over GF(q), the repaired case analysis is compared with the
+    two-sided count: a flipped answer raises."""
+    from alg2d import solvers
+
+    algebras = [
+        MSC.from_ints(QQ, [0, 1, 1, 0], [1, 0, 0, -1]),
+        MSC.from_ints(QQ, [1, 2, 2, 1], [3, 4, 4, 5]),  # a2 = a3, b2 = b3
+        MSC.from_ints(QQ, [0, 0, 0, 0], [1, 0, 0, 0]),
+    ] + _seeded_mscs(QQ, 12, seed=24)
+    simple = [is_simple(A) for A in algebras]
+    assert any(simple) and not all(simple)
+    cases = solvers.simple_by_cases_extended
+    monkeypatch.setattr(solvers, "simple_by_cases_extended", lambda A: not cases(A))
+    for A in algebras:
+        with pytest.raises(solvers.InternalInconsistency):
+            is_simple(A)
 
 
 def _seeded_mscs(F, n, seed):
@@ -612,8 +638,8 @@ def _kept_answers(A):
         idempotents(A),
         is_simple(A),
     ]
+    answers += [line_count_closed(A, which) for which in _KINDS]
     if A.field.is_finite:
-        answers += [line_count_closed(A, which) for which in _KINDS]
         answers += [subalgebra_splitting(A), ideal_closure(A), subalgebra_closure(A)]
     return answers
 
@@ -710,8 +736,8 @@ def test_analyze_searches_the_subalgebra_cubic_once(monkeypatch, closed):
     from alg2d.report import analyze
 
     seen, calls, lifts = [], [], []
-    root_gcd = poly._root_gcd
-    monkeypatch.setattr(poly, "_root_gcd", lambda f: seen.append(f) or root_gcd(f))
+    init = poly.RootSearch.__init__
+    monkeypatch.setattr(poly.RootSearch, "__init__", lambda s, f: seen.append(f) or init(s, f))
     for name in ("ideal_splitting", "two_sided_ideals"):
         fn = getattr(solvers, name)
         counted = lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)

@@ -11,8 +11,20 @@ from fractions import Fraction
 
 import pytest
 
-from alg2d import GF, QQ, Poly, poly, poly_gcd, roots_in_field, splitting_field
+from alg2d import (
+    GF,
+    MSC,
+    QQ,
+    Poly,
+    RootCount,
+    line_count_closed,
+    poly,
+    poly_gcd,
+    roots_in_field,
+    splitting_field,
+)
 from alg2d.fields import PRIME_LIMIT, _is_irreducible, is_prime
+from alg2d.solvers import slope_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -257,3 +269,57 @@ def test_roots_on_the_int_path_match_sympy_ground_roots(p):
         got = [r.index() for r in roots_in_field(Poly.from_ints(F, coeffs))]
         expect = sorted(int(r) % p for r in _sympy_poly(coeffs, p).ground_roots())
         assert got == expect, coeffs
+
+
+def _small_height_q_algebras(n, seed):
+    """Seeded algebras over Q with entries u/v, |u| <= 3 and 1 <= v <= 3.
+    Of every four, one is drawn freely; one has a2 = a3 and b2 = b3; one has
+    the subalgebra cubic t*(y - r)^2*(y - s), with a double root unless
+    t = 0 or r = s; and one has proportional left quadratics, so that their
+    gcd is a quadratic, and every other such one also has a2 = a3 and
+    b2 = b3."""
+    rng = random.Random(seed)
+
+    def draw():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    out = []
+    for i in range(n):
+        a1, a2, a3, a4, b1, b2, b3, b4 = (draw() for _ in range(8))
+        if i % 4 == 1:
+            a3, b3 = a2, b2
+        elif i % 4 == 2:
+            r, s, t = draw(), draw(), draw()
+            # the cubic is -b1 + (a1 - b2 - b3)*y + (a2 + a3 - b4)*y^2 + a4*y^3
+            b1, a1 = t * r * r * s, t * (r * r + 2 * r * s) + b2 + b3
+            a2, a4 = -t * (2 * r + s) + b4 - a3, t
+        elif i % 4 == 3:
+            # (-b1, a1 - b2, a2) = k * (-b3, a3 - b4, a4)
+            k = draw()
+            a2 = k * a4
+            if i % 8 == 7:
+                a3, b3 = a2, b2
+            b1, a1 = k * b3, b2 + k * (a3 - b4)
+        out.append(MSC(QQ, [QQ.el(c) for c in (a1, a2, a3, a4)], [QQ.el(c) for c in (b1, b2, b3, b4)]))
+    return out
+
+
+# the alpha entries (a1..a4 as 0..3) that vanish exactly when F(e2) is a line
+# of each kind: e2*e2 = a4*e1 + b4*e2 lies in it for a subalgebra, and e1*e2
+# (a2) or e2*e1 (a3) too for a left or right ideal
+_E2_QUALIFIES = {"subalgebras": (3,), "left": (1, 3), "right": (2, 3), "two_sided": (1, 2, 3)}
+
+
+def test_closed_line_counts_over_q_match_sympy_square_free_parts():
+    """The closed count of each kind over Q is the degree of the square-free
+    part of the kind's slope polynomial, per sympy, plus one where F(e2)
+    qualifies; every line when the polynomial is zero."""
+    for A in _small_height_q_algebras(160, seed=24):
+        for kind, e2 in _E2_QUALIFIES.items():
+            f = slope_poly(A, kind)
+            if f.is_zero:
+                expect = RootCount.INFINITE
+            else:
+                n = _sympy_of([c.raw for c in f.coeffs], 0).sqf_part().degree()
+                expect = RootCount.of(n + all(A.alpha[i].is_zero for i in e2))
+            assert line_count_closed(A, kind) is expect, (A.text(), kind)

@@ -212,7 +212,7 @@ def test_verify_point_searches_the_subalgebra_cubic_once(monkeypatch):
     solver's lines of that recheck.  The searches of the ideal kinds' slope
     polynomials are not searches of the cubic, even where a gcd equals a
     cubic with a4 = 0."""
-    from alg2d import solvers
+    from alg2d import poly, solvers
     from alg2d.families import instantiate
     from alg2d.solvers import subalgebra_poly
     from alg2d.sweep import _param_grid
@@ -226,18 +226,14 @@ def test_verify_point_searches_the_subalgebra_cubic_once(monkeypatch):
             ideal.append(f)
         return f
 
-    def counted(fn):
-        def search(f):
-            if not any(f is g for g in ideal):
-                searched.append(f)
-            return fn(f)
+    def counted(self, f):
+        if not any(f is g for g in ideal):
+            searched.append(f)
+        init(self, f)
 
-        return search
-
-    slope_poly = solvers.slope_poly
+    slope_poly, init = solvers.slope_poly, poly.RootSearch.__init__
     monkeypatch.setattr(solvers, "slope_poly", slopes)
-    monkeypatch.setattr(solvers, "RootSearch", counted(solvers.RootSearch))
-    monkeypatch.setattr(solvers, "distinct_root_count", counted(solvers.distinct_root_count))
+    monkeypatch.setattr(poly.RootSearch, "__init__", counted)
     rechecked = 0
     for params in _param_grid(F7, 4, 300, 0):
         cubic = subalgebra_poly(instantiate(fid(1), params, F7))
