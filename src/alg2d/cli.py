@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .algebra import MSC, OracleMismatch
@@ -207,6 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("poly", help="constant-first coefficients, e.g. 1,0,0,1")
     pr.add_argument("--json", action="store_true")
     pr.set_defaults(fn=cmd_roots)
+    # a positional may start with a minus sign and a digit ("-1,0,1"), as no
+    # option does; argparse would read it as an unknown option
+    for p in (ap, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\d")
     return ap
 
 

@@ -415,7 +415,7 @@ class Field:
             raise DivisionByZero("inverse of zero")
         p = self.p
         if self.k == 1:
-            return pow(a, -1, p) if p else 1 / a
+            return pow(a, -1, p) if p else Fraction(1, a)  # a may be an int
         log = self._log or self._tables()
         if log is not True:
             return self._exp[self.order - 1 - log[a]]

@@ -28,10 +28,12 @@ gcd convert to them and back, and `fields` runs modulus selection, the
 primitive-element search and inversion in GF(p^k) on them over GF(p).  They
 work on raw element values: over a finite field an element's raw value is
 its enumeration index, so sorting raw roots sorts them by index.  Over GF(p)
-and Q a raw value is a plain number, an int residue or a Fraction, and the
-helpers compute on it with Python's operators: products are convolved over
-Z (`fields._convolve`), folds by a monic divisor run on unreduced ints
+a raw value is an int residue and over Q a Fraction, and the helpers
+compute on it with Python's operators: products are convolved over Z
+(`fields._convolve`), folds by a monic divisor run on unreduced ints
 (`fields._fold`), and each output coefficient is reduced once, by one `% p`.
+Over Q they take ints too, and a gcd runs on ints alone, on the primitive
+forms (`_primitive`) of its operands; only its monic answer is Fractions.
 A product in GF(p^k) past the log tables is these two loops on base-p
 digits.  Over GF(p^k) every sum and product is one call of the field's
 `_add`, `_sub` or `_mul`.
@@ -293,13 +295,41 @@ def _rmonic(F: Field, a: list) -> list:
 
 
 def _rgcd(F: Field, a: list, b: list) -> list:
-    """Monic gcd of a and b; zero when both are."""
+    """Monic gcd of a and b; zero when both are.  Over Q it runs the
+    primitive pseudo-remainder sequence (Collins 1967; Knuth, TAOCP vol. 2,
+    4.6.1) on the integer forms of a and b, and divides once, to make the
+    last of them monic."""
     if not b:
         return _rmonic(F, a) if a else a
+    if not F.p:
+        a, b = _primitive(a) if a else a, _primitive(b)
+        while b:
+            # the remainder of a by b, with a scaled by b's leading
+            # coefficient at each step where division would divide by it
+            d = len(b) - 1
+            while len(a) > d:
+                c = a.pop()
+                a = [b[-1] * x for x in a]
+                for i, x in enumerate(b[:d], len(a) - d):
+                    a[i] -= c * x
+            while a and not a[-1]:
+                a.pop()
+            a, b = b, _primitive(a) if a else a
+        return [Fraction(c, a[-1]) for c in a]
     while b:
         b = _rmonic(F, b)
         a, b = b, _rdivmod(F, a, b)[1]
     return a
+
+
+def _primitive(h: list) -> list[int]:
+    """The primitive form in Z[x] of the nonzero h over Q, whose entries are
+    ints or Fractions: denominators cleared, the content divided out and the
+    leading coefficient positive."""
+    den = math.lcm(*(c.denominator for c in h))
+    ints = [c.numerator * (den // c.denominator) for c in h]
+    content = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [c // content for c in ints]
 
 
 def _rpow(F: Field, b: list, e: int, m: list) -> list:
@@ -377,23 +407,20 @@ def _rational_roots(h: list) -> list[Fraction]:
     modular method (von zur Gathen & Gerhard, Modern Computer Algebra, 5.10
     and ch. 15).
 
-    The square-free part of h, made primitive in Z[x] with leading
-    coefficient a, becomes the monic g(y) = a^(n-1) * h(y/a) in Z[y], whose
-    integer roots are the a*r.  Each root of g modulo the least prime p that
-    keeps g square-free (and does not divide a) lifts uniquely; a lift read
-    as a symmetric residue past twice Cauchy's bound is a root of g exactly
-    when g vanishes there.
+    The square-free part of h, in its primitive form in Z[x] (`_primitive`)
+    with leading coefficient a > 0, becomes the monic g(y) = a^(n-1) * h(y/a)
+    in Z[y], whose integer roots are the a*r; its gcd with h' runs on
+    integers too.  Each root of g modulo the least prime p that keeps g
+    square-free (and does not divide a) lifts uniquely; a lift read as a
+    symmetric residue past twice Cauchy's bound is a root of g exactly when
+    g vanishes there.
     """
-    h = _rmonic(QQ, h)
+    h = _primitive(h)
     d = _rgcd(QQ, h, [i * c for i, c in enumerate(h)][1:])
     if len(d) > 1:
-        h = _rdivmod(QQ, h, d)[0]
-    den = math.lcm(*(c.denominator for c in h))
-    ints = [int(c * den) for c in h]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
-    a, n = ints[-1], len(ints) - 1
-    g = [c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+        h = _primitive(_rdivmod(QQ, h, d)[0])
+    a, n = h[-1], len(h) - 1
+    g = [c * a ** (n - 1 - i) for i, c in enumerate(h[:-1])] + [1]
     dg = [i * c for i, c in enumerate(g)][1:]
     bound = 1 + max(abs(c) for c in g[:-1])
     for p in filter(is_prime, itertools.count(2)):

@@ -26,9 +26,10 @@ which reuses the ideal closure when the two fields agree.
 Each formula in the structure constants (the cubic, the eigenvalue and ideal
 quadratics, the two-sided candidate, the quasiunit system and Cramer's rule
 on it, `simple_by_cases`) is written once and evaluated on the numbers of
-`_numbers(A.field)`: raw values with Python's operators over GF(p) and Q,
-elements over GF(p^k).  Elements, points and polynomials are built only for
-the answers.
+`_numbers(A.field)`: with Python's operators on int residues over GF(p) and
+on ints, or Fractions where a value is not integral, over Q; on elements
+over GF(p^k).  Elements, points and polynomials are built only for the
+answers, and a division waits for them too.
 
 The module also carries `simple_by_cases`, the published simplicity test,
 as an independent predictor; the generic solver is the ground truth it is
@@ -37,6 +38,8 @@ compared against.  The published ideal count predicates live in `tables`.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import Element, LineSet, MSC, ProjPoint
 from .fields import GF, Fel, Field, InfiniteField
 from .poly import (
@@ -44,7 +47,6 @@ from .poly import (
     RootCount,
     RootSearch,
     _rgcd,
-    _zero,
     joint_quadratic_splitting,
 )
 
@@ -87,31 +89,33 @@ class _Elements:
 
 
 class _Plain(_Elements):
-    """Raw values as the numbers of the solver formulas, where a raw value is
-    a plain number: an int residue over GF(p), which `canon` reduces by one
-    `% p`, or a Fraction over Q, which is always canonical.  Python's
-    operators combine them, so no formula calls the field per operation;
+    """Plain numbers as the numbers of the solver formulas: the int residues
+    that are GF(p)'s raw values, which `canon` reduces by one `% p`, and over
+    Q an int where a value is integral and a Fraction otherwise, which
+    Python's operators mix exactly.  No formula calls the field per
+    operation; `fel` and `raw` hand back raw values, Fractions over Q, and
     `inv` is the field's own `_inv`."""
 
     def __init__(self, F: Field):
-        self.field, self.p, self.zero, self.one = F, F.p, _zero(F), F.one.raw
+        self.field, self.p, self.zero, self.one = F, F.p, 0, 1
         self.inv = F._inv
 
     def of(self, els) -> list:
-        return [c.raw for c in els]
+        raws = [c.raw for c in els]
+        return raws if self.p else [x.numerator if x.denominator == 1 else x for x in raws]
 
     def canon(self, x):
         return x % self.p if self.p else x
 
     def fel(self, x) -> Fel:
-        return self.field._fel(x % self.p if self.p else x)
+        return self.field._fel(x % self.p if self.p else Fraction(x))
 
     def poly(self, xs) -> Poly:
         return Poly._of_raw(self.field, self.raw(xs))
 
     def raw(self, xs) -> list:
         p = self.p
-        return _trimmed([x % p for x in xs] if p else list(xs))
+        return _trimmed([x % p for x in xs] if p else [Fraction(x) for x in xs])
 
 
 def _numbers(F: Field) -> _Elements:
@@ -183,9 +187,10 @@ def slope_poly(A: MSC, which: str) -> Poly:
     Subalgebras: the cubic.  Left and right ideals: the gcd of the kind's
     system.  Two-sided ideals: the leading quadratics of the two systems
     differ by y*(a3-a2) - b3 + b2, so when a2 != a3 the one candidate is
-    y0 = (b3-b2)/(a3-a2), giving y - y0 when all four quadratics vanish
-    there and 1 otherwise; when a2 = a3 no slope qualifies if b2 != b3, and
-    if b2 = b3 the two systems coincide and the left gcd decides.
+    y0 = n/d = (b3-b2)/(a3-a2), giving y - y0 when all four quadratics
+    vanish there, as f2*n^2 + f1*n*d + f0*d^2 = 0, and 1 otherwise; when
+    a2 = a3 no slope qualifies if b2 != b3, and if b2 = b3 the two systems
+    coincide and the left gcd decides.
     """
     if which == "subalgebras":
         return subalgebra_poly(A)
@@ -195,12 +200,13 @@ def slope_poly(A: MSC, which: str) -> Poly:
     if which == "two_sided":
         _, a2, a3, _, _, b2, b3, _ = c
         if a2 != a3:
-            y0 = N.canon((b3 - b2) * N.inv(N.canon(a3 - a2)))
+            n, d = b3 - b2, a3 - a2
+            nn, nd, dd = n * n, n * d, d * d
             ideal = all(
-                N.canon(_quadratic_at(f, y0)) == N.zero
+                N.canon(f[2] * nn + f[1] * nd + f[0] * dd) == N.zero
                 for f in _left_system(*c) + _right_system(*c)
             )
-            return Poly(F, [N.fel(-y0), F.one] if ideal else [F.one])
+            return Poly(F, [N.fel(-n * N.inv(N.canon(d))), F.one] if ideal else [F.one])
         if b2 != b3:
             return Poly(F, [F.one])
     system = _right_system if which == "right" else _left_system
@@ -637,10 +643,10 @@ def _line(N: _Elements, a, b, c) -> tuple:
 
 def _solve_plane(N: _Elements, rows, rhs) -> AffineSolutionSet:
     """Cramer's rule on the first nonzero row and the first row independent
-    of it, on the numbers N.  The candidate, their one point or the first
-    row's line, is the answer exactly when every row holds at it (at the
-    line's base, which suffices when every row is a multiple of the
-    first)."""
+    of it, on the numbers N.  The candidate, their one point (x/w, y/w) or
+    the first row's line, is the answer exactly when every row holds at it,
+    r0*x + r1*y = r*w (at the line's base, with w = 1, which suffices when
+    every row is a multiple of the first); w is inverted only for the answer."""
     canon, zero = N.canon, N.zero
     eqs = [(canon(a), canon(b), canon(c)) for (a, b), c in zip(rows, rhs)]
     first = next(((a, b, c) for a, b, c in eqs if a != zero or b != zero), None)
@@ -649,19 +655,19 @@ def _solve_plane(N: _Elements, rows, rhs) -> AffineSolutionSet:
         return AffineSolutionSet.plane() if plane else AffineSolutionSet.empty()
     a, b, c = first
     for a2, b2, c2 in eqs:
-        det = canon(a * b2 - b * a2)
-        if det != zero:
-            inv = N.inv(det)
-            x, y = canon((c * b2 - b * c2) * inv), canon((a * c2 - c * a2) * inv)
+        w = canon(a * b2 - b * a2)
+        if w != zero:
+            x, y = canon(c * b2 - b * c2), canon(a * c2 - c * a2)
             point = True
             break
     else:
         x, y, dx, dy = _line(N, a, b, c)
-        point = False
-    if any(canon(r0 * x + r1 * y - r) != zero for r0, r1, r in eqs):
+        w, point = N.one, False
+    if any(canon(r0 * x + r1 * y - r * w) != zero for r0, r1, r in eqs):
         return AffineSolutionSet.empty()
     if point:
-        return AffineSolutionSet.single(Element(N.fel(x), N.fel(y)))
+        inv = N.inv(w)
+        return AffineSolutionSet.single(Element(N.fel(x * inv), N.fel(y * inv)))
     return AffineSolutionSet._of_numbers(N, x, y, dx, dy)
 
 

@@ -164,6 +164,25 @@ def test_roots_of_an_irreducible_cubic_over_gf103(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "command, positional, flags",
+    [
+        ("analyze", ["q", "-1,0,0,0;0,0,0,0"], []),
+        ("analyze", ["q", "-1/2,3,0,-4;5,0,-6/7,1"], ["--json"]),
+        ("analyze", ["gf(7)", "-3,1,0,2;0,-1,0,0"], ["--closed", "--oracle"]),
+        ("roots", ["gf(7)", "-1,0,1"], []),
+        ("roots", ["q", "-4/9,0,1"], ["--json"]),
+        ("canonical", ["A8", "ne23", "-2", "gf(7)"], []),
+    ],
+)
+def test_a_leading_minus_sign_needs_no_double_dash(capsys, command, positional, flags):
+    """A positional that starts with a minus sign and a digit is read as a
+    positional, not as an unknown option: the same output as after `--`."""
+    code, out, err = run(capsys, command, *positional, *flags)
+    assert code == 0, err
+    assert run(capsys, command, *flags, "--", *positional) == (0, out, err)
+
+
 def test_prime_past_the_primality_limit_exits_2(capsys):
     from alg2d.fields import PRIME_LIMIT
 

@@ -947,6 +947,51 @@ def test_formulas_on_raw_values_equal_the_formulas_on_elements(monkeypatch, spec
                     assert is_left_quasiunit(A, qs.base + qs.direction.scale(t)), A.text()
 
 
+def _raw_values_in(obj):
+    """The raw value of every field element reachable from obj through
+    containers and slotted objects, fields excepted, and every raw
+    coefficient a root search keeps."""
+    from alg2d.fields import Field
+    from alg2d.poly import RootSearch
+
+    if isinstance(obj, Fel):
+        yield obj.raw
+        return
+    if isinstance(obj, RootSearch):
+        yield from obj._g or []
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        for x in obj:
+            yield from _raw_values_in(x)
+    elif hasattr(type(obj), "__slots__") and not isinstance(obj, Field):
+        for name in type(obj).__slots__:
+            yield from _raw_values_in(getattr(obj, name, None))
+
+
+def test_raw_values_over_q_are_fractions():
+    """The solver formulas run on ints where Q's constants are integral, but
+    every element an analysis over Q builds, and every coefficient of its
+    slope polynomials, keeps one reduced Fraction as its raw value: over
+    seeded MSCs with integral, n/d and zero constants and planted rational
+    roots, over MSCs whose quasiunits take every rank, and over one with an
+    idempotent family."""
+    from alg2d.report import analyze
+    from test_golden import _seeded_q_mscs
+
+    family = MSC.from_ints(QQ, [3, 1, 2, 0], [0, 1, 2, 3])
+    mscs = [*_seeded_q_mscs(9), *_zero_heavy_mscs(QQ, 150, seed=1), family]
+    kinds = set()
+    for A in mscs:
+        rep = analyze(A)
+        raws = list(_raw_values_in([rep, A.memo]))
+        assert raws and all(type(x) is Fraction for x in raws), A.text()
+        assert len(A.memo) == 4, A.text()  # the four slope polynomials' searches
+        kinds.add(rep.quasiunits.kind)
+    assert kinds == {"empty", "point", "line", "plane"}
+    assert not idempotents(family).family.is_zero
+
+
 def test_plain_analysis_over_a_prime_field_calls_no_field_product(monkeypatch):
     """Every formula and root search of a plain analysis over GF(10007) runs
     on int residues, a line of quasiunits in canonical form included: no

@@ -158,6 +158,36 @@ def test_product_division_and_gcd_match_sympy(p):
         pairs = [(f, sf), (g, sg), (q, sq), (r, sr), (poly_gcd(f, g), sympy.gcd(sf, sg))]
         for got, expect in pairs:
             assert _leading_first(got) == _sympy_leading_first(expect, p), (a, b, c)
+    if not p:
+        for a, b, c in _integer_gcd_cases(rng):
+            ours = [Poly(F, [F.el(x) for x in v]) for v in (a, b, c)]
+            f, g = ours[0] * ours[2] * ours[2], ours[1] * ours[2]
+            sf, sg = (_sympy_of([x.raw for x in h.coeffs], 0) for h in (f, g))
+            assert _leading_first(poly_gcd(f, g)) == _sympy_leading_first(
+                sympy.gcd(sf, sg), 0
+            ), (a, b, c)
+            assert _leading_first(poly_gcd(g, f)) == _leading_first(poly_gcd(f, g)), (a, b, c)
+
+
+def _integer_gcd_cases(rng):
+    """(a, b, c) for f = a*c^2 and g = b*c over Q, so that c's factors are
+    shared, squared in f: coefficients of 30 to 100 digits, some of them
+    n/d, with either sign, so leading coefficients are often negative; then
+    a constant operand, a zero one, and c constant."""
+    def coeffs(degree):
+        digits = rng.randint(30, 100)
+        out = []
+        for _ in range(degree + 1):
+            d = abs(_big(rng, rng.randint(1, 30))) if rng.random() < 0.3 else 1
+            out.append(Fraction(_big(rng, rng.randint(1, digits)), d))
+        return out
+
+    for _ in range(PER_PRIME):
+        yield coeffs(rng.randint(0, 3)), coeffs(rng.randint(0, 2)), coeffs(rng.randint(1, 2))
+    yield coeffs(0), coeffs(2), coeffs(1)  # f constant times c^2
+    yield coeffs(2), [], coeffs(2)  # g zero
+    yield [], coeffs(1), coeffs(2)  # f zero
+    yield coeffs(3), coeffs(3), coeffs(0)  # nothing shared
 
 
 @pytest.mark.parametrize(
@@ -245,6 +275,27 @@ def test_rational_roots_match_sympy_ground_roots():
         [zero, zero, Fraction(5, 2), Fraction(-4, 9)],
     ]
     for coeffs in cases:
+        got = [r.raw for r in roots_in_field(Poly(QQ, [QQ.el(c) for c in coeffs]))]
+        expect = sorted(
+            Fraction(int(r.p), int(r.q)) for r in set(_sympy_of(coeffs, 0).ground_roots())
+        )
+        assert got == expect, coeffs
+
+
+def test_rational_roots_of_repeated_fractional_factors_match_sympy_ground_roots():
+    """Products of up to four factors u*y - v with n/d coefficients, each
+    factor drawn from a pool of two so that most inputs are not square-free,
+    scaled by an n/d of either sign; degrees 1 to 4."""
+    rng = random.Random(31)
+
+    def rational():
+        return Fraction(_big(rng, rng.randint(1, 12)), abs(_big(rng, rng.randint(1, 6))))
+
+    for _ in range(60):
+        pool = [[rational(), rational()] for _ in range(2)]
+        coeffs = [rational()]
+        for _ in range(rng.randint(1, 4)):
+            coeffs = poly._rmul(QQ, coeffs, rng.choice(pool))
         got = [r.raw for r in roots_in_field(Poly(QQ, [QQ.el(c) for c in coeffs]))]
         expect = sorted(
             Fraction(int(r.p), int(r.q)) for r in set(_sympy_of(coeffs, 0).ground_roots())
