@@ -107,9 +107,6 @@ class Element:
     def __sub__(self, other: "Element") -> "Element":
         return Element(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "Element":
-        return Element(-self.x, -self.y)
-
     def scale(self, c: Fel) -> "Element":
         return Element(c * self.x, c * self.y)
 

@@ -144,23 +144,6 @@ class Poly:
     def __hash__(self):
         return hash((self.field, self.coeffs))
 
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.field, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.field, [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.field, [-c for c in self.coeffs])
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         F = self.field
@@ -175,12 +158,6 @@ class Poly:
         lead_inv = [F._inv(other.coeffs[-1].raw)]
         q, r = _rdivmod(F, self._raw(), _rmul(F, other._raw(), lead_inv))
         return Poly._of_raw(F, _rmul(F, q, lead_inv)), Poly._of_raw(F, r)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     def __call__(self, x: Fel) -> Fel:
         acc = self.field.zero

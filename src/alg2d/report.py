@@ -4,14 +4,14 @@ The report bundles every quantity this package computes for a single matrix
 of structure constants.  Plain analysis builds no extension field: the line
 quantities are solved in the algebra's own field, and simplicity and the
 closed subalgebra count are read from polynomials over that field.  With
-``closed=True`` the algebra is lifted at most once per field, to
-`solvers.ideal_closure`, where its ideal systems split, and to the splitting
-field of its subalgebra cubic.  Each line quantity is solved once on the
-algebra it is reported over, and the oracle reuses that answer; idempotents
-and quasiunits live in the algebra's own field.  The solvers keep each root
-search on the algebra it ran on, so the subalgebra cubic is searched once
-per field, and simplicity reads the two-sided search over the algebra's own
-field.
+``closed=True`` each line quantity is solved on `solvers.closure(A, kind)`:
+the algebra lifted, at most once per field, to the splitting field of its
+subalgebra cubic or to the field where its ideal systems split.  Each line
+quantity is solved once on the algebra it is reported over, and the oracle
+reuses that answer; idempotents and quasiunits live in the algebra's own
+field.  The solvers keep each root search on the algebra it ran on, so the
+subalgebra cubic is searched once per field, and simplicity reads the
+two-sided search over the algebra's own field.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from .fields import FieldError, InfiniteField, parse_field
 from .solvers import (
     AffineSolutionSet,
     IdempotentSet,
-    ideal_closure,
+    closure,
     idempotents,
     is_simple,
     left_ideals,
     left_quasiunits,
     right_ideals,
-    subalgebra_closure,
     subalgebra_count_closed,
     subalgebras,
     two_sided_ideals,
@@ -142,14 +141,15 @@ def analyze(A: MSC, closed: bool = False, oracle: bool = False) -> AnalysisRepor
             f"the brute-force oracle runs on fields of order at most {ORACLE_LIMIT}, "
             f"and {F.text()} has {F.order} elements"
         )
-    ideal_A = ideal_closure(A) if closed else A
-    # each line quantity with the algebra it was solved on
-    parts = {
-        "subalgebras": subalgebra_closure(A) if closed else (A, subalgebras(A)),
-        "left": (ideal_A, left_ideals(ideal_A)),
-        "right": (ideal_A, right_ideals(ideal_A)),
-        "two_sided": (ideal_A, two_sided_ideals(ideal_A)),
+    solve = {
+        "subalgebras": subalgebras,
+        "left": left_ideals,
+        "right": right_ideals,
+        "two_sided": two_sided_ideals,
     }
+    # each line quantity with the algebra it was solved on
+    on = {q: closure(A, q) if closed else A for q in solve}
+    parts = {q: (B, solve[q](B)) for q, B in on.items()}
     closed_cat = subalgebra_count_closed(A).label if F.is_finite else None
     simple = is_simple(A)
     idem = idempotents(A)

@@ -18,18 +18,20 @@ no extension field built.  The named solvers (`subalgebras`, `left_ideals`, ...,
 per algebra and kept on it (`root_search`), so the cubic's one search also
 serves the idempotents, which scale its roots through `eigenvalue_poly`, and
 the subalgebra splitting field.  Quasiunits solve an 8x2 linear system.
-Only callers that list the lines over the closure lift A: to
-`ideal_closure(A)`, where all four ideal quadratics split, which is also
-kept on A, and through `subalgebra_closure` to the cubic's splitting field,
-which reuses the ideal closure when the two fields agree.
+Only callers that list the lines over the closure lift A, all through
+`closure(A, which)`: to `closure_field(A, which)`, the cubic's splitting
+field for subalgebras and, for the ideal kinds, the field where all four
+ideal quadratics split.  The lift is kept on A under its field, so kinds
+with one closure field share one lift.
 
 Each formula in the structure constants (the cubic, the eigenvalue and ideal
 quadratics, the two-sided candidate, the quasiunit system and Cramer's rule
 on it, `simple_by_cases`) is written once and evaluated on the numbers of
-`_numbers(A.field)`: with Python's operators on int residues over GF(p) and
-on ints, or Fractions where a value is not integral, over Q; on elements
-over GF(p^k).  Elements, points and polynomials are built only for the
-answers, and a division waits for them too.
+A's field, which `_constants(A)` reads once per algebra and keeps on it:
+with Python's operators on int residues over GF(p) and on ints, or
+Fractions where a value is not integral, over Q; on elements over GF(p^k).
+Elements, points and polynomials are built only for the answers, and a
+division waits for them too.
 
 The module also carries `simple_by_cases`, the published simplicity test,
 as an independent predictor; the generic solver is the ground truth it is
@@ -128,9 +130,21 @@ def _trimmed(raw: list) -> list:
     return raw
 
 
+def _kept(A: MSC, key, make):
+    """`make()`, made once per algebra and kept in `A.memo`; it is never None."""
+    kept = A.memo.get(key)
+    return A.memo.setdefault(key, make()) if kept is None else kept
+
+
+def _constants(A: MSC) -> tuple[_Elements, list]:
+    """The numbers of A's field and A's constants a1..a4, b1..b4 on them,
+    read once per algebra and kept on A."""
+    return _kept(A, "constants", lambda: (N := _numbers(A.field), N.of(A.alpha + A.beta)))
+
+
 # ---------------------------------------------------------------------------
 # The defining formulas, each written once on the eight structure constants
-# as numbers of `_numbers(A.field)`.  A polynomial is the list of its
+# as the numbers `_constants(A)` reads.  A polynomial is the list of its
 # coefficients, constant first, and no value is brought to canonical form.
 
 def _subalgebra_cubic(a1, a2, a3, a4, b1, b2, b3, b4) -> list:
@@ -155,26 +169,26 @@ def _quadratic_at(f: list, y):
 
 def subalgebra_poly(A: MSC) -> Poly:
     """Cubic whose roots y give the subalgebra lines F(e1 + y*e2)."""
-    N = _numbers(A.field)
-    return N.poly(_subalgebra_cubic(*N.of(A.alpha + A.beta)))
+    N, c = _constants(A)
+    return N.poly(_subalgebra_cubic(*c))
 
 
 def eigenvalue_poly(A: MSC) -> Poly:
     """Quadratic giving u^2 = c*u with c = a4*y^2 + (a2+a3)*y + a1 along u = e1+y*e2."""
-    N = _numbers(A.field)
-    return N.poly(_eigenvalue_quadratic(*N.of(A.alpha + A.beta)))
+    N, c = _constants(A)
+    return N.poly(_eigenvalue_quadratic(*c))
 
 
 def left_ideal_system(A: MSC) -> tuple[Poly, Poly]:
     """(a4*y^2+(a3-b4)*y-b3, a2*y^2+(a1-b2)*y-b1); common roots are left-ideal slopes."""
-    N = _numbers(A.field)
-    return tuple(map(N.poly, _left_system(*N.of(A.alpha + A.beta))))
+    N, c = _constants(A)
+    return tuple(map(N.poly, _left_system(*c)))
 
 
 def right_ideal_system(A: MSC) -> tuple[Poly, Poly]:
     """(a4*y^2+(a2-b4)*y-b2, a3*y^2+(a1-b3)*y-b1); common roots are right-ideal slopes."""
-    N = _numbers(A.field)
-    return tuple(map(N.poly, _right_system(*N.of(A.alpha + A.beta))))
+    N, c = _constants(A)
+    return tuple(map(N.poly, _right_system(*c)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +209,7 @@ def slope_poly(A: MSC, which: str) -> Poly:
     if which == "subalgebras":
         return subalgebra_poly(A)
     F = A.field
-    N = _numbers(F)
-    c = N.of(A.alpha + A.beta)
+    N, c = _constants(A)
     if which == "two_sided":
         _, a2, a3, _, _, b2, b3, _ = c
         if a2 != a3:
@@ -219,14 +232,6 @@ _E2_LINE = {"subalgebras": (3,), "left": (1, 3), "right": (2, 3), "two_sided": (
 
 def _e2_line(A: MSC, which: str) -> bool:
     return all(A.alpha[i].is_zero for i in _E2_LINE[which])
-
-
-def _kept(A: MSC, key: str, make):
-    """`make()`, made once per algebra and kept in `A.memo`."""
-    try:
-        return A.memo[key]
-    except KeyError:
-        return A.memo.setdefault(key, make())
 
 
 def root_search(A: MSC, which: str) -> RootSearch:
@@ -271,24 +276,13 @@ def subalgebras(A: MSC) -> LineSet:
 
 
 def subalgebra_splitting(A: MSC) -> Field:
-    """Smallest extension where the subalgebra cubic splits: GF(q^n) for the
-    degree n of its factor without roots in GF(q), which is irreducible."""
+    """Smallest extension where the subalgebra cubic splits: A's own field
+    if it does there, else GF(q^n) for the degree n of its rootless factor."""
     F = A.field
-    if not F.is_finite:
-        raise InfiniteField("splitting fields need a finite field")
     rest = root_search(A, "subalgebras").rest
+    if rest and not F.is_finite:
+        raise InfiniteField("splitting fields need a finite field")
     return GF(F.p, F.k * rest) if rest else F
-
-
-def subalgebra_closure(A: MSC) -> tuple[MSC, LineSet]:
-    """A lifted to `subalgebra_splitting(A)`, or A itself when the cubic splits
-    in A's field, with its subalgebra lines there.  `ideal_closure(A)` serves
-    as the lift when the two splitting fields are the same."""
-    if not root_search(A, "subalgebras").rest:
-        return A, subalgebras(A)
-    ext = subalgebra_splitting(A)
-    lifted = ideal_closure(A) if _ideal_field(A) == ext else A.lift(ext)
-    return lifted, subalgebras(lifted)
 
 
 def subalgebra_count_closed(A: MSC) -> RootCount:
@@ -378,8 +372,8 @@ def idempotents(A: MSC) -> IdempotentSet:
         e2_point = Element(F.zero, b4.inv())
     if found.f.is_zero:
         return IdempotentSet(F, [], eigenvalue_poly(A), e2_point)
-    N = _numbers(F)
-    lam = _eigenvalue_quadratic(*N.of(A.alpha + A.beta))
+    N, constants = _constants(A)
+    lam = _eigenvalue_quadratic(*constants)
     isolated = []
     for y in N.of(found.roots):
         c = N.canon(_quadratic_at(lam, y))
@@ -411,16 +405,26 @@ def ideal_splitting(A: MSC) -> Field:
     return joint_quadratic_splitting(A.field, [l1, l2, r1, r2])
 
 
-def _ideal_field(A: MSC) -> Field:
+# ---------------------------------------------------------------------------
+# The closure: where the lines of a kind are those of the root closure.
+
+def closure_field(A: MSC, which: str) -> Field:
+    """The smallest field where the lines of the kind `which` are those of
+    the root closure of A's field: the cubic's splitting field for
+    subalgebras, and for every ideal kind the field where all four ideal
+    quadratics split, kept on A."""
+    if which == "subalgebras":
+        return subalgebra_splitting(A)
     return _kept(A, "ideal_splitting", lambda: ideal_splitting(A))
 
 
-def ideal_closure(A: MSC) -> MSC:
-    """A lifted to `ideal_splitting(A)`, or A itself when that field is A's own;
-    its ideal lines there are those of the root closure.  The field and the
-    lift are kept on A, and A itself is not, so no algebra refers to itself."""
-    ext = _ideal_field(A)
-    return A if ext == A.field else _kept(A, "ideal_closure", lambda: A.lift(ext))
+def closure(A: MSC, which: str) -> MSC:
+    """A over `closure_field(A, which)`: A itself when that is A's own field,
+    else A lifted there, kept on A under the field, so that kinds whose
+    closure is the same field share one lift.  A itself is not kept, so no
+    algebra refers to itself."""
+    E = closure_field(A, which)
+    return A if E == A.field else _kept(A, E, lambda: A.lift(E))
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +436,7 @@ def simple_by_cases(A: MSC) -> bool:
     Known gap: it never fires when a2 = a3 and b2 = b3 even though such
     algebras can be simple; `simple_by_cases_extended` documents the repair.
     """
-    N = _numbers(A.field)
-    a1, a2, a3, a4, b1, b2, b3, b4 = N.of(A.alpha + A.beta)
+    N, (a1, a2, a3, a4, b1, b2, b3, b4) = _constants(A)
     zero = N.zero
     if b2 != b3 and a2 == a3 and a2 != zero:
         return True
@@ -518,10 +521,10 @@ def quasiunit_system(A: MSC) -> tuple[list[tuple[Fel, Fel]], list[Fel]]:
     """The published 8x2 linear system for a left quasiunit x0*e1 + y0*e2,
     as elements of A's field: (rows, rhs) with each row (cx, cy) meaning
     cx*x0 + cy*y0 = rhs.  `left_quasiunits` solves the same formula,
-    `_quasiunit_rows`, on the numbers of `_numbers(A.field)` and builds
+    `_quasiunit_rows`, on the numbers `_constants(A)` reads and builds
     elements only for its answer."""
-    N = _numbers(A.field)
-    rows, rhs = _quasiunit_rows(*N.of(A.alpha + A.beta))
+    N, c = _constants(A)
+    rows, rhs = _quasiunit_rows(*c)
     return [(N.fel(cx), N.fel(cy)) for cx, cy in rows], [N.fel(c) for c in rhs]
 
 
@@ -673,5 +676,5 @@ def _solve_plane(N: _Elements, rows, rhs) -> AffineSolutionSet:
 
 def left_quasiunits(A: MSC) -> AffineSolutionSet:
     """Exact affine solution set of the quasiunit system."""
-    N = _numbers(A.field)
-    return _solve_plane(N, *_quasiunit_rows(*N.of(A.alpha + A.beta)))
+    N, c = _constants(A)
+    return _solve_plane(N, *_quasiunit_rows(*c))

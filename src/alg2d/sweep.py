@@ -6,14 +6,14 @@ emits one record per quantity.  The counts come from polynomials over the
 point's own field (`solvers.line_count_closed`, `subalgebra_count_closed`),
 so no extension field is built for them.  A record whose prediction
 disagrees with the solver is re-checked against the brute-force oracle on
-the algebra lifted to a field where the solver lists its lines:
-`solvers.ideal_closure`, built at most once per point and only for a
-recheck, or the splitting field of the subalgebra cubic.  If the oracle
-sides with the solver the record documents a defect in the catalogued tables
-(reported, exit status unaffected); if the oracle disagrees with the solver
-an OracleMismatch is raised, since that would be a bug in this package.  A
-recheck whose scan would pass `RECHECK_LIMIT` is not run, and the record's
-oracle reads "skipped".
+`solvers.closure(A, quantity)`, the algebra lifted to the field where the
+solver lists the lines of the root closure, made at most once per field and
+only for a recheck.  If the oracle sides with the solver the record
+documents a defect in the catalogued tables (reported, exit status
+unaffected); if the oracle disagrees with the solver an OracleMismatch is
+raised, since that would be a bug in this package.  A recheck whose scan
+would pass `RECHECK_LIMIT` is not run, and the record's oracle reads
+"skipped"; that is decided from `solvers.closure_field`, before any lift.
 """
 
 from __future__ import annotations
@@ -25,15 +25,15 @@ from .algebra import MSC, oracle_check
 from .fields import Field, FieldError
 from .families import ARITY, FamilyId, Regime, all_family_ids, instantiate
 from .solvers import (
-    ideal_closure,
+    closure,
+    closure_field,
     left_ideals,
     left_quasiunits,
     line_count_closed,
     right_ideals,
     root_search,
-    subalgebra_closure,
     subalgebra_count_closed,
-    subalgebra_splitting,
+    subalgebras,
     two_sided_ideals,
 )
 from .tables import FLAGS, predict_count, predict_quasiunits
@@ -121,16 +121,11 @@ def verify_point(family: FamilyId, params, field: Field) -> list[dict]:
             if field.order**2 > RECHECK_LIMIT:
                 return "skipped"
             return f"{len(oracle_check(A, quantity, solved_set.materialize(field)))} points"
-        if quantity == "subalgebras":
-            if subalgebra_splitting(A).order > RECHECK_LIMIT:
-                return "skipped"
-            lifted, lines = subalgebra_closure(A)
-            return _oracle_check(lifted, quantity, lines)
-        lifted = ideal_closure(A)
-        if lifted.field.order > RECHECK_LIMIT:
+        if closure_field(A, quantity).order > RECHECK_LIMIT:
             return "skipped"
-        solve = {"left": left_ideals, "right": right_ideals}.get(quantity, two_sided_ideals)
-        return _oracle_check(lifted, quantity, solve(lifted))
+        lifted = closure(A, quantity)
+        solve = {"subalgebras": subalgebras, "left": left_ideals, "right": right_ideals}
+        return _oracle_check(lifted, quantity, solve.get(quantity, two_sided_ideals)(lifted))
 
     base = {
         "family": family.name(),

@@ -45,11 +45,11 @@ from alg2d.families import FamilyId, Regime, instantiate
 from alg2d.solvers import (
     AffineSolutionSet,
     IdempotentSet,
-    ideal_closure,
+    closure,
+    closure_field,
     root_search,
     slope_poly,
     solve_plane_system,
-    subalgebra_closure,
     subalgebra_splitting,
 )
 from alg2d.tables import (
@@ -314,10 +314,9 @@ def _line_count_over_closure(A, which):
     if which == "subalgebras":
         # over GF(2) three lines are every line, which a LineSet reads as 'inf'
         B = A.lift(GF(2, 2)) if A.field.order == 2 else A
-        _, lines = subalgebra_closure(B)
-        return RootCount(lines.count_label())
+        return RootCount(subalgebras(closure(B, which)).count_label())
     fn = {"left": left_ideals, "right": right_ideals, "two_sided": two_sided_ideals}[which]
-    return RootCount(fn(ideal_closure(A)).count_label())
+    return RootCount(fn(closure(A, which)).count_label())
 
 
 def _witness_mscs():
@@ -585,10 +584,10 @@ def test_q_structure_analysis():
 
 def test_subalgebra_closure_over_q_keeps_only_a_split_cubic():
     split = MSC.from_ints(QQ, [-1, 0, 0, 1], [0, 0, 0, 0])  # y^3 - y
-    assert subalgebra_closure(split) == (split, subalgebras(split))
+    assert closure(split, "subalgebras") is split
     AQ = MSC.from_ints(QQ, [0, 1, 1, 0], [1, 0, 0, -1])  # 3y^2 - 1
     with pytest.raises(InfiniteField):
-        subalgebra_closure(AQ)
+        closure(AQ, "subalgebras")
 
 
 def test_is_simple_checks_the_case_analysis_over_q(monkeypatch):
@@ -640,7 +639,8 @@ def _kept_answers(A):
     ]
     answers += [line_count_closed(A, which) for which in _KINDS]
     if A.field.is_finite:
-        answers += [subalgebra_splitting(A), ideal_closure(A), subalgebra_closure(A)]
+        B = closure(A, "subalgebras")
+        answers += [subalgebra_splitting(A), closure(A, "left"), B, subalgebras(B)]
     return answers
 
 
@@ -674,7 +674,8 @@ def test_shared_subalgebra_roots_give_the_same_answers(monkeypatch, spec):
             assert root_search(A, which) is root_search(A, which)
             assert root_search(A, which).f == slope_poly(A, which)
         if F.is_finite:
-            assert ideal_closure(A) is ideal_closure(A)
+            for which in _KINDS:
+                assert closure(A, which) is closure(A, which)
     assert root_search(zero_cubic, "subalgebras").rest == 0
 
 
@@ -710,7 +711,7 @@ def test_an_algebra_keeps_no_reference_to_itself(monkeypatch):
         for A in _seeded_mscs(F, 10, seed=F.order):
             analyze(A, closed=True, oracle=True)
             assert A.memo and not _reaches(A.memo, A), A.text()
-            lifted += ideal_closure(A) is not A
+            lifted += closure(A, "left") is not A
     assert lifted
     points = []
     make = sweep.instantiate
@@ -846,6 +847,30 @@ def test_verify_point_lifts_at_most_once_per_field(monkeypatch):
     assert shared > 0
 
 
+def test_one_lift_per_closure_field_and_one_reading_of_the_constants(monkeypatch):
+    """The kinds whose closure is the same field share one lift, also the
+    subalgebras where the cubic splits in the ideal closure; a plain analysis
+    reads the structure constants once."""
+    from alg2d import solvers
+    from alg2d.report import analyze
+
+    shared = 0
+    for A in _seeded_mscs(GF(5), 60, seed=26):
+        assert closure(A, "left") is closure(A, "right") is closure(A, "two_sided")
+        if closure_field(A, "subalgebras") == closure_field(A, "left") != A.field:
+            assert closure(A, "subalgebras") is closure(A, "left")
+            shared += 1
+    assert shared
+    read = []
+    numbers = solvers._numbers
+    monkeypatch.setattr(solvers, "_numbers", lambda F: read.append(F) or numbers(F))
+    for F in (GF(5), GF(3, 2), GF(1009), QQ):
+        for A in [MSC.from_ints(F, [1, 2, 2, 1], [3, 4, 4, 5])] + _seeded_mscs(F, 10, seed=7):
+            read.clear()
+            analyze(A)
+            assert read == [F], A.text()
+
+
 def test_inverse_cache_stays_empty_above_the_memo_limit():
     from alg2d.report import analyze
 
@@ -926,7 +951,8 @@ def test_formulas_on_raw_values_equal_the_formulas_on_elements(monkeypatch, spec
     on_numbers = [_solver_answers(A) for A in mscs]
     with monkeypatch.context() as m:
         m.setattr(solvers, "_numbers", solvers._Elements)
-        on_elements = [_solver_answers(A) for A in mscs]
+        # fresh algebras, as each keeps the numbers it read first
+        on_elements = [_solver_answers(MSC(A.field, A.alpha, A.beta)) for A in mscs]
     assert on_numbers == on_elements
     kinds = {answers[0].kind for answers in on_numbers}
     assert kinds == {"empty", "point", "line", "plane"}
@@ -986,7 +1012,8 @@ def test_raw_values_over_q_are_fractions():
         rep = analyze(A)
         raws = list(_raw_values_in([rep, A.memo]))
         assert raws and all(type(x) is Fraction for x in raws), A.text()
-        assert len(A.memo) == 4, A.text()  # the four slope polynomials' searches
+        # the four slope polynomials' searches and the constants they read
+        assert len(A.memo) == 5, A.text()
         kinds.add(rep.quasiunits.kind)
     assert kinds == {"empty", "point", "line", "plane"}
     assert not idempotents(family).family.is_zero

@@ -156,6 +156,22 @@ def test_oracle_recheck_past_the_limit_is_skipped(monkeypatch):
     assert {r["oracle"] for r in skipped} == {"skipped"}
 
 
+def test_a_skipped_recheck_lifts_nothing(monkeypatch):
+    """The left A2 mismatch at (0, 1, w) over GF(3^13) would recheck the lines
+    of GF(3^26): the recheck is skipped from the closure field's order alone,
+    before the point is lifted."""
+    from alg2d import MSC
+    from alg2d.fields import parse_el
+
+    def lift(A, E):
+        raise AssertionError(f"lifted to {E.text()}")
+
+    monkeypatch.setattr(MSC, "lift", lift)
+    F = GF(3, 13)
+    left = verify_point(fid(2, Regime.CHAR3), [F.zero, F.one, parse_el(F, "w")], F)[1]
+    assert (left["quantity"], left["verdict"], left["oracle"]) == ("left", "mismatch", "skipped")
+
+
 def test_every_mismatch_carries_oracle_confirmation():
     records = sweep_family(fid(2), F5)
     bad = mismatch_records(records)
