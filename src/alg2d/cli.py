@@ -23,7 +23,7 @@ import re
 import sys
 
 from .algebra import MSC, OracleMismatch
-from .fields import FieldError, InfiniteField, ParseError, parse_el, parse_field
+from .fields import FieldError, InfiniteField, ParseError, _numeral, parse_el, parse_field
 from .families import FamilyId, Regime, all_family_ids, instantiate
 from .poly import cubic_root_count, parse_poly, roots_in_field, splitting_field
 from .report import analyze, dumps, render_text
@@ -79,13 +79,17 @@ def _budget(text: str):
     """`exhaustive` or a positive sample count."""
     if text == "exhaustive":
         return text
-    try:
-        n = int(text)
-    except ValueError:  # not an integer, or past int()'s digit limit
-        n = 0
+    error = f"budget must be a positive integer or `exhaustive`, not {text!r}"
+    n = _numeral(text, error)
     if n < 1:
-        raise ParseError(f"budget must be a positive integer or `exhaustive`, not {text!r}")
+        raise ParseError(error)
     return n
+
+
+def _seed(text: str) -> int:
+    """An integer seed: ASCII decimal digits after at most one minus sign."""
+    error = f"seed must be an integer, not {text!r}"
+    return -_numeral(text[1:], error) if text.startswith("-") else _numeral(text, error)
 
 
 def cmd_verify(args) -> int:
@@ -93,14 +97,15 @@ def cmd_verify(args) -> int:
     if not field.is_finite:
         raise InfiniteField("verify sweeps parameter grids over a finite field")
     budget = _budget(args.budget)
+    seed = _seed(args.seed)
     regime = Regime.of_field(field)
     if args.scope.lower() == "all":
         families = all_family_ids(regime)
     else:
         families = [FamilyId.parse(args.scope, regime)]
-    records = [rec for fam in families for rec in sweep_family(fam, field, budget, args.seed)]
+    records = [rec for fam in families for rec in sweep_family(fam, field, budget, seed)]
     flag_reports = [
-        adjudicate_flag(name, field, budget, args.seed)
+        adjudicate_flag(name, field, budget, seed)
         for name, (_, r, idx) in sorted(FLAG_ROWS.items())
         if r == regime and any(fam.index == idx for fam in families)
     ]
@@ -199,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("scope", help="a family name or `all`")
     pv.add_argument("field")
     pv.add_argument("--budget", default="exhaustive", help="sample count or `exhaustive`")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", default="0")
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(fn=cmd_verify)
 

@@ -3,8 +3,10 @@
 Every nontrivial two-dimensional algebra is isomorphic to a member of the
 families A1..A12; the parameterisation differs between characteristic not in
 {2,3}, characteristic 2, and characteristic 3, so a family is identified by
-(index, regime).  `check_point` validates a parameter vector, and
-`instantiate` substitutes it into the printed matrix of structure constants.
+(index, regime).  `MATRICES` holds each printed matrix of structure
+constants once, as a function that field elements and sympy symbols both
+evaluate.  `check_point` validates a parameter vector, and `instantiate`
+evaluates the family's matrix at it over a field.
 
 The member is not always unique as printed: the change of basis e2 -> -e2
 identifies A2(a1, b1, b2) with A2(a1, -b1, b2) and A6(a1, b1) with
@@ -17,7 +19,7 @@ from __future__ import annotations
 import enum
 
 from .algebra import MSC
-from .fields import Fel, Field, FieldError, FieldMismatch
+from .fields import Field, FieldError, FieldMismatch, _numeral
 
 
 class RegimeMismatch(FieldError):
@@ -63,10 +65,12 @@ class FamilyId:
 
     @classmethod
     def parse(cls, text: str, regime: Regime) -> "FamilyId":
-        t = text.strip().upper().replace("_", "")
-        if not (t.startswith("A") and t[1:].isdecimal() and len(t) <= 3):
+        """`A` or `A_`, in either case, then the index in ASCII decimal digits."""
+        t = text.strip().upper()
+        digits = t[2:] if t.startswith("A_") else t[1:]
+        if not t.startswith("A") or len(digits) > 2:
             raise FieldError(f"unknown family {text!r}")
-        return cls(int(t[1:]), regime)
+        return cls(_numeral(digits, f"unknown family {text!r}"), regime)
 
     def name(self) -> str:
         suffix = {Regime.NE23: "", Regime.CHAR2: ",2", Regime.CHAR3: ",3"}[self.regime]
@@ -89,8 +93,42 @@ class FamilyId:
 ARITY = {1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 2, 7: 1, 8: 1, 9: 0, 10: 0, 11: 0, 12: 0}
 
 
-def _frac(F: Field, num: int, den: int) -> Fel:
-    return F.el(num) / F.el(den)
+# The printed matrix of every family, as a function of (one, zero, *params)
+# that returns (a1, a2, a3, a4, b1, b2, b3, b4) using only + - * / on its
+# arguments, so field elements and sympy symbols both evaluate it.  The
+# regime None stands for every regime that the index does not list.
+MATRICES = {
+    (1, None): lambda o, z, a1, a2, a4, b1: (a1, a2, a2 + o, a4, b1, -a1, -a1 + o, -a2),
+    (2, None): lambda o, z, a1, b1, b2: (a1, z, z, o, b1, b2, o - a1, z),
+    (3, Regime.CHAR2): lambda o, z, a1, b2: (a1, o, o, z, z, b2, o - a1, o),
+    (3, None): lambda o, z, b1, b2: (z, o, o, z, b1, b2, o, -o),
+    (4, None): lambda o, z, a1, b2: (a1, z, z, z, z, b2, o - a1, z),
+    (5, Regime.CHAR2): lambda o, z, a1: (a1, z, z, z, o, o, o - a1, z),
+    (5, Regime.CHAR3): lambda o, z, a1: (a1, z, z, z, o, -o - a1, o - a1, z),
+    (5, None): lambda o, z, a1: (a1, z, z, z, o, (o + o) * a1 - o, o - a1, z),
+    (6, Regime.CHAR2): lambda o, z, a1, b1: (a1, z, z, o, b1, o - a1, a1, z),
+    (6, None): lambda o, z, a1, b1: (a1, z, z, o, b1, o - a1, -a1, z),
+    (7, Regime.CHAR2): lambda o, z, c: (c, o, o, z, z, o - c, c, o),
+    (7, None): lambda o, z, c: (z, o, o, z, c, o, z, -o),
+    (8, Regime.CHAR2): lambda o, z, a1: (a1, z, z, z, z, o - a1, a1, z),
+    (8, None): lambda o, z, a1: (a1, z, z, z, z, o - a1, -a1, z),
+    (9, Regime.NE23): lambda o, z: (
+        o / (o + o + o), z, z, z, o, (o + o) / (o + o + o), -o / (o + o + o), z
+    ),
+    (9, Regime.CHAR2): lambda o, z: (o, z, z, z, o, z, o, z),
+    (9, None): lambda o, z: (z, o, o, z, o, z, z, -o),
+    (10, Regime.CHAR2): lambda o, z: (z, o, o, z, z, z, z, o),
+    (10, None): lambda o, z: (z, o, o, z, z, z, z, -o),
+    (11, Regime.CHAR2): lambda o, z: (o, o, o, z, z, o, o, o),
+    (11, Regime.CHAR3): lambda o, z: (o, z, z, z, o, -o, -o, z),
+    (11, None): lambda o, z: (z, o, o, z, o, z, z, -o),
+    (12, None): lambda o, z: (z, z, z, z, o, z, z, z),
+}
+
+
+def matrix(family: FamilyId):
+    """The family's entry of MATRICES: its own regime's, else the None one."""
+    return MATRICES.get((family.index, family.regime)) or MATRICES[family.index, None]
 
 
 def check_point(family: FamilyId, params, F: Field) -> tuple:
@@ -115,76 +153,8 @@ def check_point(family: FamilyId, params, F: Field) -> tuple:
 
 def instantiate(family: FamilyId, params, F: Field) -> MSC:
     """The printed structure constants of the family at the given parameters."""
-    params = check_point(family, params, F)
-    one = F.one
-    zero = F.zero
-    i = family.index
-    r = family.regime
-
-    if i == 1:  # identical shape in all three regimes
-        a1, a2, a4, b1 = params
-        return MSC(
-            F,
-            [a1, a2, a2 + one, a4],
-            [b1, -a1, -a1 + one, -a2],
-        )
-    if i == 2:
-        a1, b1, b2 = params
-        return MSC(F, [a1, zero, zero, one], [b1, b2, one - a1, zero])
-    if i == 3:
-        if r is Regime.CHAR2:
-            a1, b2 = params
-            return MSC(F, [a1, one, one, zero], [zero, b2, one - a1, one])
-        b1, b2 = params
-        return MSC(F, [zero, one, one, zero], [b1, b2, one, -one])
-    if i == 4:
-        a1, b2 = params
-        return MSC(F, [a1, zero, zero, zero], [zero, b2, one - a1, zero])
-    if i == 5:
-        (a1,) = params
-        if r is Regime.CHAR2:
-            return MSC(F, [a1, zero, zero, zero], [one, one, one - a1, zero])
-        if r is Regime.CHAR3:
-            return MSC(F, [a1, zero, zero, zero], [one, -one - a1, one - a1, zero])
-        return MSC(F, [a1, zero, zero, zero], [one, F.el(2) * a1 - one, one - a1, zero])
-    if i == 6:
-        a1, b1 = params
-        if r is Regime.CHAR2:
-            return MSC(F, [a1, zero, zero, one], [b1, one - a1, a1, zero])
-        return MSC(F, [a1, zero, zero, one], [b1, one - a1, -a1, zero])
-    if i == 7:
-        (c,) = params
-        if r is Regime.CHAR2:
-            return MSC(F, [c, one, one, zero], [zero, one - c, c, one])
-        return MSC(F, [zero, one, one, zero], [c, one, zero, -one])
-    if i == 8:
-        (a1,) = params
-        if r is Regime.CHAR2:
-            return MSC(F, [a1, zero, zero, zero], [zero, one - a1, a1, zero])
-        return MSC(F, [a1, zero, zero, zero], [zero, one - a1, -a1, zero])
-    if i == 9:
-        if r is Regime.NE23:
-            third = _frac(F, 1, 3)
-            return MSC(
-                F,
-                [third, zero, zero, zero],
-                [one, _frac(F, 2, 3), -third, zero],
-            )
-        if r is Regime.CHAR2:
-            return MSC(F, [one, zero, zero, zero], [one, zero, one, zero])
-        return MSC(F, [zero, one, one, zero], [one, zero, zero, -one])
-    if i == 10:
-        if r is Regime.CHAR2:
-            return MSC(F, [zero, one, one, zero], [zero, zero, zero, one])
-        return MSC(F, [zero, one, one, zero], [zero, zero, zero, -one])
-    if i == 11:
-        if r is Regime.CHAR2:
-            return MSC(F, [one, one, one, zero], [zero, one, one, one])
-        if r is Regime.CHAR3:
-            return MSC(F, [one, zero, zero, zero], [one, -one, -one, zero])
-        return MSC(F, [zero, one, one, zero], [one, zero, zero, -one])
-    # i == 12, identical in all regimes
-    return MSC(F, [zero, zero, zero, zero], [one, zero, zero, zero])
+    c = matrix(family)(F.one, F.zero, *check_point(family, params, F))
+    return MSC(F, c[:4], c[4:])
 
 
 def all_family_ids(regime: Regime) -> list[FamilyId]:

@@ -283,6 +283,15 @@ def test_canonical_skips_a_recheck_past_the_limit(capsys):
         # a `*` is followed by a power of w: `c*` is no constant
         ("analyze", "gf(5)", "3*,0,0,0;0,0,0,0"),
         ("analyze", "gf(3,2)", "1*,0,0,0;0,0,0,0"),
+        # a family index, a budget and a seed are ASCII decimal numerals too
+        ("canonical", "A１", "ne23", "1,2,3,4", "gf(5)"),
+        ("canonical", "A٣", "ne23", "1,2", "gf(5)"),
+        ("canonical", "A1_0", "ne23", "", "gf(5)"),
+        ("verify", "A12", "gf(5)", "--budget", "1_0"),
+        ("verify", "A12", "gf(5)", "--budget", "٣"),
+        ("verify", "A12", "gf(5)", "--budget", "+3"),
+        ("verify", "A12", "gf(5)", "--seed", "٣"),
+        ("verify", "A12", "gf(5)", "--seed", "+3"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -290,6 +299,11 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert code == 2
     assert any(line.startswith("error:") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+def test_seed_may_carry_one_minus_sign(capsys):
+    code, out, _ = run(capsys, "verify", "A12", "gf(5)", "--seed", "-3")
+    assert code == 0 and out.startswith("verified ")
 
 
 @pytest.mark.parametrize(

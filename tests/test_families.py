@@ -1,17 +1,21 @@
+import inspect
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from alg2d import GF, Poly
 from alg2d.families import (
     ARITY,
+    MATRICES,
     ArityMismatch,
     FamilyId,
     Regime,
     RegimeMismatch,
     all_family_ids,
     instantiate,
+    matrix,
 )
 from alg2d.solvers import subalgebra_poly
 
@@ -43,6 +47,25 @@ def test_arity_guard():
         instantiate(FamilyId(8, Regime.NE23), [F5.one, F5.one], F5)
     with pytest.raises(ArityMismatch):
         instantiate(FamilyId(1, Regime.NE23), [F5.one], F5)
+
+
+def test_every_family_resolves_to_one_matrix_of_its_arity():
+    """Each (index, regime) reaches exactly one entry of MATRICES, its own
+    regime's or else the index's None entry; the entry takes ARITY[index]
+    parameters after (one, zero) and gives eight constants; no entry is
+    unreachable."""
+    reached = set()
+    for regime in Regime:
+        for fam in all_family_ids(regime):
+            fn = matrix(fam)
+            keys = [key for key, entry in MATRICES.items() if entry is fn]
+            own = (fam.index, regime)
+            assert keys == [own if own in MATRICES else (fam.index, None)], fam
+            reached.add(keys[0])
+            assert len(inspect.signature(fn).parameters) == 2 + ARITY[fam.index], fam
+            params = [Fraction(k + 2) for k in range(ARITY[fam.index])]
+            assert len(fn(Fraction(1), Fraction(0), *params)) == 8, fam
+    assert reached == set(MATRICES) and len(MATRICES) == 23
 
 
 def test_family_parsing():

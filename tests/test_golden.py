@@ -21,7 +21,7 @@ import pytest
 
 from alg2d import GF, QQ, Poly
 from alg2d.algebra import MSC, all_mscs, msc_from_index
-from alg2d.families import Regime
+from alg2d.families import ARITY, Regime, all_family_ids, instantiate
 from alg2d.poly import splitting_field
 from alg2d.report import analyze, render_text
 from alg2d.solvers import subalgebra_poly
@@ -118,6 +118,23 @@ def _sweep(F):
             yield json.dumps(adjudicate_flag(flag, F, 40, 3), sort_keys=True)
 
 
+def _instantiate_points():
+    """`instantiate` on the exhaustive grid of every family over GF(2), GF(3),
+    GF(4), GF(5) and GF(7), and at 40 seeded n/d points per family over Q."""
+    for field in (GF(2), GF(3), GF(2, 2), GF(5), GF(7)):
+        for fam in all_family_ids(Regime.of_field(field)):
+            for params in itertools.product(field.elements(), repeat=ARITY[fam.index]):
+                yield f"{fam.name()}|{instantiate(fam, params, field).text()}"
+    rng = random.Random(15)
+    for fam in all_family_ids(Regime.NE23):
+        for _ in range(40):
+            params = [
+                QQ.el(Fraction(rng.randint(-99, 99), rng.randint(1, 12)))
+                for _ in range(ARITY[fam.index])
+            ]
+            yield f"{fam.name()}|{instantiate(fam, params, QQ).text()}"
+
+
 SECTIONS = {
     "analyze_gf2": lambda: _plain_and_closed(GF(2)),
     "analyze_gf3": lambda: _plain_and_closed(GF(3)),
@@ -135,6 +152,7 @@ SECTIONS = {
     "sweep_gf4": lambda: _sweep(GF(2, 2)),
     "sweep_gf5": lambda: _sweep(GF(5)),
     "sweep_gf9": lambda: _sweep(GF(3, 2)),
+    "instantiate": _instantiate_points,
     "text": _text_reports,
 }
 
@@ -147,6 +165,7 @@ DIGESTS = {
     "closed_cubic_gf11": "de69c279b055142db778968385f0e78b04bd3275cf2ac50480d60004b9ed456a",
     "closed_cubic_gf13": "84f57f060599b5af7b3904f3c89b26069ecfdbcbf7c49c013eb25ae0fd5858a7",
     "closed_cubic_gf17": "e6feef9e84ae32bc4955a072d40dd7ee5af5e57510cddcea5ee4f66a2c30c858",
+    "instantiate": "b40c522448e2083c8e4b1c6daa2d6358b4b0b3a30fa144d97b4c295482fbd22a",
     "plain_gf1009": "a9c67a45a0727497029e19bbef6d4b48e968681227120591f5a888af86211232",
     "plain_gf625": "6d94c585527c64667bb0f3876fce82396701e3f92f5f7fd4d557f348bc9bc3e6",
     "plain_q": "9d1f15d6d1f5a3053fa044d125a687009f3eaa609ac98dd1ff5d03d451a3fc04",

@@ -1,9 +1,11 @@
 """Root finding, primality and polynomial arithmetic cross-checked against
-sympy, an independent witness.
+sympy, an independent witness; and the printed family matrices evaluated on
+sympy symbols, through the solver's own formulas.
 
 Skipped when sympy is not installed; sympy is a test-only dependency.
 """
 
+import inspect
 import itertools
 import math
 import random
@@ -23,8 +25,9 @@ from alg2d import (
     roots_in_field,
     splitting_field,
 )
+from alg2d.families import FamilyId, Regime, all_family_ids, instantiate, matrix
 from alg2d.fields import PRIME_LIMIT, _is_irreducible, is_prime
-from alg2d.solvers import slope_poly
+from alg2d.solvers import _left_system, _right_system, _subalgebra_cubic, slope_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -374,3 +377,57 @@ def test_closed_line_counts_over_q_match_sympy_square_free_parts():
                 n = _sympy_of([c.raw for c in f.coeffs], 0).sqf_part().degree()
                 expect = RootCount.of(n + all(A.alpha[i].is_zero for i in e2))
             assert line_count_closed(A, kind) is expect, (A.text(), kind)
+
+
+Y = sympy.Symbol("y")
+
+
+def _in_y(coeffs):
+    """The polynomial in y with these coefficients, constant first."""
+    return sympy.expand(sum(c * Y**i for i, c in enumerate(coeffs)))
+
+
+def _printed(family):
+    """The family's parameters as sympy symbols, named as in its printed
+    matrix, and the matrix's eight constants on them."""
+    fn = matrix(family)
+    syms = [sympy.Symbol(n) for n in list(inspect.signature(fn).parameters)[2:]]
+    return syms, fn(sympy.Integer(1), sympy.Integer(0), *syms)
+
+
+def test_every_printed_matrix_evaluates_on_sympy_symbols():
+    """All 36 (index, regime) matrices evaluate on symbols, and substituting
+    a point gives `instantiate`'s constants there."""
+    rng = random.Random(27)
+    for regime, F in ((Regime.NE23, QQ), (Regime.CHAR2, GF(2)), (Regime.CHAR3, GF(3))):
+        for fam in all_family_ids(regime):
+            syms, c = _printed(fam)
+            assert len(c) == 8 and all(isinstance(e, sympy.Expr) for e in c), fam
+            assert set().union(*(e.free_symbols for e in c)) <= set(syms), fam
+            point = [rng.randint(-9, 9) for _ in syms]
+            A = instantiate(fam, [F.el(v) for v in point], F)
+            at = [Fraction(str(e.subs(dict(zip(syms, point))))) for e in c]
+            assert A.alpha + A.beta == tuple(
+                F.el(x.numerator) / F.el(x.denominator) for x in at
+            ), (fam, point)
+
+
+def test_ne23_critical_factors_from_the_solver_formulas():
+    """The discriminants and resultants of the ne23 slope formulas on the
+    printed A2, A3 and A7, where those families' counts change."""
+    (a1, b1, b2), c = _printed(FamilyId(2, Regime.NE23))
+    left = sympy.resultant(*map(_in_y, _left_system(*c)), Y)
+    right = sympy.resultant(*map(_in_y, _right_system(*c)), Y)
+    assert sympy.expand(left - (b1**2 - (1 - a1) * (a1 - b2) ** 2)) == 0
+    expect = 4 * a1**2 * b2 - 4 * a1 * b2 - b1**2 + b2
+    assert sympy.expand(right - expect) == 0 or sympy.expand(right + expect) == 0
+
+    (b1, b2), c = _printed(FamilyId(3, Regime.NE23))
+    disc = sympy.discriminant(_in_y(_subalgebra_cubic(*c)), Y)
+    assert sympy.expand(disc - (12 * b1 + (b2 + 1) ** 2)) == 0
+
+    (t,), c = _printed(FamilyId(7, Regime.NE23))
+    assert sympy.expand(sympy.discriminant(_in_y(_subalgebra_cubic(*c)), Y)) == 12 * t + 1
+    for system, factor in ((_left_system, t), (_right_system, 4 * t - 1)):
+        res = sympy.resultant(*map(_in_y, system(*c)), Y)
+        assert [g for g, _ in sympy.factor_list(res)[1]] == [factor], system
