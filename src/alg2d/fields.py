@@ -25,7 +25,7 @@ Arithmetic over GF(p^k), k > 1, has three regimes by the order q:
   carries or multiply them as `poly`'s raw helpers over GF(p) do (the
   convolution `_convolve` and the fold `_fold` by the modulus, which Ben-Or's
   test also runs on), and encode again; inversion runs extended Euclid on
-  those helpers.
+  those helpers, and a power runs `poly._rpow`.
 
 `Field.raw_ops` gives sums and products on raw values, read as
 table[a][b]: the kernel's int tables, or else row adaptors over the raw
@@ -410,6 +410,18 @@ class Field:
             return self._index(r)
         return self._exp[log[a] + log[b]] if a and b else 0
 
+    def _pow(self, a, e: int):
+        """a^e for e >= 0 (0^0 = 1): `pow` over GF(p) and Q, a product of
+        logs on the log tables, and `poly._rpow` on base-p digits above."""
+        if self.k == 1:
+            return pow(a, e, self.p) if self.p else a**e
+        log = self._log or self._tables()
+        if not (a and e):  # `_rpow` takes e >= 1, and 0 has no log
+            return int(not e)
+        if log is True:
+            return self._index(_rpow(GF(self.p), self._digits(a), e, self.modulus))
+        return self._exp[log[a] * e % (self.order - 1)]
+
     def _inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero")
@@ -596,14 +608,7 @@ class Fel:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return self.field._fel(self.field._pow(self.raw, e))
 
     def __eq__(self, other):
         return (

@@ -10,12 +10,14 @@ Every root search, over GF(q) and over Q, `fields.embed` included, is one
 roots r, and divides every in-field linear factor out of f, so that a count
 of distinct roots over the root closure reads the degree of the rootless
 cofactor and builds no extension.  Over GF(q), g = gcd(f, x^q - x) by
-repeated squaring, and Cantor-Zassenhaus splits it into linear factors only
-when its roots are read: O(d^2 log q) field operations for degree d and no
-scan of the field.  Root lists are sorted by index, so they and the chosen
-least-index roots are canonical.  `joint_quadratic_splitting` searches no
-roots: the quadratic character of each ideal quadratic decides whether it
-splits.
+repeated squaring, split only when its roots are read: O(d^2 log q) field
+operations for degree d, no scan of the field.  Over odd q, x^q = x * w^2
+for w = x^((q-1)/2) mod f, so the first split, gcd(g, w - 1), costs no more
+powers; a quadratic factor goes by the formula and a larger one by
+Cantor-Zassenhaus (by traces in characteristic 2).  Root lists are sorted
+by index, so they and the chosen least-index roots are canonical.
+`joint_quadratic_splitting` searches no roots: the quadratic character of
+each ideal quadratic decides whether it splits.
 
 Over Q, `_rational_roots` runs a `RootSearch` over a small GF(p) and
 Hensel-lifts each root past Cauchy's bound of a monic integer form, so no
@@ -350,22 +352,58 @@ def _splitter(F: Field, c: int, g: list) -> list:
     return _rsub(F, _rpow(F, [c, 1], (F.order - 1) // 2, g), [1])
 
 
-def _split(F: Field, g: list) -> list[Fel]:
-    """Roots of g = gcd(f, x^q - x), deg g >= 1, by Cantor-Zassenhaus, in index order."""
+def _split(F: Field, g: list, w: list | None) -> list[Fel]:
+    """Roots of g = gcd(f, x^q - x), deg g >= 1, in index order, by rounds of
+    Cantor-Zassenhaus with one splitter each.  Over odd q the first is that
+    of c = 0, (w mod h) - 1 for w = x^((q-1)/2) mod f, which costs no power,
+    and a factor of degree 2 is solved by the formula."""
+    if len(g) == 2:  # one root, and no splitter to set up
+        return [F._fel(F._neg(g[0]))]
+    big = 2 if F.p == 2 else 3
+    splitters = (functools.partial(_splitter, F, c) for c in _shifts(F))
+    if F.p != 2:
+        splitters = itertools.chain([lambda h: _rsub(F, _rdivmod(F, w, h)[1], [1])], splitters)
     factors = [g]
-    shifts = _shifts(F)
-    while any(len(h) > 2 for h in factors):
-        c = next(shifts)
-        refined = []
+    while any(len(h) > big for h in factors):
+        splitter, refined = next(splitters), []
         for h in factors:
-            if len(h) > 2:
-                d = _rgcd(F, h, _splitter(F, c, h))
-                if 1 < len(d) < len(h):
-                    refined += [d, _rdivmod(F, h, d)[0]]
-                    continue
-            refined.append(h)
+            d = _rgcd(F, h, splitter(h)) if len(h) > big else h
+            refined += [d, _rdivmod(F, h, d)[0]] if 1 < len(d) < len(h) else [h]
         factors = refined
-    return [F._fel(r) for r in sorted(F._neg(h[0]) for h in factors)]
+    roots = (_quadratic_roots(F, h) if len(h) == 3 else [F._neg(h[0])] for h in factors)
+    return [F._fel(r) for r in sorted(itertools.chain.from_iterable(roots))]
+
+
+def _quadratic_roots(F: Field, h: list) -> list:
+    """The raw roots (-b ± s)/2, s^2 = b^2 - 4c, of the monic h = c + b*x + x^2
+    with two roots in GF(q), q odd; 1/2 is the constant (p + 1)/2."""
+    c, b, _ = h
+    p, sub = F.p, F._sub
+    mul = F._mul if F.k > 1 else lambda x, y: x * y % p
+    r = mul(sub(_sqrt(F, sub(mul(b, b), mul(4 % p, c))), b), (p + 1) // 2)
+    return [r, sub(sub(0, b), r)]
+
+
+def _sqrt(F: Field, a):
+    """A square root of the raw nonzero square a in GF(q), q odd, by
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number Theory,
+    1.5.1), with a nonsquare drawn as `_shifts` draws; on ints over GF(p)."""
+    p, q, pw = F.p, F.order, F._pow
+    mul = F._mul if F.k > 1 else lambda x, y: x * y % p
+    t = (q - 1) // ((q - 1) & (1 - q))
+    x, b = pw(a, (t + 1) // 2), pw(a, t)
+    if b != 1:  # never for q = 3 mod 4, where t = (q - 1)/2
+        m = ((q - 1) // t).bit_length() - 1
+        # -1 has index p - 1 in every field of characteristic p
+        c = pw(next(z for z in _shifts(F) if pw(z, (q - 1) // 2) == p - 1), t)
+        while b != 1:
+            i, d = 0, b
+            while d != 1:
+                d, i = mul(d, d), i + 1
+            e = pw(c, 1 << (m - i - 1))
+            c = mul(e, e)
+            x, b, m = mul(x, e), mul(b, c), i
+    return x
 
 
 def roots_in_field(f: Poly):
@@ -445,10 +483,10 @@ class RootSearch:
     `_rational_roots`, sorted by value.  A zero f lists no roots and has rest
     0: every element is a root."""
 
-    __slots__ = ("f", "count", "rest", "_g", "_roots")
+    __slots__ = ("f", "count", "rest", "_g", "_w", "_roots")
 
     def __init__(self, f: Poly):
-        self.f, self.count, self.rest, self._g, self._roots = f, 0, 0, None, []
+        self.f, self.count, self.rest, self._g, self._w, self._roots = f, 0, 0, None, None, []
         if f.is_zero:
             return
         F = f.field
@@ -456,8 +494,14 @@ class RootSearch:
         if F.is_finite:
             # a constant has no root and a linear h is its own g, so neither
             # raises x to the q-th power
-            h = _rmonic(F, h)
-            g = h if len(h) <= 2 else _rgcd(F, h, _rsub(F, _rpow(F, [0, 1], F.order, h), [0, 1]))
+            h = g = _rmonic(F, h)
+            if len(h) > 2 and F.p == 2:
+                g = _rgcd(F, h, _rsub(F, _rpow(F, [0, 1], F.order, h), [0, 1]))
+            elif len(h) > 2:
+                # x^q = x * w^2 for w = x^((q-1)/2), which `_split` reads
+                w = self._w = _rpow(F, [0, 1], F.order // 2, h)
+                ww = _convolve(w, w) if F.k == 1 else _rmul(F, w, w)
+                g = _rgcd(F, h, _rsub(F, _rdivmod(F, [0] + ww, h)[1], [0, 1]))
             if len(g) > 1:
                 self._roots = None  # split when first read
         else:
@@ -476,7 +520,7 @@ class RootSearch:
     @property
     def roots(self) -> list[Fel]:
         if self._roots is None:
-            self._roots = _split(self.f.field, self._g)
+            self._roots = _split(self.f.field, self._g, self._w)
         return self._roots
 
 
@@ -527,8 +571,8 @@ def _rootless_quadratic(f: Poly) -> bool:
             t = t * t
             s = s + t
         return not s.is_zero
-    d = b * b - F.el(4) * a * c
-    return not d.is_zero and d ** ((F.order - 1) // 2) != F.one
+    d = F._sub(F._mul(b.raw, b.raw), F._mul(4 % F.p, F._mul(a.raw, c.raw)))
+    return d != 0 and F._pow(d, F.order // 2) != 1
 
 
 _SQRT_CACHE: dict = {}

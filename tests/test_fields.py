@@ -378,6 +378,26 @@ def test_negative_powers_are_powers_of_the_inverse(spec):
         F.zero**-1
 
 
+@pytest.mark.parametrize("spec", ["gf(7)", "gf(3,2)", "gf(5,4)", "gf(17,3)", "q"])
+def test_raw_powers_are_repeated_products(spec):
+    """`Field._pow` in each regime: `pow` over GF(p) and Q, the kernel and
+    the log tables of GF(3^2) and GF(5^4), and square-and-multiply past the
+    log tables over GF(17^3); 0^0 = 1 and 0^e = 0."""
+    F = parse_field(spec)
+    if F.is_finite:
+        rng = random.Random(F.order)
+        xs = [F.from_index(rng.randrange(1, F.order)) for _ in range(6)]
+    else:
+        xs = [F.el(Fraction(-3, 4)), F.el(5)]
+    for x in xs:
+        want = F.one
+        for e in range(12):
+            assert F._pow(x.raw, e) == want.raw and x**e == want
+            want = want * x
+    for e in range(4):
+        assert F.zero**e == (F.one if e == 0 else F.zero)
+
+
 def test_enumeration_order_and_count():
     F4 = GF(2, 2)
     assert [x.text() for x in F4.elements()] == ["0", "1", "w", "1+w"]

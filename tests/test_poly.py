@@ -20,6 +20,7 @@ from alg2d import (
     splitting_field,
     sqrt_in_ext,
 )
+from alg2d.fields import is_prime
 
 
 def P(field, *ints):
@@ -462,3 +463,109 @@ def test_raw_power_by_the_extension_order_fixes_x(p, k):
     m = list(GF(p, k).modulus)
     assert poly._rpow(GF(p), [0, 1], p**k, m) == [0, 1]
     assert poly._rpow(GF(p), [0, 1], p, m) != [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# Splitting over odd q: the first split by the search's own x^((q-1)/2), the
+# quadratic formula by Tonelli-Shanks square roots, and Cantor-Zassenhaus
+# rounds for what is left.
+
+@pytest.mark.parametrize("spec", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_roots_of_every_monic_quadratic_and_cubic_match_a_scan(spec):
+    F = GF(*spec)
+    els = F.elements()
+    for degree in (2, 3):
+        for middle in itertools.product(els, repeat=degree - 1):
+            # x is a root of c + middle + x^degree exactly when c = -value(x)
+            scans = {c: [] for c in els}
+            for x in els:
+                scans[-Poly(F, [F.zero, *middle, F.one])(x)].append(x)
+            for c, scan in scans.items():
+                f = Poly(F, [c, *middle, F.one])
+                assert poly.RootSearch(f).roots == scan, f.text()
+
+
+ODD_FIELDS_TO_81 = [
+    (p, k) for p in range(3, 82) for k in range(1, 5) if is_prime(p) and p**k <= 81
+]
+
+
+@pytest.mark.parametrize("spec", ODD_FIELDS_TO_81)
+def test_square_roots_square_back_on_every_square(spec):
+    F = GF(*spec)
+    squares = {F._mul(x, x) for x in range(1, F.order)}
+    assert len(squares) == F.order // 2
+    for a in squares:
+        s = poly._sqrt(F, a)
+        assert F._mul(s, s) == a, (spec, a)
+
+
+@pytest.mark.parametrize(
+    "p, k", [(65537, 1), (10007, 1), (2**61 - 1, 1), (17, 3), (10**9 + 7, 2)]
+)
+def test_square_roots_square_back_on_seeded_squares(p, k):
+    """q - 1 = 2^16 over GF(65537) takes the longest Tonelli-Shanks loop;
+    GF(17^3) multiplies past the log tables; over GF((10^9+7)^2) every
+    element of GF(p) is a square, so the nonsquare comes from all of F."""
+    F = GF(p, k)
+    rng = random.Random(p + k)
+    for _ in range(40):
+        x = rng.randrange(1, F.order)
+        s = poly._sqrt(F, F._mul(x, x))
+        assert s in (x, F._neg(x)), (x, s)
+
+
+def test_in_field_roots_cost_one_power_where_the_first_split_separates(monkeypatch):
+    """Over GF(10007), 1 and 2 are squares and 5 is not, so the splitter of
+    c = 0, read off the search's own x^((q-1)/2), separates 5 from the other
+    two roots, and the quadratic formula solves the rest: one `_rpow` call in
+    all.  Over odd q no quadratic reaches `_splitter`."""
+    p = 10007
+    assert [pow(r, p // 2, p) for r in (1, 2, 5)] == [1, 1, p - 1]
+    powers, splitters = [], []
+    rpow, splitter = poly._rpow, poly._splitter
+    monkeypatch.setattr(poly, "_rpow", lambda *a: powers.append(a) or rpow(*a))
+    monkeypatch.setattr(poly, "_splitter", lambda F, c, g: splitters.append(g) or splitter(F, c, g))
+    F = GF(p)
+    f = P(F, -1, 1) * P(F, -2, 1) * P(F, -5, 1)
+    assert poly.RootSearch(f).roots == [F.el(1), F.el(2), F.el(5)]
+    assert len(powers) == 1 and splitters == []
+    for F in (GF(7), GF(3, 2), GF(5, 2)):
+        for low in itertools.product(range(F.order), repeat=3):
+            poly.RootSearch(Poly._of_raw(F, [*low, 1])).roots
+    assert splitters and all(len(g) > 3 for g in splitters)
+
+
+def _reference_splitter_calls(F, g):
+    """The `_splitter` calls of Cantor-Zassenhaus with one shift per round,
+    every factor of degree >= 2 split by it."""
+    calls, factors, shifts = [], [g], poly._shifts(F)
+    while any(len(h) > 2 for h in factors):
+        c = next(shifts)
+        refined = []
+        for h in factors:
+            if len(h) > 2:
+                calls.append((c, h))
+                d = poly._rgcd(F, h, poly._splitter(F, c, h))
+                if 1 < len(d) < len(h):
+                    refined += [d, poly._rdivmod(F, h, d)[0]]
+                    continue
+            refined.append(h)
+        factors = refined
+    return calls
+
+
+@pytest.mark.parametrize("spec", [(2, 2), (2, 3), (2, 8)])
+def test_characteristic_two_splits_by_the_trace_as_before(monkeypatch, spec):
+    F = GF(*spec)
+    rng = random.Random(F.order)
+    cubics = [[rng.randrange(F.order) for _ in range(3)] + [1] for _ in range(300)]
+    searches = [poly.RootSearch(Poly._of_raw(F, f)) for f in cubics]
+    expected = [_reference_splitter_calls(F, search._g) for search in searches]
+    calls, splitter = [], poly._splitter
+    monkeypatch.setattr(poly, "_splitter", lambda F, c, g: calls.append((c, g)) or splitter(F, c, g))
+    for search, want in zip(searches, expected):
+        calls.clear()
+        search.roots
+        assert calls == want
+    assert sum(len(want) > 0 for want in expected) > 20

@@ -51,7 +51,7 @@ def _sympy_poly(coeffs, p):
     return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("y"), modulus=p)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + (17, 97, 257, 65537))
 def test_roots_match_sympy_ground_roots(p):
     F = GF(p)
     for coeffs in _seeded_polys(p):

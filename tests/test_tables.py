@@ -286,7 +286,7 @@ def test_verify_point_splits_no_cubic_it_only_counts(monkeypatch, field, family,
     verify_point(family, params, F)  # fills the square-root and embedding caches
     calls = []
     split = poly._split
-    monkeypatch.setattr(poly, "_split", lambda F, g: calls.append(g) or split(F, g))
+    monkeypatch.setattr(poly, "_split", lambda F, g, *rest: calls.append(g) or split(F, g, *rest))
     records = verify_point(family, params, F)
     assert records[0]["quantity"] == "subalgebras" and records[0]["oracle"] is None
     assert calls == []
