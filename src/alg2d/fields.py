@@ -273,11 +273,11 @@ class Field:
 
     @property
     def zero(self) -> "Fel":
-        return self.el(0)
+        return self._fel(0) if self.p else Fel(self, Fraction(0))
 
     @property
     def one(self) -> "Fel":
-        return self.el(1)
+        return self._fel(1) if self.p else Fel(self, Fraction(1))
 
     def from_index(self, idx: int) -> "Fel":
         """Element number idx in the canonical enumeration order."""

@@ -2,22 +2,22 @@
 
 Provides monic gcd, in-field root finding, splitting-field construction by
 root adjunction, deterministic square roots in a quadratic extension, and
-the characteristic-dependent classifier for the number of distinct roots of
-a cubic in a root-closed extension.
+one rule, `_closed_root_count`, for the number of distinct roots of a cubic
+in a root-closed extension: it reads the discriminants off the raw
+coefficients in O(1) operations (with their own cases in characteristics 2
+and 3), so a count searches no roots.
 
 Every root search, over GF(q) and over Q, `fields.embed` included, is one
-`RootSearch`.  It finds g, the product of x - r over the distinct in-field
-roots r, and divides every in-field linear factor out of f, so that a count
-of distinct roots over the root closure reads the degree of the rootless
-cofactor and builds no extension.  Over GF(q), g = gcd(f, x^q - x) by
-repeated squaring, split only when its roots are read: O(d^2 log q) field
-operations for degree d, no scan of the field.  Over odd q, x^q = x * w^2
-for w = x^((q-1)/2) mod f, so the first split, gcd(g, w - 1), costs no more
-powers; a quadratic factor goes by the formula and a larger one by
-Cantor-Zassenhaus (by traces in characteristic 2).  Root lists are sorted
-by index, so they and the chosen least-index roots are canonical.
-`joint_quadratic_splitting` searches no roots: the quadratic character of
-each ideal quadratic decides whether it splits.
+`RootSearch`, made for callers that list roots.  It finds g, the product of
+x - r over the distinct in-field roots r, when first read: over GF(q), g =
+gcd(f, x^q - x) by repeated squaring, O(d^2 log q) field operations for
+degree d, no scan of the field, split only when its roots are read.  Over
+odd q, x^q = x * w^2 for w = x^((q-1)/2) mod f, so the first split,
+gcd(g, w - 1), costs no more powers; a quadratic factor goes by the formula
+and a larger one by Cantor-Zassenhaus (by traces in characteristic 2).  Root
+lists are sorted by index, so they and the chosen least-index roots are
+canonical.  `joint_quadratic_splitting` searches no roots: the quadratic
+character of each ideal quadratic decides whether it splits.
 
 Over Q, `_rational_roots` runs a `RootSearch` over a small GF(p) and
 Hensel-lifts each root past Cauchy's bound of a monic integer form, so no
@@ -47,6 +47,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -474,27 +475,29 @@ def _ieval(c: list[int], y: int) -> int:
 
 
 class RootSearch:
-    """One root search of f in its own field.  It keeps g, the product of
-    x - r over the distinct in-field roots r, whose degree `count` is their
-    number, and the degree `rest` of the cofactor left once every in-field
-    linear factor, multiplicities included, is divided out.  Over GF(q), g =
-    gcd(f, x^q - x), and `roots` splits g, in index order, when first read,
-    and never when g has no root.  Over Q the roots come at once from
-    `_rational_roots`, sorted by value.  A zero f lists no roots and has rest
-    0: every element is a root."""
+    """One root search of f in its own field, made when first read.  `_g` is
+    g, the product of x - r over the distinct in-field roots r, whose degree
+    `count` is their number; for f of degree <= 3, `rest` is the number of
+    its other distinct roots over the root closure, by `_closed_root_count`.
+    Over GF(q), g = gcd(f, x^q - x), and `roots` splits g, in index order,
+    when first read, and never when g has no root.  Over Q the roots come
+    with g, from `_rational_roots`, sorted by value.  A zero f lists no roots
+    and has rest 0: every element is a root."""
 
-    __slots__ = ("f", "count", "rest", "_g", "_w", "_roots")
+    __slots__ = ("f", "_gcd", "_w", "_roots")
 
     def __init__(self, f: Poly):
-        self.f, self.count, self.rest, self._g, self._w, self._roots = f, 0, 0, None, None, []
-        if f.is_zero:
-            return
-        F = f.field
-        h = f._raw()
+        self.f, self._gcd, self._w, self._roots = f, None, None, None
+
+    @property
+    def _g(self) -> list:
+        if self._gcd is not None:
+            return self._gcd
+        F, h = self.f.field, self.f._raw()
         if F.is_finite:
             # a constant has no root and a linear h is its own g, so neither
             # raises x to the q-th power
-            h = g = _rmonic(F, h)
+            h = g = _rmonic(F, h) if h else [1]
             if len(h) > 2 and F.p == 2:
                 g = _rgcd(F, h, _rsub(F, _rpow(F, [0, 1], F.order, h), [0, 1]))
             elif len(h) > 2:
@@ -502,35 +505,34 @@ class RootSearch:
                 w = self._w = _rpow(F, [0, 1], F.order // 2, h)
                 ww = _convolve(w, w) if F.k == 1 else _rmul(F, w, w)
                 g = _rgcd(F, h, _rsub(F, _rdivmod(F, [0] + ww, h)[1], [0, 1]))
-            if len(g) > 1:
-                self._roots = None  # split when first read
         else:
             roots = sorted(_rational_roots(h)) if len(h) > 1 else []
             self._roots = [F.el(r) for r in roots]
-            g = [Fraction(1)]
-            for r in roots:
-                g = _rmul(F, g, [-r, Fraction(1)])
-        # h need not be monic: every divisor d is
-        d = g
-        while len(d) > 1:
-            h = _rdivmod(F, h, d)[0]
-            d = _rgcd(F, h, d)
-        self._g, self.count, self.rest = g, len(g) - 1, len(h) - 1
+            g = functools.reduce(lambda g, r: _rmul(F, g, [-r, Fraction(1)]), roots, [Fraction(1)])
+        self._gcd = g
+        return g
+
+    @property
+    def count(self) -> int:
+        return len(self._g) - 1
+
+    @property
+    def rest(self) -> int:
+        f = self.f
+        return 0 if f.is_zero else _closed_root_count(f.field, f._raw()) - self.count
 
     @property
     def roots(self) -> list[Fel]:
+        g = self._g  # over Q this lists the roots too
         if self._roots is None:
-            self._roots = _split(self.f.field, self._g, self._w)
+            self._roots = _split(self.f.field, g, self._w) if len(g) > 1 else []
         return self._roots
 
 
 def splitting_field(f: Poly) -> tuple[Field, list[Fel]]:
-    """Smallest extension of the owner where f (deg <= 3) splits, with its roots.
-
-    Built by adjoining a root of the unique irreducible cofactor left after
-    dividing out all in-field linear factors, then flattening to a single
-    extension of the prime field.
-    """
+    """Smallest extension of the owner where f (deg <= 3) splits, with its
+    roots: GF(q^n) for the number n of its distinct roots outside GF(q), as
+    one extension of the prime field."""
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has no splitting field")
     F = f.field
@@ -541,7 +543,7 @@ def splitting_field(f: Poly) -> tuple[Field, list[Fel]]:
     found = RootSearch(f)
     if not found.rest:
         return F, found.roots
-    # the cofactor has no in-field roots, so for degree <= 3 it is irreducible
+    # for degree <= 3 the roots outside F are those of one irreducible factor
     ext = GF(F.p, F.k * found.rest)
     return ext, RootSearch(f.lift(ext)).roots
 
@@ -593,66 +595,62 @@ def sqrt_in_ext(x: Fel) -> tuple[Fel, Field]:
     return got
 
 
-def distinct_root_count(f: Poly) -> RootCount:
-    """Distinct roots of f (deg <= 3) counted in a root-closed extension.
+def _closed_root_count(F: Field, h: list) -> int:
+    """The distinct roots over the root closure of F of the nonzero raw h =
+    d + c*y + b*y^2 + a*y^3 (degree <= 3), from the coefficients alone.  In
+    characteristic 0 or p > 3 a cubic has a triple root when b^2 - 3ac =
+    disc and bc - 9ad vanish, and a double one when disc != 0 and
+    d1^2 - 4*disc^3 = 729a^4 f(y+) f(y-) vanishes, d1 = 2b^3 - 9abc + 27a^2 d,
+    for the critical points y+-; in characteristic 2 a repeated one when ad =
+    bc, triple when also ac = b^2; in characteristic 3 it is a cube when b =
+    c = 0, else f' = c - b*y vanishes at c/b only, where b^3 f = a*c^3 -
+    b^2 c^2 + d*b^3.  A quadratic has a double root when c^2 - 4bd vanishes.
+    The values are ints over GF(p), each zero test one `% p`, the ints of
+    h's primitive form over Q, and the field's raw operations over GF(p^k)."""
+    n = len(h) - 1
+    if n < 2:
+        return n
+    p, ints, h = F.p, F.k == 1, h if F.p else _primitive(h)
+    add, sub, mul = (
+        (operator.add, operator.sub, operator.mul) if ints else (F._add, F._sub, F._mul)
+    )
+    zero = (lambda x: not x % p) if ints and p else operator.not_
+    n2, n3, n4, n9, n27 = (2, 3, 4, 9, 27) if ints else (2 % p, 3 % p, 4 % p, 9 % p, 27 % p)
+    if n == 2:
+        d, c, b = h
+        return 1 if zero(sub(mul(c, c), mul(n4, mul(b, d)))) else 2
+    d, c, b, a = h
+    if p == 2:
+        if zero(sub(mul(a, d), mul(b, c))):
+            return 1 if zero(sub(mul(a, c), mul(b, b))) else 2
+        return 3
+    if p == 3:
+        if not b:
+            return 3 if c else 1
+        bb, cc = mul(b, b), mul(c, c)
+        return 2 if zero(sub(add(mul(a, mul(c, cc)), mul(d, mul(b, bb))), mul(bb, cc))) else 3
+    bb, ac, ad = mul(b, b), mul(a, c), mul(a, d)
+    disc = sub(bb, mul(n3, ac))
+    if zero(disc):
+        return 1 if zero(sub(mul(b, c), mul(n9, ad))) else 3
+    d1 = add(mul(b, sub(mul(n2, bb), mul(n9, ac))), mul(n27, mul(a, ad)))
+    return 2 if zero(sub(mul(d1, d1), mul(n4, mul(disc, mul(disc, disc))))) else 3
 
-    The count is the number of in-field roots plus the degree of the
-    rootless cofactor of f's `RootSearch`: that cofactor is irreducible
-    (degree <= 3 with no roots), hence separable, and contributes exactly its
-    degree.  The equality with a literal splitting-field scan, and over Q
-    with `cubic_root_count`, is asserted in the tests.
-    """
+
+def distinct_root_count(f: Poly) -> RootCount:
+    """Distinct roots of f (deg <= 3) counted in a root-closed extension, by
+    `_closed_root_count`; every root of the zero polynomial is one."""
     if f.is_zero:
         return RootCount.INFINITE
     if f.degree > 3:
         raise PolyError("closed root counts stop at degree 3")
-    found = RootSearch(f)
-    return RootCount.of(found.count + found.rest)
+    return RootCount.of(_closed_root_count(f.field, f._raw()))
 
 
 def cubic_root_count(a: Fel, b: Fel, c: Fel, d: Fel) -> RootCount:
-    """Distinct-root count of a*y^3+b*y^2+c*y+d over a root-closed extension.
-
-    Case analysis depends on the characteristic (0 behaves like any
-    characteristic other than 2 and 3); every condition is evaluated in the
-    coefficients' own field.
-    """
+    """`distinct_root_count` of a*y^3 + b*y^2 + c*y + d, by its rule."""
     F = a.field
-    for other in (b, c, d):
-        if other.field != F:
-            raise FieldMismatch("cubic coefficients over different fields")
-    p = F.p
-    three = F.el(3)
-    if not a.is_zero:
-        if p not in (2, 3):
-            disc = b * b - three * a * c
-            if disc.is_zero and (b * c - F.el(9) * a * d).is_zero:
-                return RootCount.ONE
-            # the values at the critical points y± = (-b ± sqrt(disc)) / (3a)
-            # multiply to (d1^2 - 4*disc^3) / (729 a^4), symmetric in the
-            # sign, so a double root shows without taking the square root
-            d1 = F.el(2) * b * b * b - F.el(9) * a * b * c + F.el(27) * a * a * d
-            if not disc.is_zero and (d1 * d1 - F.el(4) * disc * disc * disc).is_zero:
-                return RootCount.TWO
-            return RootCount.THREE
-        if p == 2:
-            if (a * d - b * c).is_zero:
-                return RootCount.ONE if (a * c - b * b).is_zero else RootCount.TWO
-            return RootCount.THREE
-        # characteristic 3
-        if b.is_zero and c.is_zero:
-            return RootCount.ONE
-        if not b.is_zero:
-            t = c / b
-            val = ((a * t + b) * t + c) * t + d
-            return RootCount.TWO if val.is_zero else RootCount.THREE
-        return RootCount.THREE
-    # quadratic / linear / constant tail
-    if b.is_zero and c.is_zero:
-        return RootCount.INFINITE if d.is_zero else RootCount.ZERO
-    if b.is_zero:
-        return RootCount.ONE
-    # 4 = 0 in characteristic 2, where c = 0 makes the root double
-    disc2 = c * c - F.el(4) * b * d
-    return RootCount.ONE if disc2.is_zero else RootCount.TWO
-
+    if any(other.field != F for other in (b, c, d)):
+        raise FieldMismatch("cubic coefficients over different fields")
+    h = Poly(F, [d, c, b, a])._raw()
+    return RootCount.of(_closed_root_count(F, h)) if h else RootCount.INFINITE

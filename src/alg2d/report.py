@@ -11,7 +11,7 @@ quantity is solved once on the algebra it is reported over, and the oracle
 reuses that answer; idempotents and quasiunits live in the algebra's own
 field.  The solvers keep each root search on the algebra it ran on, so the
 subalgebra cubic is searched once per field, and simplicity reads the
-two-sided search over the algebra's own field.
+two-sided slope polynomial's coefficients over the algebra's own field.
 """
 
 from __future__ import annotations

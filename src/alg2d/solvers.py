@@ -10,19 +10,19 @@ which qualifies when the alpha entries named in `_E2_LINE` vanish:
   two-sided    -- the linear candidate where the two systems differ, or the
                   left gcd where they coincide; F(e2) when a2 = a3 = a4 = 0.
 
-One root search (`poly.RootSearch`) of that polynomial serves both answers:
-`lines` lists the lines with slopes in A's own field, and
-`line_count_closed` counts them over the root closure, of GF(q) or Q, with
-no extension field built.  The named solvers (`subalgebras`, `left_ideals`, ...,
-`subalgebra_count_closed`) delegate to these two.  Each search is made once
-per algebra and kept on it (`root_search`), so the cubic's one search also
-serves the idempotents, which scale its roots through `eigenvalue_poly`, and
-the subalgebra splitting field.  Quasiunits solve an 8x2 linear system.
-Only callers that list the lines over the closure lift A, all through
-`closure(A, which)`: to `closure_field(A, which)`, the cubic's splitting
-field for subalgebras and, for the ideal kinds, the field where all four
-ideal quadratics split.  The lift is kept on A under its field, so kinds
-with one closure field share one lift.
+A count over the root closure, of GF(q) or Q, searches no roots and builds
+no extension: `line_count_closed` reads it off the polynomial's coefficients
+(`poly._closed_root_count`).  A root search is made only for a solver that
+lists lines: `lines` in A's own field, through which the named solvers
+(`subalgebras`, `left_ideals`, ...) go, the idempotents, which scale the
+cubic's roots through `eigenvalue_poly`, and the subalgebra splitting field.
+The slope polynomial and its search are made once per algebra and kind and
+kept on it (`root_search`); the search runs when first read.  Quasiunits
+solve an 8x2 linear system.  Only callers that list the lines over the
+closure lift A, all through `closure(A, which)`: to `closure_field(A,
+which)`, the cubic's splitting field for subalgebras and, for the ideal
+kinds, the field where all four ideal quadratics split.  The lift is kept on
+A under its field, so kinds with one closure field share one lift.
 
 Each formula in the structure constants (the cubic, the eigenvalue and ideal
 quadratics, the two-sided candidate, the quasiunit system and Cramer's rule
@@ -48,6 +48,7 @@ from .poly import (
     Poly,
     RootCount,
     RootSearch,
+    _closed_root_count,
     _rgcd,
     joint_quadratic_splitting,
 )
@@ -236,7 +237,8 @@ def _e2_line(A: MSC, which: str) -> bool:
 
 def root_search(A: MSC, which: str) -> RootSearch:
     """The one root search of `slope_poly(A, which)` in A's own field, kept
-    on A; it splits out the roots only for a solver that reads them."""
+    on A; it searches only for a solver that reads its roots, and splits
+    them out only for one that lists them."""
     return _kept(A, which, lambda: RootSearch(slope_poly(A, which)))
 
 
@@ -255,14 +257,13 @@ def lines(A: MSC, which: str) -> LineSet:
 
 def line_count_closed(A: MSC, which: str) -> RootCount:
     """Count of lines of the kind `which` over a root-closed extension of A's
-    field, GF(q) or Q, with no extension built: the slope polynomial's
-    distinct roots there are its in-field roots plus the degree of its
-    rootless, hence irreducible and separable, factor; then F(e2) when it
-    qualifies."""
-    found = root_search(A, which)
-    if found.f.is_zero:
+    field, GF(q) or Q, with no root search and no extension built: the
+    distinct roots there of the slope polynomial that `root_search` keeps,
+    by `poly._closed_root_count`, then F(e2) when it qualifies."""
+    f = root_search(A, which).f
+    if f.is_zero:
         return RootCount.INFINITE
-    n = found.count + found.rest + _e2_line(A, which)
+    n = _closed_root_count(A.field, f._raw()) + _e2_line(A, which)
     if n == 0 and which == "subalgebras":
         raise InternalInconsistency("a two-dimensional algebra always has a subalgebra")
     return RootCount.of(n)
@@ -277,7 +278,7 @@ def subalgebras(A: MSC) -> LineSet:
 
 def subalgebra_splitting(A: MSC) -> Field:
     """Smallest extension where the subalgebra cubic splits: A's own field
-    if it does there, else GF(q^n) for the degree n of its rootless factor."""
+    if it does there, else GF(q^n) for the number n of its roots outside F."""
     F = A.field
     rest = root_search(A, "subalgebras").rest
     if rest and not F.is_finite:
@@ -468,15 +469,15 @@ def simple_by_cases_extended(A: MSC) -> bool:
         return False
     if a2.is_zero and a4.is_zero:
         return False
-    # A's kept left search; F(e2) is no left ideal here
+    # A's kept left slope polynomial; F(e2) is no left ideal here
     return line_count_closed(A, "left") is RootCount.ZERO
 
 
 def is_simple(A: MSC) -> bool:
     """No nontrivial two-sided ideal over the root-closed extension.
 
-    Ground truth is `line_count_closed(A, "two_sided")`, which builds no
-    extension and shares A's one two-sided search with `two_sided_ideals`.
+    Ground truth is `line_count_closed(A, "two_sided")`, which searches no
+    roots and reads the two-sided slope polynomial `two_sided_ideals` lists.
     The repaired case predicate is recomputed alongside, over GF(q) and Q
     alike, and any disagreement raises, since that would mean a
     transcription bug rather than a published erratum.

@@ -2,18 +2,19 @@
 
 For every parameter point of a canonical family the harness computes the
 solver's counts over the root closure, evaluates the table predictions, and
-emits one record per quantity.  The counts come from polynomials over the
-point's own field (`solvers.line_count_closed`, `subalgebra_count_closed`),
-so no extension field is built for them.  A record whose prediction
-disagrees with the solver is re-checked against the brute-force oracle on
-`solvers.closure(A, quantity)`, the algebra lifted to the field where the
-solver lists the lines of the root closure, made at most once per field and
-only for a recheck.  If the oracle sides with the solver the record
-documents a defect in the catalogued tables (reported, exit status
-unaffected); if the oracle disagrees with the solver an OracleMismatch is
-raised, since that would be a bug in this package.  A recheck whose scan
-would pass `RECHECK_LIMIT` is not run, and the record's oracle reads
-"skipped"; that is decided from `solvers.closure_field`, before any lift.
+emits one record per quantity.  The counts are read off the coefficients
+of polynomials over the point's own field (`solvers.line_count_closed`),
+with no root search and no extension field.  A mismatching record is
+re-checked against the brute-force oracle on `solvers.closure(A,
+quantity)`, the algebra lifted to the field where the solver lists the
+lines of the root closure, made at most once per field and only for a
+recheck, the one step that searches roots.  If the oracle sides with the
+solver the record documents a defect in the catalogued tables (reported,
+exit status unaffected); if the oracle disagrees with the solver an
+OracleMismatch is raised: that would be a bug in this package.  A recheck
+whose scan would pass `RECHECK_LIMIT` is not run, and the record's oracle
+reads "skipped"; that is decided from `solvers.closure_field`, before any
+lift.
 """
 
 from __future__ import annotations

@@ -524,6 +524,19 @@ def test_kernel_elements_are_interned(spec):
     assert F.el(F.p + 1) is F.one and F.zero is F.from_index(0)
 
 
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_zero_and_one_are_the_kernel_elements(spec):
+    F = GF(*spec)
+    assert F.zero is F._kernel.els[0] and F.one is F._kernel.els[1]
+
+
+def test_zero_and_one_of_the_other_fields():
+    assert type(QQ.zero.raw) is Fraction and QQ.zero.raw == 0 and QQ.zero == QQ.el(0)
+    assert type(QQ.one.raw) is Fraction and QQ.one.raw == 1 and QQ.one == QQ.el(1)
+    for F in (GF(17), GF(5, 2), GF(2, 11)):
+        assert (F.zero.raw, F.one.raw) == (0, 1) and F.one == F.el(1)
+
+
 def test_kernel_mixes_equal_fields_and_rejects_others():
     from alg2d.fields import Field, FieldMismatch
 

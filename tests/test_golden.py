@@ -152,6 +152,11 @@ SECTIONS = {
     "sweep_gf4": lambda: _sweep(GF(2, 2)),
     "sweep_gf5": lambda: _sweep(GF(5)),
     "sweep_gf9": lambda: _sweep(GF(3, 2)),
+    # past the log tables and the small fields: the closed counts on ints of
+    # a large p, and on base-p digits of a large extension
+    "sweep_gf10007": lambda: _sweep(GF(10007)),
+    "sweep_gf2_11": lambda: _sweep(GF(2, 11)),
+    "sweep_gf3_7": lambda: _sweep(GF(3, 7)),
     "instantiate": _instantiate_points,
     "text": _text_reports,
 }
@@ -174,6 +179,9 @@ DIGESTS = {
     "sweep_gf4": "46fafc4fec9225fc44ece5939b0d9df54f01c30b833a64c7519a0a15367b4f77",
     "sweep_gf5": "2ffa7d293d611ffe03c539a5efdc502caf43b54a6e126c4cf78757325a896659",
     "sweep_gf9": "cf4f73e92bf0d839e1dae2e0fa1f9c4e47aa2eaebf0422ebd7f66d0fa054f4dd",
+    "sweep_gf10007": "94295a7246fb29adfd68179bbb019ebd0a43a0d38c2ced0b562a97dc3acf6d75",
+    "sweep_gf2_11": "91e3e6ff653dbdd14cac11ce5c2e893767fb210c41dbbc1a1eb20f4ff382c855",
+    "sweep_gf3_7": "cc68b279ae90ba30d84c1570b90da4b99dd8917d84b77539d6bf8d2cb467c321",
     "text": "4f35b35f0ece1c7a057c9730cb80282ce2c79245f5f3d6eedf3ddc1db07e5c96",
 }
 

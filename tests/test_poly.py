@@ -237,6 +237,23 @@ def test_distinct_root_count_matches_splitting_exhaustive_gf4():
         assert distinct_root_count(f) is RootCount.of(len(roots))
 
 
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_closed_count_is_the_most_roots_of_the_field_and_its_extensions(spec):
+    """Every nonzero a*y^3 + b*y^2 + c*y + d over F, leading zeros included:
+    `cubic_root_count` and `distinct_root_count` give the most distinct roots
+    that a root search lists over F, GF(q^2) and GF(q^3), one of which
+    splits it."""
+    F = GF(*spec)
+    extensions = [F, GF(F.p, 2 * F.k), GF(F.p, 3 * F.k)]
+    for coeffs in itertools.product(F.elements(), repeat=4):
+        f = Poly(F, coeffs)
+        if f.is_zero:
+            continue
+        most = max(len(poly.RootSearch(f.lift(E)).roots) for E in extensions)
+        assert cubic_root_count(*coeffs[::-1]) is RootCount.of(most), f.text()
+        assert distinct_root_count(f) is RootCount.of(most), f.text()
+
+
 def test_poly_text_round_trip():
     F = GF(3, 2)
     f = Poly(F, [F.el([1, 2]), F.zero, F.el([0, 1])])

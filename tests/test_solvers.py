@@ -995,6 +995,24 @@ def _raw_values_in(obj):
             yield from _raw_values_in(getattr(obj, name, None))
 
 
+def test_closed_counts_over_q_find_no_rational_root(monkeypatch):
+    """`line_count_closed` over Q decides every kind from the slope
+    polynomial's coefficients: no `_rational_roots` call, so no modular
+    root search and no Hensel lift, on seeded algebras with planted rational
+    roots; listing the lines afterwards still finds the roots."""
+    from alg2d import poly
+    from test_golden import _seeded_q_mscs
+
+    calls = []
+    rational_roots = poly._rational_roots
+    monkeypatch.setattr(poly, "_rational_roots", lambda h: calls.append(h) or rational_roots(h))
+    mscs = [*_seeded_q_mscs(9, 40), *_zero_heavy_mscs(QQ, 40, seed=2)]
+    counts = [[line_count_closed(A, which) for which in _KINDS] for A in mscs]
+    assert calls == []
+    assert {c for row in counts for c in row} >= {RootCount.ZERO, RootCount.ONE, RootCount.THREE}
+    assert any(subalgebras(A).points for A in mscs) and calls
+
+
 def test_raw_values_over_q_are_fractions():
     """The solver formulas run on ints where Q's constants are integral, but
     every element an analysis over Q builds, and every coefficient of its

@@ -292,6 +292,39 @@ def test_verify_point_splits_no_cubic_it_only_counts(monkeypatch, field, family,
     assert calls == []
 
 
+@pytest.mark.parametrize("spec", [(7,), (3, 2), (2, 2)])
+def test_counts_raise_x_to_no_power(monkeypatch, spec):
+    """The closed counts are decided from the slope polynomials' coefficients:
+    `verify_point` on a point with no oracle recheck, and every flag
+    adjudication of the field's regime, make no `poly._rpow` call, so no root
+    search computes x^q."""
+    from alg2d import poly
+    from alg2d.families import ARITY, all_family_ids
+    from alg2d.sweep import FLAG_ROWS, _param_grid
+
+    F = GF(*spec)
+    regime = Regime.of_field(F)
+    calls = []
+    rpow = poly._rpow
+    monkeypatch.setattr(poly, "_rpow", lambda *a: calls.append(a) or rpow(*a))
+    counted = 0
+    for family in all_family_ids(regime):
+        for params in _param_grid(F, ARITY[family.index], 12, 1):
+            calls.clear()
+            records = verify_point(family, params, F)
+            if all(r["oracle"] is None for r in records):
+                assert calls == [], (family.name(), [c.text() for c in params])
+                counted += 1
+    assert counted >= 30
+    # no flag governs a row of characteristic 2
+    flags = [flag for flag, (_, r, _) in FLAG_ROWS.items() if r == regime]
+    assert bool(flags) == (F.p != 2)
+    for flag in flags:
+        calls.clear()
+        adjudicate_flag(flag, F, 40, 2)
+        assert calls == [], flag
+
+
 def test_flag_adjudications_pick_one_reading():
     fields = {
         "table1_A1_disc": F5,
