@@ -38,7 +38,8 @@ Over Q they take ints too, and a gcd runs on ints alone, on the primitive
 forms (`_primitive`) of its operands; only its monic answer is Fractions.
 A product in GF(p^k) past the log tables is these two loops on base-p
 digits.  Over GF(p^k) every sum and product is one call of the field's
-`_add`, `_sub` or `_mul`.
+`_add`, `_sub` or `_mul`.  `_rpow` over GF(p) packs a long power into
+ints once: one int product per squaring and a Barrett fold of two more.
 """
 
 from __future__ import annotations
@@ -313,16 +314,54 @@ def _primitive(h: list) -> list[int]:
 
 
 def _rpow(F: Field, b: list, e: int, m: list) -> list:
-    """b^e mod the monic m over a finite field, for e >= 1, by left-to-right
-    repeated squaring.  Over GF(p) each product is left unreduced until its
-    fold by m."""
-    mul = _convolve if F.k == 1 else functools.partial(_rmul, F)
-    b = r = _rdivmod(F, b, m)[1]
+    """b^e mod the monic m of degree d >= 1 over a finite field, for e >= 1,
+    by left-to-right repeated squaring.  Over GF(p) an e of more than
+    2 * min(d, 4) bits runs on ints, one coefficient per s-bit slot
+    (Kronecker substitution; von zur Gathen & Gerhard, Modern Computer
+    Algebra, 8.4), so a product is one int product.  The fold by m is a
+    Barrett step of two more: for mu = x^(2d-1) div m and n = x^d - m, the
+    quotient is (hi * mu) div x^(d-1) for the part hi above x^d, and the
+    remainder the part below plus the low d slots of the quotient times n.
+    No slot outgrows 2^s, so none carries; each is then reduced by one `% p`,
+    or all by one AND for p = 2.  Shorter exponents, where packing costs more
+    than it saves, and GF(p^k) run the loop on lists."""
+    d, p = len(m) - 1, F.p
+    if F.k > 1 or e.bit_length() <= 2 * min(d, 4):
+        mul = _convolve if F.k == 1 else functools.partial(_rmul, F)
+        b = r = _rdivmod(F, b, m)[1]
+        for bit in bin(e)[3:]:
+            r = _rdivmod(F, mul(r, r), m)[1]
+            if bit == "1":
+                r = _rdivmod(F, mul(b, r), m)[1]
+        return r
+    if len(b) > d:  # callers pass reduced bases
+        b = _rdivmod(F, b, m)[1]
+    # the largest slot is the part below x^d plus (hi * mu div x^(d-1)) * n
+    s = ((d - 1) ** 2 * d * (p - 1) ** 4 + d * (p - 1) ** 2).bit_length()
+    shifts, slot, top = range(0, s * d, s), (1 << s) - 1, s * d
+    low, ones = (1 << top) - 1, ((1 << top) - 1) // slot
+    # mu's coefficients, from the top, are the power series 1/(y^d m(1/y))
+    u = [1]
+    for i in range(1, d):
+        u.append(-sum(m[d - j] * u[i - j] for j in range(1, i + 1)) % p)
+    packed = (u[::-1], [-c % p for c in m], b)
+    mu, n, b = (sum(c << i for c, i in zip(cs, shifts)) for cs in packed)
+
+    def fold(x):
+        x = (x & low) + (((x >> top) * mu >> top - s) * n & low)
+        if p == 2:
+            return x & ones
+        r = 0
+        for i in shifts:
+            r |= (x >> i & slot) % p << i
+        return r
+
+    r = b
     for bit in bin(e)[3:]:
-        r = _rdivmod(F, mul(r, r), m)[1]
+        r = fold(r * r)
         if bit == "1":
-            r = _rdivmod(F, mul(b, r), m)[1]
-    return r
+            r = fold(r * b)
+    return [r >> i & slot for i in range(0, r.bit_length(), s)]
 
 
 def _shifts(F: Field):

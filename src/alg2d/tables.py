@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .algebra import MSC, Element
 from .fields import Fel, Field, FieldError
-from .poly import Poly, RootCount, poly_gcd
+from .poly import Poly, RootCount
 from .families import FamilyId, Regime, check_point
 from .solvers import AffineSolutionSet, InternalInconsistency
 
@@ -78,13 +78,23 @@ def _fr(F: Field, num: int, den: int = 1) -> Fel:
 def _pm_product_zero(cubic: Poly, neg_b: Fel, disc: Fel, denom: Fel) -> bool:
     """Whether cubic((neg_b+s)/denom) * cubic((neg_b-s)/denom) vanishes, s = sqrt(disc).
 
-    The two points are the roots of g(y) = (denom*y - neg_b)^2 - disc, so the
-    product vanishes exactly when the cubic shares a root with g, which the
-    base field decides: gcd(cubic, g) is not constant.
+    The two points are the roots of (denom*y - neg_b)^2 - disc, so the
+    product is the resultant of the monic g = y^2 + g1*y + g0, g1 =
+    -2*neg_b/denom and g0 = (neg_b^2 - disc)/denom^2, and the cubic.  That
+    equals the resultant of g and the cubic's remainder r1*y + r0 mod g
+    (by Horner's rule), r0^2 - g1*r0*r1 + g0*r1^2.  A zero denom leaves the
+    constant neg_b^2 - disc in place of g, which shares a root with every
+    nonconstant cubic when it is zero and with none otherwise.
     """
-    F = denom.field
-    g = Poly(F, [neg_b * neg_b - disc, -F.el(2) * denom * neg_b, denom * denom])
-    return poly_gcd(cubic, g).degree > 0
+    g0 = neg_b * neg_b - disc
+    if denom.is_zero:
+        return g0.is_zero and cubic.degree > 0
+    inv = denom.inv()
+    g1, g0 = -(neg_b + neg_b) * inv, g0 * inv * inv
+    r0 = r1 = denom.field.zero
+    for c in reversed(cubic.coeffs):
+        r1, r0 = r0 - g1 * r1, c - g0 * r1
+    return (r0 * r0 - g1 * r0 * r1 + g0 * r1 * r1).is_zero
 
 
 def _pm_target_hit(target: Fel, center: Fel, coef: Fel, radicand: Fel) -> bool:

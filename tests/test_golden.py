@@ -118,6 +118,18 @@ def _sweep(F):
             yield json.dumps(adjudicate_flag(flag, F, 40, 3), sort_keys=True)
 
 
+def _ext_powers():
+    """Each large extension's modulus, then a^e at 50 seeded (a, e) with e
+    below the order, and a^1000: powers on base-p digits past the log
+    tables."""
+    for F in (GF(3, 27), GF(5, 36), GF(2, 80)):
+        yield f"{F.text()}|{','.join(map(str, F.modulus))}"
+        rng = random.Random(F.order)
+        for _ in range(50):
+            a, e = F._fel(rng.randrange(F.order)), rng.randrange(F.order)
+            yield f"{a.text()}|{e}|{(a**e).text()}|{(a**1000).text()}"
+
+
 def _instantiate_points():
     """`instantiate` on the exhaustive grid of every family over GF(2), GF(3),
     GF(4), GF(5) and GF(7), and at 40 seeded n/d points per family over Q."""
@@ -143,6 +155,11 @@ SECTIONS = {
     "closed_gf9": lambda: _seeded_closed(GF(3, 2), 3),
     "plain_gf1009": lambda: _seeded_plain(GF(1009), 4, 100),
     "plain_gf625": lambda: _seeded_plain(GF(5, 4), 5, 50),
+    # past GF(1009): in-field root searches whose power runs many squarings,
+    # and powers in extensions of large degree
+    "plain_gf10007": lambda: _seeded_plain(GF(10007), 16, 100),
+    "plain_gf2_61": lambda: _seeded_plain(GF(2**61 - 1), 17, 50),
+    "powers_ext": _ext_powers,
     "plain_q": lambda: (analyze(A).dumps() for A in _seeded_q_mscs(9)),
     "closed_cubic_gf11": lambda: _seeded_closed_cubic(GF(11), 6),
     "closed_cubic_gf13": lambda: _seeded_closed_cubic(GF(13), 7),
@@ -172,8 +189,11 @@ DIGESTS = {
     "closed_cubic_gf17": "e6feef9e84ae32bc4955a072d40dd7ee5af5e57510cddcea5ee4f66a2c30c858",
     "instantiate": "b40c522448e2083c8e4b1c6daa2d6358b4b0b3a30fa144d97b4c295482fbd22a",
     "plain_gf1009": "a9c67a45a0727497029e19bbef6d4b48e968681227120591f5a888af86211232",
+    "plain_gf10007": "8196200c6dee06f7f0c7bc615bcad8f92ee5fd6f9823eddfa98dedffb44a343d",
+    "plain_gf2_61": "2596162aa7e195a5c0ec99c186707a3a10a0084f1baa219eafb5c3ec3c17043d",
     "plain_gf625": "6d94c585527c64667bb0f3876fce82396701e3f92f5f7fd4d557f348bc9bc3e6",
     "plain_q": "9d1f15d6d1f5a3053fa044d125a687009f3eaa609ac98dd1ff5d03d451a3fc04",
+    "powers_ext": "096ff3d474b93e824cc8d08ef33b61bc17e50d32afe2de2933e9af45d0325828",
     "splitting_gf4": "444e9d1909ffcbc737e1193663d86062ffcc3cf4ad732149124d0c71a8a6e5de",
     "splitting_gf5": "ec3940377079b7a65f5ecf80cd1af4991cf3913b010af8abfa4ea8197281fef3",
     "sweep_gf4": "46fafc4fec9225fc44ece5939b0d9df54f01c30b833a64c7519a0a15367b4f77",

@@ -482,6 +482,55 @@ def test_raw_power_by_the_extension_order_fixes_x(p, k):
     assert poly._rpow(GF(p), [0, 1], p, m) != [0, 1]
 
 
+def _ref_pow(F, base, e, M):
+    """base^e mod M by left-to-right square-and-multiply on the schoolbook
+    helpers, on elements."""
+    b = _ref_divmod(F, _fels(F, base), M)[1]
+    want = [F.one]
+    for bit in bin(e)[2:]:
+        want = _ref_divmod(F, _ref_mul(F, want, want), M)[1]
+        if bit == "1":
+            want = _ref_divmod(F, _ref_mul(F, want, b), M)[1]
+    return _raws(want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1009, 10007, 2**61 - 1])
+def test_packed_powers_match_square_and_multiply_on_elements(p):
+    """`_rpow` over GF(p) on both sides of its rule, which packs an exponent
+    of more than 2 * min(d, 4) bits for a modulus of degree d: exponents of
+    1, of that many bits and one more, and for d < 27 longer ones, up to q =
+    p^d; bases zero, a multiple of m, of degree at least d, and for d < 27
+    x."""
+    F = GF(p)
+    rng = random.Random(p)
+    for d in [*range(1, 9), 27, 80]:
+        m = poly._rmonic(F, _draw_raw(F, rng, d))
+        M = _fels(F, m)
+        t = 2 * min(d, 4)
+        exps = {1, 2**t - 1, 2**t}
+        if d < 27:  # where the schoolbook reference is quick
+            exps.add(rng.randrange(2**t, max(min(F.order**d, 2 ** (t + 24)), 2**t + 1)))
+        multiple = poly._rmul(F, m, _draw_raw(F, rng, rng.randint(0, 2)))
+        dense = _draw_raw(F, rng, rng.randint(d, 2 * d))
+        for e in sorted(exps):
+            for base in [[], multiple, dense] + [[0, 1]] * (d < 27):
+                assert poly._rpow(F, base, e, m) == _ref_pow(F, base, e, M), (d, e, base)
+
+
+def test_packed_power_runs_no_list_loop(monkeypatch):
+    """x^((p-1)/2) modulo a cubic over GF(10007) runs on packed ints: it
+    makes no call of `fields._convolve` or `fields._fold`, the list loops
+    that `poly` imports."""
+    calls = []
+    for name in ("_convolve", "_fold"):
+        loop = getattr(poly, name)
+        monkeypatch.setattr(poly, name, lambda *a, name=name, loop=loop: calls.append(name) or loop(*a))
+    F, m = GF(10007), [5, 0, 3, 1]
+    got = poly._rpow(F, [0, 1], 5003, m)
+    assert calls == []
+    assert got == _ref_pow(F, [0, 1], 5003, _fels(F, m))
+
+
 # ---------------------------------------------------------------------------
 # Splitting over odd q: the first split by the search's own x^((q-1)/2), the
 # quadratic formula by Tonelli-Shanks square roots, and Cantor-Zassenhaus

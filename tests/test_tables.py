@@ -1,11 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from alg2d import GF, Element, FieldMismatch, Poly, RootCount
+from alg2d import GF, QQ, Element, FieldMismatch, Poly, RootCount
 from alg2d.fields import embed
-from alg2d.poly import sqrt_in_ext
+from alg2d.poly import poly_gcd, sqrt_in_ext
 from alg2d.families import FamilyId, Regime, RegimeMismatch
 from alg2d.solvers import AffineSolutionSet
 from alg2d.sweep import (
@@ -411,3 +412,46 @@ def test_base_field_pm_helpers_match_the_extension_on_seeded_tuples(spec):
         denom = draw()
         if not denom.is_zero:
             _pm_check(F, draw(), draw(), denom, rng)
+
+
+def _gcd_pm_product_zero(cubic, neg_b, disc, denom):
+    """The definition: the cubic shares a root with g = (denom*y - neg_b)^2 -
+    disc, whose roots are the two points, when gcd(cubic, g) is not constant."""
+    F = denom.field
+    g = Poly(F, [neg_b * neg_b - disc, -F.el(2) * denom * neg_b, denom * denom])
+    return poly_gcd(cubic, g).degree > 0
+
+
+@pytest.mark.parametrize("F", [F2, F3, GF(2, 2)])
+def test_pm_product_zero_is_the_gcd_test_on_every_input(F):
+    """Every cubic, the zero one and those with leading zeros included, at
+    every (neg_b, disc, denom), denom = 0 included."""
+    els_ = list(F.elements())
+    for coeffs in itertools.product(els_, repeat=4):
+        cubic = Poly(F, coeffs)
+        for args in itertools.product(els_, repeat=3):
+            want = _gcd_pm_product_zero(cubic, *args)
+            assert _pm_product_zero(cubic, *args) == want, (cubic, args)
+
+
+@pytest.mark.parametrize("spec", [(7,), (3, 2), (101,), (10007,), (2, 11), ("q",)])
+def test_pm_product_zero_is_the_gcd_test_on_seeded_inputs(spec):
+    """Seeded inputs with small entries, so that zeros, shared roots and
+    zero denominators all occur, over larger fields and Q."""
+    F = QQ if spec == ("q",) else GF(*spec)
+    rng = random.Random(str(spec))
+
+    def draw():
+        if rng.random() < 0.6:
+            return F.el(rng.randint(-2, 2))
+        if F is QQ:
+            return F.el(Fraction(rng.randint(-99, 99), rng.randint(1, 9)))
+        return F.from_index(rng.randrange(F.order))
+
+    for _ in range(400):
+        args = nb, disc, dn = draw(), draw(), draw()
+        g = Poly(F, [nb * nb - disc, -F.el(2) * dn * nb, dn * dn])
+        shared = g * Poly(F, [draw(), draw()])  # vanishes at a point whenever g does
+        for cubic in (Poly(F, [draw() for _ in range(4)]), shared):
+            want = _gcd_pm_product_zero(cubic, *args)
+            assert _pm_product_zero(cubic, *args) == want, (cubic, args)
