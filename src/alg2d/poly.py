@@ -464,16 +464,19 @@ def _rational_roots(h: list) -> list[Fraction]:
 
     The square-free part of h, in its primitive form in Z[x] (`_primitive`)
     with leading coefficient a > 0, becomes the monic g(y) = a^(n-1) * h(y/a)
-    in Z[y], whose integer roots are the a*r; its gcd with h' runs on
-    integers too.  Each root of g modulo the least prime p that keeps g
+    in Z[y], whose integer roots are the a*r.  It is h itself when h has
+    degree at most 3 and `_closed_root_count` finds as many distinct roots
+    as the degree; otherwise it comes from the gcd of h and h', which runs
+    on integers too.  Each root of g modulo the least prime p that keeps g
     square-free (and does not divide a) lifts uniquely; a lift read as a
     symmetric residue past twice Cauchy's bound is a root of g exactly when
     g vanishes there.
     """
     h = _primitive(h)
-    d = _rgcd(QQ, h, [i * c for i, c in enumerate(h)][1:])
-    if len(d) > 1:
-        h = _primitive(_rdivmod(QQ, h, d)[0])
+    if len(h) > 4 or _closed_root_count(QQ, h) < len(h) - 1:
+        d = _rgcd(QQ, h, [i * c for i, c in enumerate(h)][1:])
+        if len(d) > 1:
+            h = _primitive(_rdivmod(QQ, h, d)[0])
     a, n = h[-1], len(h) - 1
     g = [c * a ** (n - 1 - i) for i, c in enumerate(h[:-1])] + [1]
     dg = [i * c for i, c in enumerate(g)][1:]

@@ -5,8 +5,9 @@ F(e1 + y*e2), whose slope y is a root of the kind's `slope_poly`, or F(e2),
 which qualifies when the alpha entries named in `_E2_LINE` vanish:
 
   subalgebras  -- the cubic `subalgebra_poly`; F(e2) when a4 = 0;
-  left ideals  -- the gcd of `left_ideal_system`; F(e2) when a2 = a4 = 0;
-  right ideals -- the gcd of `right_ideal_system`; F(e2) when a3 = a4 = 0;
+  left ideals  -- the gcd of `left_ideal_system`, or 1 by a nonzero
+                  resultant; F(e2) when a2 = a4 = 0;
+  right ideals -- the same of `right_ideal_system`; F(e2) when a3 = a4 = 0;
   two-sided    -- the linear candidate where the two systems differ, or the
                   left gcd where they coincide; F(e2) when a2 = a3 = a4 = 0.
 
@@ -18,11 +19,12 @@ lists lines: `lines` in A's own field, through which the named solvers
 cubic's roots through `eigenvalue_poly`, and the subalgebra splitting field.
 The slope polynomial and its search are made once per algebra and kind and
 kept on it (`root_search`); the search runs when first read.  Quasiunits
-solve an 8x2 linear system.  Only callers that list the lines over the
-closure lift A, all through `closure(A, which)`: to `closure_field(A,
-which)`, the cubic's splitting field for subalgebras and, for the ideal
-kinds, the field where all four ideal quadratics split.  The lift is kept on
-A under its field, so kinds with one closure field share one lift.
+solve an 8x2 linear system, read row by row until one rules out Cramer's
+candidate.  Only callers that list the lines over the closure lift A, all
+through `closure(A, which)`: to `closure_field(A, which)`, the cubic's
+splitting field for subalgebras and, for the ideal kinds, the field where
+all four ideal quadratics split.  The lift is kept on A under its field, so
+kinds with one closure field share one lift.
 
 Each formula in the structure constants (the cubic, the eigenvalue and ideal
 quadratics, the two-sided candidate, the quasiunit system and Cramer's rule
@@ -200,12 +202,15 @@ def slope_poly(A: MSC, which: str) -> Poly:
     F(e1 + y*e2) of the kind `which`; zero when every slope is one.
 
     Subalgebras: the cubic.  Left and right ideals: the gcd of the kind's
-    system.  Two-sided ideals: the leading quadratics of the two systems
-    differ by y*(a3-a2) - b3 + b2, so when a2 != a3 the one candidate is
-    y0 = n/d = (b3-b2)/(a3-a2), giving y - y0 when all four quadratics
-    vanish there, as f2*n^2 + f1*n*d + f0*d^2 = 0, and 1 otherwise; when
-    a2 = a3 no slope qualifies if b2 != b3, and if b2 = b3 the two systems
-    coincide and the left gcd decides.
+    system (f, g), or 1 with no gcd run when their resultant (f2*g0 -
+    f0*g2)^2 - (f2*g1 - f1*g2)*(f1*g0 - f0*g1) is nonzero, since then f and
+    g share no root over the closure (and f2, g2 are not both zero).
+    Two-sided ideals: the leading quadratics of the two systems differ by
+    y*(a3-a2) - b3 + b2, so when a2 != a3 the one candidate is y0 = n/d =
+    (b3-b2)/(a3-a2), giving y - y0 when all four quadratics vanish there,
+    as f2*n^2 + f1*n*d + f0*d^2 = 0, and 1 otherwise; when a2 = a3 no slope
+    qualifies if b2 != b3, and if b2 = b3 the two systems coincide and the
+    left system decides, as above.
     """
     if which == "subalgebras":
         return subalgebra_poly(A)
@@ -223,8 +228,12 @@ def slope_poly(A: MSC, which: str) -> Poly:
             return Poly(F, [N.fel(-n * N.inv(N.canon(d))), F.one] if ideal else [F.one])
         if b2 != b3:
             return Poly(F, [F.one])
-    system = _right_system if which == "right" else _left_system
-    return Poly._of_raw(F, _rgcd(F, *map(N.raw, system(*c))))
+    f, g = (_right_system if which == "right" else _left_system)(*c)
+    (f0, f1, f2), (g0, g1, g2) = f, g
+    u = f2 * g0 - f0 * g2
+    if N.canon(u * u - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)) != N.zero:
+        return Poly(F, [F.one])
+    return Poly._of_raw(F, _rgcd(F, N.raw(f), N.raw(g)))
 
 
 # alpha entries that all vanish exactly when F(e2) is a line of each kind
@@ -495,27 +504,26 @@ def is_simple(A: MSC) -> bool:
 # ---------------------------------------------------------------------------
 # Left quasiunits.
 
-def _quasiunit_rows(a1, a2, a3, a4, b1, b2, b3, b4) -> tuple[list, list]:
-    """The published 8x2 linear system for a left quasiunit x0*e1 + y0*e2:
-    (rows, rhs) with each row (cx, cy) meaning cx*x0 + cy*y0 = rhs."""
-    rows = [
-        (-(a1 * a1) - a3 * b1, -(a3 * a1) + a4 * b1 - a2 * b3 - a3 * b3),
-        (-(a1 * a2) - a4 * b1, -(b4 * a2) - a1 * a4 + a4 * b2 - a4 * b3),
-        (-(a1 * a2) + b3 * a2 - a4 * b1 - a3 * b2, -(a1 * a4) - a3 * b4),
-        (
-            -(a2 * a2) - a3 * a2 + b4 * a2 + a1 * a4 - (a4 * b2 + a4 * b2),
-            -(a4 * a2) - a4 * b4,
-        ),
-        (
-            -(b1 * b3) - a1 * b1,
-            -(b3 * b3) + a1 * b3 - b2 * b3 - (a3 * b1 + a3 * b1) + b1 * b4,
-        ),
-        (-(b4 * b1) - a1 * b2, -(a4 * b1) - a3 * b2 + a2 * b3 - b3 * b4),
-        (-(a2 * b1) + a3 * b1 - b4 * b1 - a1 * b3, -(a4 * b1) - b3 * b4),
-        (-(b2 * b4) + a4 * b1 - a2 * b2 - a2 * b3, -(b4 * b4) - a4 * b2),
-    ]
-    rhs = [-c for c in (a1, a2, a3, a4, b1, b2, b3, b4)]
-    return rows, rhs
+def _quasiunit_rows(a1, a2, a3, a4, b1, b2, b3, b4):
+    """The published 8x2 linear system for a left quasiunit x0*e1 + y0*e2,
+    yielded row by row in its printed order: each (cx, cy, rhs) means
+    cx*x0 + cy*y0 = rhs, and a row is computed only when it is read."""
+    yield -(a1 * a1) - a3 * b1, -(a3 * a1) + a4 * b1 - a2 * b3 - a3 * b3, -a1
+    yield -(a1 * a2) - a4 * b1, -(b4 * a2) - a1 * a4 + a4 * b2 - a4 * b3, -a2
+    yield -(a1 * a2) + b3 * a2 - a4 * b1 - a3 * b2, -(a1 * a4) - a3 * b4, -a3
+    yield (
+        -(a2 * a2) - a3 * a2 + b4 * a2 + a1 * a4 - (a4 * b2 + a4 * b2),
+        -(a4 * a2) - a4 * b4,
+        -a4,
+    )
+    yield (
+        -(b1 * b3) - a1 * b1,
+        -(b3 * b3) + a1 * b3 - b2 * b3 - (a3 * b1 + a3 * b1) + b1 * b4,
+        -b1,
+    )
+    yield -(b4 * b1) - a1 * b2, -(a4 * b1) - a3 * b2 + a2 * b3 - b3 * b4, -b2
+    yield -(a2 * b1) + a3 * b1 - b4 * b1 - a1 * b3, -(a4 * b1) - b3 * b4, -b3
+    yield -(b2 * b4) + a4 * b1 - a2 * b2 - a2 * b3, -(b4 * b4) - a4 * b2, -b4
 
 
 def quasiunit_system(A: MSC) -> tuple[list[tuple[Fel, Fel]], list[Fel]]:
@@ -525,8 +533,8 @@ def quasiunit_system(A: MSC) -> tuple[list[tuple[Fel, Fel]], list[Fel]]:
     `_quasiunit_rows`, on the numbers `_constants(A)` reads and builds
     elements only for its answer."""
     N, c = _constants(A)
-    rows, rhs = _quasiunit_rows(*c)
-    return [(N.fel(cx), N.fel(cy)) for cx, cy in rows], [N.fel(c) for c in rhs]
+    eqs = [(N.fel(cx), N.fel(cy), N.fel(r)) for cx, cy, r in _quasiunit_rows(*c)]
+    return [eq[:2] for eq in eqs], [eq[2] for eq in eqs]
 
 
 class AffineSolutionSet:
@@ -631,7 +639,7 @@ def solve_plane_system(rows, rhs, field: Field) -> AffineSolutionSet:
     """The solution set of the system whose rows (cx, cy) and right-hand
     sides are elements of `field`, by `_solve_plane`."""
     N = _numbers(field)
-    return _solve_plane(N, [N.of(row) for row in rows], N.of(rhs))
+    return _solve_plane(N, (N.of((*row, c)) for row, c in zip(rows, rhs)))
 
 
 def _line(N: _Elements, a, b, c) -> tuple:
@@ -645,30 +653,39 @@ def _line(N: _Elements, a, b, c) -> tuple:
     return c * N.inv(a), N.zero, N.zero, N.one
 
 
-def _solve_plane(N: _Elements, rows, rhs) -> AffineSolutionSet:
+def _solve_plane(N: _Elements, eqs) -> AffineSolutionSet:
     """Cramer's rule on the first nonzero row and the first row independent
-    of it, on the numbers N.  The candidate, their one point (x/w, y/w) or
-    the first row's line, is the answer exactly when every row holds at it,
-    r0*x + r1*y = r*w (at the line's base, with w = 1, which suffices when
-    every row is a multiple of the first); w is inverted only for the answer."""
+    of it, on the numbers N, reading the rows (cx, cy, rhs) of `eqs` one at
+    a time.  The candidate, their one point (x/w, y/w) or the first row's
+    line, is the answer exactly when every row holds at it, r0*x + r1*y =
+    r*w (at the line's base, with w = 1, which suffices when every row is a
+    multiple of the first).  Each row read after the candidate is checked
+    as it is read, and the first that fails ends the read with the empty
+    set; the rows read before the candidate are held and checked last.  w
+    is inverted only for the answer."""
     canon, zero = N.canon, N.zero
-    eqs = [(canon(a), canon(b), canon(c)) for (a, b), c in zip(rows, rhs)]
-    first = next(((a, b, c) for a, b, c in eqs if a != zero or b != zero), None)
-    if first is None:
-        plane = all(c == zero for _, _, c in eqs)
+    eqs = ((canon(a), canon(b), canon(c)) for a, b, c in eqs)
+    held = []
+    for a, b, c in eqs:
+        held.append((a, b, c))
+        if a != zero or b != zero:
+            break
+    else:
+        plane = all(c == zero for _, _, c in held)
         return AffineSolutionSet.plane() if plane else AffineSolutionSet.empty()
-    a, b, c = first
     for a2, b2, c2 in eqs:
         w = canon(a * b2 - b * a2)
         if w != zero:
             x, y = canon(c * b2 - b * c2), canon(a * c2 - c * a2)
             point = True
             break
+        held.append((a2, b2, c2))
     else:
         x, y, dx, dy = _line(N, a, b, c)
         w, point = N.one, False
-    if any(canon(r0 * x + r1 * y - r * w) != zero for r0, r1, r in eqs):
-        return AffineSolutionSet.empty()
+    for rest in (eqs, held):
+        if any(canon(r0 * x + r1 * y - r * w) != zero for r0, r1, r in rest):
+            return AffineSolutionSet.empty()
     if point:
         inv = N.inv(w)
         return AffineSolutionSet.single(Element(N.fel(x * inv), N.fel(y * inv)))
@@ -678,4 +695,4 @@ def _solve_plane(N: _Elements, rows, rhs) -> AffineSolutionSet:
 def left_quasiunits(A: MSC) -> AffineSolutionSet:
     """Exact affine solution set of the quasiunit system."""
     N, c = _constants(A)
-    return _solve_plane(N, *_quasiunit_rows(*c))
+    return _solve_plane(N, _quasiunit_rows(*c))

@@ -109,6 +109,36 @@ def test_rational_roots_come_from_a_small_prime_field(monkeypatch):
     assert len(seen) == 1 and seen[0].k == 1 and seen[0].p < 100
 
 
+def test_distinct_root_cubics_over_q_run_no_gcd_over_q(monkeypatch):
+    """A cubic whose discriminant rule counts three distinct roots is its
+    own square-free part, so `_rational_roots` runs no gcd over Q, only the
+    square-free test of its image modulo p.  Half the cubics are products
+    of three distinct rational linear factors, half are drawn freely."""
+    over_q = []
+    gcd = poly._rgcd
+    monkeypatch.setattr(poly, "_rgcd", lambda F, a, b: over_q.append(not F.p) or gcd(F, a, b))
+    rng = random.Random(100)
+    found = 0
+    for i in range(100):
+        if i % 2:
+            roots = set()
+            while len(roots) < 3:
+                roots.add(Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
+            h = [Fraction(rng.choice((-3, -1, 2, 5)))]
+            for r in roots:
+                h = poly._rmul(QQ, h, [-r, Fraction(1)])
+        else:
+            h = [Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(3)] + [Fraction(1)]
+            roots = None
+        assert poly._closed_root_count(QQ, h) == 3, h
+        got = sorted(poly._rational_roots(h))
+        if roots is not None:
+            assert got == sorted(roots), h
+        found += len(got)
+    assert over_q and not any(over_q)
+    assert found >= 150
+
+
 def test_roots_satisfy_polynomial_no_duplicates():
     for F in (GF(5), GF(2, 2), GF(3, 2)):
         for idx in range(0, F.order**3, 7):

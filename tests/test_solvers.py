@@ -42,6 +42,7 @@ from alg2d import (
 )
 from alg2d.algebra import all_mscs
 from alg2d.families import FamilyId, Regime, instantiate
+from alg2d.poly import _rgcd
 from alg2d.solvers import (
     AffineSolutionSet,
     IdempotentSet,
@@ -386,6 +387,85 @@ def test_two_sided_slope_poly_keeps_the_common_roots_of_all_four_quadratics():
     assert {(True, True, d) for d in (-1, 0, 1, 2)} <= cases
 
 
+def _system_gcd(A, which):
+    """The monic `_rgcd` of the kind's ideal quadratics, computed here: the
+    left or the right system, or all four for two-sided ideals."""
+    F = A.field
+    left = [f._raw() for f in left_ideal_system(A)]
+    right = [f._raw() for f in right_ideal_system(A)]
+    if which == "two_sided":
+        return Poly._of_raw(F, _rgcd(F, _rgcd(F, *left), _rgcd(F, *right)))
+    return Poly._of_raw(F, _rgcd(F, *(left if which == "left" else right)))
+
+
+def _common_root_mscs(F, n, seed):
+    """n seeded algebras over F, about a third of their constants zero, each
+    followed by a copy whose left system and one whose right system has a
+    common root r (b3, b1 and b2, b1 solved for), and one with a2 = a3 and
+    b2 = b3."""
+    rng = random.Random(seed)
+    if F is QQ:
+        draw = lambda: F.el(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+    else:
+        draw = lambda: F.from_index(rng.randrange(F.order))
+    for _ in range(n):
+        a1, a2, a3, a4, b1, b2, b3, b4 = (
+            F.zero if rng.randrange(3) == 0 else draw() for _ in range(8)
+        )
+        r = draw()
+        yield MSC(F, [a1, a2, a3, a4], [b1, b2, b3, b4])
+        yield MSC(F, [a1, a2, a3, a4], [a2 * r * r + (a1 - b2) * r, b2, a4 * r * r + (a3 - b4) * r, b4])
+        yield MSC(F, [a1, a2, a3, a4], [a3 * r * r + (a1 - b3) * r, a4 * r * r + (a2 - b4) * r, b3, b4])
+        yield MSC(F, [a1, a2, a2, a4], [b1, b2, b2, b4])
+
+
+_IDEAL_KINDS = ("left", "right", "two_sided")
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1)])
+def test_slope_poly_is_the_system_gcd_on_every_algebra(spec):
+    """The resultant certificate answers 1 exactly where the gcd of the
+    kind's system is 1, on every algebra over GF(2) and GF(3)."""
+    for A in all_mscs(GF(*spec)):
+        for which in _IDEAL_KINDS:
+            assert slope_poly(A, which) == _system_gcd(A, which), (which, A.text())
+
+
+@pytest.mark.parametrize("spec", [(2, 2), (3, 2), (101, 1), (5, 4), (2, 11), None])
+def test_slope_poly_is_the_system_gcd_on_seeded_algebras(spec):
+    """As on every algebra over GF(2) and GF(3), over GF(4), GF(9), GF(101),
+    GF(5^4), GF(2^11) past the log tables, and Q; the common-root copies
+    reach the gcd past a vanishing resultant."""
+    F = GF(*spec) if spec else QQ
+    degrees = set()
+    for A in _common_root_mscs(F, 40, seed=F.order if spec else 0):
+        for which in _IDEAL_KINDS:
+            f = slope_poly(A, which)
+            assert f == _system_gcd(A, which), (which, A.text())
+            degrees.add(f.degree)
+    assert {0, 1, 2} <= degrees
+
+
+def test_generic_one_sided_slopes_run_no_gcd(monkeypatch):
+    """A generic algebra over GF(10007) has a nonzero resultant in both
+    one-sided systems, so neither kind runs `_rgcd`; a common root of the
+    left system makes its resultant vanish and runs it."""
+    from alg2d import solvers
+
+    calls = []
+    gcd = solvers._rgcd
+    monkeypatch.setattr(solvers, "_rgcd", lambda *a: calls.append(a) or gcd(*a))
+    F = GF(10007)
+    A = MSC.from_ints(F, [3, 1, 4, 1], [5, 9, 2, 6])
+    for which in ("left", "right"):
+        assert slope_poly(A, which) == Poly.from_ints(F, [1])
+    assert calls == []
+    # b3 and b1 solved so that y = 2 is a common root of the left system
+    B = MSC.from_ints(F, [3, 1, 4, 1], [-8, 9, 0, 6])
+    assert roots_in_field(slope_poly(B, "left")) == [F.el(2)]
+    assert len(calls) == 1
+
+
 def test_plain_analyze_builds_no_extension_field(monkeypatch):
     """Plain analyze of a simple algebra over GF(3^27) decides simplicity
     without GF(3^54), which embedding alone made take over a minute."""
@@ -496,6 +576,32 @@ def test_quasiunit_solutions_pass_the_checker():
             assert sol.materialize(field) == oracle_points(A, "quasiunits")
 
 
+def test_quasiunits_read_the_rows_lazily(monkeypatch):
+    """On a generic algebra the third row already misses the Cramer
+    candidate of the first two, so the read ends there; a point answer
+    reads all eight rows."""
+    from alg2d import solvers
+
+    read = []
+    rows = solvers._quasiunit_rows
+
+    def counted(*c):
+        read.append(0)
+        for row in rows(*c):
+            read[-1] += 1
+            yield row
+
+    monkeypatch.setattr(solvers, "_quasiunit_rows", counted)
+    F = GF(10007)
+    rng = random.Random(10007)
+    for _ in range(200):
+        left_quasiunits(rand_msc(F, rng))
+    assert len(read) == 200 and sum(n <= 3 for n in read) >= 190
+    read.clear()
+    assert left_quasiunits(A10).point == Element(F5.zero, F5.el(-1))
+    assert read == [8]
+
+
 def _plane_systems(F, rng, m, n):
     """n seeded m x 2 systems of each rank 0, 1 and 2, half with a
     right-hand side that holds at a point and half with a random one: rank 0
@@ -524,6 +630,39 @@ def _plane_systems(F, rng, m, n):
                 yield rows, rhs
 
 
+def _held_row_systems(F, rng, n):
+    """n seeded systems whose first rows come before the row independent of
+    the first nonzero one: zero rows, then the first nonzero row, then
+    multiples of it, each with a right-hand side that misses the point the
+    later rows hold at (a nonzero one for a zero row) or, one time in four,
+    holds there; then the independent row and a few rows through the point."""
+    draw = lambda: F.from_index(rng.randrange(F.order))
+    nonzero = lambda: F.from_index(rng.randrange(1, F.order))
+    for _ in range(n):
+        x, y = draw(), draw()
+        at = lambda r0, r1: r0 * x + r1 * y
+        a, b = draw(), nonzero()
+        if rng.randrange(2):
+            a, b = b, a
+        rows, rhs = [], []
+        for _ in range(rng.randrange(3)):
+            rows.append((F.zero, F.zero))
+            rhs.append(F.zero if rng.randrange(4) == 0 else nonzero())
+        rows.append((a, b))
+        rhs.append(at(a, b))
+        for _ in range(rng.randrange(3)):
+            t = draw()
+            rows.append((t * a, t * b))
+            rhs.append(at(t * a, t * b) + (F.zero if rng.randrange(4) == 0 else nonzero()))
+        c, d = draw(), draw()
+        while a * d == b * c:
+            c, d = draw(), draw()
+        for r0, r1 in [(c, d)] + [(draw(), draw()) for _ in range(rng.randrange(3))]:
+            rows.append((r0, r1))
+            rhs.append(at(r0, r1))
+        yield rows, rhs
+
+
 def _holds(rows, rhs, e):
     return all(r0 * e.x + r1 * e.y == r for (r0, r1), r in zip(rows, rhs))
 
@@ -547,6 +686,14 @@ def test_solve_plane_system_matches_a_scan(spec):
                     at = got.base + got.direction.scale(t)
                     assert AffineSolutionSet.line(at, got.direction.scale(k)) == got
     assert kinds == {"empty", "point", "line", "plane"}
+    # rows read before the independent one are held and checked last
+    held = set()
+    for rows, rhs in _held_row_systems(F, rng, 60):
+        got = solve_plane_system(rows, rhs, F)
+        want = sorted((e for e in plane if _holds(rows, rhs, e)), key=lambda u: u.sort_key())
+        assert got.materialize(F) == want, (rows, rhs)
+        held.add(got.kind)
+    assert held == {"empty", "point"}
 
 
 def test_solve_plane_system_over_q_satisfies_every_row():

@@ -306,6 +306,32 @@ def test_rational_roots_of_repeated_fractional_factors_match_sympy_ground_roots(
         assert got == expect, coeffs
 
 
+def test_repeated_rational_roots_run_the_square_free_gcd(monkeypatch):
+    """(y-1)^2 (y-2), (2y-3)^2 (5y+1), (y-7)^3 and 4y^2 - 12y + 9 each have
+    a repeated root, which the discriminant rule sees, so `_rational_roots`
+    takes the square-free part by a gcd over Q; its roots are sympy's."""
+    over_q = []
+    gcd = poly._rgcd
+    monkeypatch.setattr(poly, "_rgcd", lambda F, a, b: over_q.append(not F.p) or gcd(F, a, b))
+    cases = (
+        [[-1, 1], [-1, 1], [-2, 1]],
+        [[-3, 2], [-3, 2], [1, 5]],
+        [[-7, 1], [-7, 1], [-7, 1]],
+        [[9, -12, 4]],
+    )
+    for factors in cases:
+        coeffs = [Fraction(1)]
+        for f in factors:
+            coeffs = poly._rmul(QQ, coeffs, [Fraction(c) for c in f])
+        over_q.clear()
+        got = sorted(poly._rational_roots(coeffs))
+        expect = sorted(
+            Fraction(int(r.p), int(r.q)) for r in set(_sympy_of(coeffs, 0).ground_roots())
+        )
+        assert got == expect, coeffs
+        assert any(over_q), coeffs
+
+
 @pytest.mark.parametrize("p", [2, 3, 7, 10007, 2**61 - 1])
 def test_roots_on_the_int_path_match_sympy_ground_roots(p):
     """Seeded polynomials of degree <= 6, half of them products of linear
